@@ -383,7 +383,10 @@ def _build_parser() -> argparse.ArgumentParser:
             "--preset", metavar="NAME", help=f"one of: {', '.join(preset_names())}"
         )
         cmd.add_argument("--out", metavar="PATH", help="write CSV here instead of stdout")
-        cmd.add_argument("--workers", type=int, metavar="N", help="assembly threads")
+        cmd.add_argument(
+            "--workers", type=int, metavar="N",
+            help="accepted for compatibility; changes neither results nor speed",
+        )
         cmd.add_argument(
             "--quad-order", type=int, dest="quad_order", metavar="N",
             help="Gauss-Legendre order for distribution quadrature",

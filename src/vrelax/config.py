@@ -37,7 +37,8 @@ keeps literal K injection and distribution quadrature mutually exclusive.
     sample_every = 1         output stride
     rho0                     single:<level>:<M>  (hyperfine: single:<level>:<F>:<M>),
                              uniform:<level>, or thermal-ground; no silent default
-    workers = 1              threads for table assembly
+    workers = 1              accepted for compatibility; changes neither results
+                             nor speed (tables are built in one thread)
     populations_only = false trajectory CSV compact mode
     out                      output path (CLI --out overrides)
     s_scale = 1.0            scalar line-strength prefactor S
@@ -852,7 +853,6 @@ def _restricted(rates: RateSet, level: str) -> RateSet:
 def build_rate_sets(
     cfg: ScenarioConfig,
     *,
-    workers: Optional[int] = None,
     quad_order: Optional[int] = None,
     reflectivity: Optional[float] = None,
 ) -> list[tuple[str, RateSet]]:
@@ -863,7 +863,6 @@ def build_rate_sets(
     "injected" for literal K values.  Order is fixed: spontaneous first.
     """
     run, env = cfg.run, cfg.environment
-    workers = run.workers if workers is None else workers
     quad = run.quad_order if quad_order is None else quad_order
     scheme = build_scheme(cfg)
     hyper = isinstance(scheme, HyperfineScheme)
@@ -873,29 +872,21 @@ def build_rate_sets(
         if hyper:
             # flat modifiers only (validated), so one evaluation point serves
             k = k_spontaneous(mod, scheme.fine.omega_bd)
-            sets.append(("spontaneous", rates_hyperfine(scheme, k, workers=workers)))
+            sets.append(("spontaneous", rates_hyperfine(scheme, k)))
         else:
             k_b = k_spontaneous(mod, scheme.omega_bd)
             k_c = k_spontaneous(mod, scheme.omega_cd)
-            sets.append(
-                ("spontaneous", rates_fine(scheme, k_b, k_c, kind="spontaneous", workers=workers))
-            )
+            sets.append(("spontaneous", rates_fine(scheme, k_b, k_c, kind="spontaneous")))
     if env.kind in ("isotropic", "cos2", "tabulated"):
         dist = _distribution(env, run.n_scale)
-        sets.append(
-            (
-                "stimulated",
-                rates_stimulated(
-                    scheme, dist, ModeDensityModifier.vacuum(), quad_order=quad, workers=workers
-                ),
-            )
-        )
+        rates = rates_stimulated(scheme, dist, ModeDensityModifier.vacuum(), quad_order=quad)
+        sets.append(("stimulated", rates))
     elif env.kind == "injected":
         k = KMatrix.from_diagonal([v * run.n_scale for v in env.k_diag])
         if hyper:
-            sets.append(("injected", rates_hyperfine(scheme, k, workers=workers)))
+            sets.append(("injected", rates_hyperfine(scheme, k)))
         else:
-            sets.append(("injected", rates_injected(scheme, k, workers=workers)))
+            sets.append(("injected", rates_injected(scheme, k)))
     if cfg.system.restrict_excited is not None:
         sets = [(label, _restricted(rs, cfg.system.restrict_excited)) for label, rs in sets]
     return sets

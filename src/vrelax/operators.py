@@ -8,9 +8,13 @@ helicity matrix (see environment.KMatrix).
 Rate tables come in two shapes.  The two-index table ("upper") couples pairs
 of excited sublevels and drives depopulation together with the coherence
 decay between the excited levels.  The four-index table ("feeding") resolves
-the ground sublevels the decay feeds into; summing its diagonal-ground
-entries reproduces the two-index table exactly, and the assembly loops are
-ordered so that this holds to the last bit, not merely to rounding.
+the ground sublevels the decay feeds into.  Every coefficient has one form,
+S * A1 * A2 * K(sigma1, sigma2): two dipole channel amplitudes times the
+helicity matrix, contracted once per level pair over a channel table
+(``_channels``).  The two-index table is then the ordered sum of the
+diagonal-ground feeding entries, and the ground table of stimulated sets the
+ordered sum of the diagonal-excited ones, so both trace identities hold to
+the last bit, not merely to rounding.
 
 Superoperators act on the row-major vectorisation of the density matrix:
 vec(A rho B) = kron(A, B.T) vec(rho).  Feeding terms are inserted in
@@ -21,8 +25,7 @@ helicity matrices, not only for real ones.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Iterable, Mapping
 
 import numpy as np
@@ -282,6 +285,54 @@ def _coerce_key(key: tuple) -> tuple:
     return tuple(out)
 
 
+def _split_feeding(key: tuple, hyperfine: bool) -> tuple[tuple, tuple, tuple, tuple]:
+    """(upper1, ground1, upper2, ground2) halves of a feeding key.
+
+    The halves are (level, M) + (Md,) for fine structure and
+    (level, F, M) + (Fd, Md) for hyperfine structure.
+    """
+    mid = len(key) // 2
+    cut = 3 if hyperfine else 2
+    return key[:cut], key[cut:mid], key[mid : mid + cut], key[mid + cut :]
+
+
+def _partial_trace(
+    feeding: Mapping[tuple, complex], hyperfine: bool, over: str
+) -> dict[tuple, complex]:
+    """Sums of feeding entries sharing their ``over`` sublevel ("ground" or "upper").
+
+    Entries are added in feeding-table order.  The builders make the
+    two-index and ground tables from these very sums, so both trace
+    identities hold to the last bit.
+    """
+    sums: dict[tuple, complex] = {}
+    for key, value in feeding.items():
+        up1, gr1, up2, gr2 = _split_feeding(key, hyperfine)
+        if over == "ground" and gr1 == gr2:
+            out = up1 + up2
+        elif over == "upper" and up1 == up2:
+            out = gr1 + gr2
+        else:
+            continue
+        sums[out] = sums.get(out, 0.0 + 0.0j) + value
+    return sums
+
+
+def _nonzero(table: Mapping[tuple, complex]) -> dict[tuple, complex]:
+    return {key: value for key, value in table.items() if value != 0.0}
+
+
+def _max_defect(
+    sums: Mapping[tuple, complex], table: Mapping[tuple, complex]
+) -> tuple[float, tuple | None]:
+    worst, worst_key = 0.0, None
+    for key in set(sums) | set(table):
+        defect = abs(sums.get(key, 0.0 + 0.0j) - table.get(key, 0.0 + 0.0j))
+        if defect > worst:
+            worst, worst_key = defect, key
+    return worst, worst_key
+
+
 @dataclass(frozen=True, eq=False)
 class RateSet:
     """Sparse rate tables plus enough context to build superoperators.
@@ -328,25 +379,8 @@ class RateSet:
 
     def trace_identity_defect(self) -> tuple[float, tuple | None]:
         """Max |upper - sum over shared ground sublevels of feeding|, with argmax key."""
-        sums: dict[tuple, complex] = {}
-        if self.hyperfine:
-            for key, value in self.feeding.items():
-                j1, f1, m1, fd1, md1, j2, f2, m2, fd2, md2 = key
-                if fd1 == fd2 and md1 == md2:
-                    upper_key = (j1, f1, m1, j2, f2, m2)
-                    sums[upper_key] = sums.get(upper_key, 0.0 + 0.0j) + value
-        else:
-            for key, value in self.feeding.items():
-                j1, m1, md1, j2, m2, md2 = key
-                if md1 == md2:
-                    upper_key = (j1, m1, j2, m2)
-                    sums[upper_key] = sums.get(upper_key, 0.0 + 0.0j) + value
-        worst, worst_key = 0.0, None
-        for key in set(sums) | set(self.upper):
-            defect = abs(sums.get(key, 0.0 + 0.0j) - self.upper.get(key, 0.0 + 0.0j))
-            if defect > worst:
-                worst, worst_key = defect, key
-        return worst, worst_key
+        sums = _partial_trace(self.feeding, self.hyperfine, over="ground")
+        return _max_defect(sums, self.upper)
 
     def selection_defect(self) -> tuple[float, tuple | None]:
         """Largest feeding entry whose two channels carry different helicity.
@@ -358,11 +392,8 @@ class RateSet:
         """
         worst, worst_key = 0.0, None
         for key, value in self.feeding.items():
-            if self.hyperfine:
-                _, _, m1, _, md1, _, _, m2, _, md2 = key
-            else:
-                _, m1, md1, _, m2, md2 = key
-            if (m1 - md1).twice != (m2 - md2).twice and abs(value) > worst:
+            up1, gr1, up2, gr2 = _split_feeding(key, self.hyperfine)
+            if (up1[-1] - gr1[-1]).twice != (up2[-1] - gr2[-1]).twice and abs(value) > worst:
                 worst, worst_key = abs(value), key
         return worst, worst_key
 
@@ -370,18 +401,8 @@ class RateSet:
         """Max |ground - sum over shared excited sublevels of feeding|."""
         if self.ground is None:
             return 0.0, None
-        sums: dict[tuple, complex] = {}
-        for key, value in self.feeding.items():
-            j1, m1, md1, j2, m2, md2 = key
-            if j1 == j2 and m1 == m2:
-                gkey = (md1, md2)
-                sums[gkey] = sums.get(gkey, 0.0 + 0.0j) + value
-        worst, worst_key = 0.0, None
-        for key in set(sums) | set(self.ground):
-            defect = abs(sums.get(key, 0.0 + 0.0j) - self.ground.get(key, 0.0 + 0.0j))
-            if defect > worst:
-                worst, worst_key = defect, key
-        return worst, worst_key
+        sums = _partial_trace(self.feeding, self.hyperfine, over="upper")
+        return _max_defect(sums, self.ground)
 
     def validate(self, tol: float = 1e-10) -> None:
         if self.kind not in ("spontaneous", "stimulated"):
@@ -409,19 +430,38 @@ def _sigma_of(m_upper: HalfInt, m_lower: HalfInt) -> int | None:
     return None
 
 
-def _fine_halves(scheme: LevelScheme, level: str) -> list[tuple[HalfInt, HalfInt, int, float]]:
-    """Nonzero channel amplitudes (M, Md, sigma, C) of one excited level."""
-    out = []
-    j_level, j_d = scheme.j(level), scheme.j_d
-    for m in projections(j_level):
-        for md in projections(j_d):
-            sigma = _sigma_of(m, md)
-            if sigma is None:
-                continue
-            c = clebsch_gordan(j_d, md, 1, sigma, j_level, m)
-            if c != 0.0:
-                out.append((m, md, sigma, c))
-    return out
+def _channels(
+    scheme: LevelScheme | HyperfineScheme, level: str
+) -> tuple[list[tuple], list[tuple], np.ndarray, np.ndarray]:
+    """Nonzero dipole channels of one excited level, ordered by (F, M, Fd, Md).
+
+    Returns the upper and ground key halves of each channel, its helicity and
+    its amplitude R(F, Fd) * <Fd Md; 1 sigma | F M>.  Fine structure is the
+    one-F case: F = J, Fd = J_d, no recoupling factor and no F in the halves.
+    """
+    hyperfine = isinstance(scheme, HyperfineScheme)
+    if hyperfine:
+        f_upper, f_ground = scheme.f_values(level), scheme.f_values(GROUND_LEVEL)
+    else:
+        f_upper, f_ground = (scheme.j(level),), (scheme.j_d,)
+    uppers, grounds, sigmas, amplitudes = [], [], [], []
+    for f in f_upper:
+        for m in projections(f):
+            for fd in f_ground:
+                mixing = hyperfine_mixing(scheme, level, f, fd) if hyperfine else 1.0
+                if mixing == 0.0:
+                    continue
+                for md in projections(fd):
+                    sigma = _sigma_of(m, md)
+                    if sigma is None:
+                        continue
+                    c = clebsch_gordan(fd, md, 1, sigma, f, m)
+                    if c != 0.0:
+                        uppers.append((level, f, m) if hyperfine else (level, m))
+                        grounds.append((fd, md) if hyperfine else (md,))
+                        sigmas.append(sigma)
+                        amplitudes.append(mixing * c)
+    return uppers, grounds, np.array(sigmas, dtype=int), np.array(amplitudes, dtype=float)
 
 
 def _k_for_pair(j1: str, j2: str, k_b: KMatrix, k_c: KMatrix, k_cross: KMatrix | None) -> KMatrix:
@@ -431,42 +471,39 @@ def _k_for_pair(j1: str, j2: str, k_b: KMatrix, k_c: KMatrix, k_cross: KMatrix |
     return k_b if j2 == "b" else k_c
 
 
-def _fine_block(
-    scheme: LevelScheme,
-    j1: str,
-    j2: str,
-    k: KMatrix,
+def _tables(
+    scheme: LevelScheme | HyperfineScheme,
+    k_b: KMatrix,
+    k_c: KMatrix,
+    k_cross: KMatrix | None,
 ) -> tuple[dict, dict]:
-    s = scheme.s_factor(j1, j2)
-    halves1 = _fine_halves(scheme, j1)
-    halves2 = _fine_halves(scheme, j2)
+    """Two-index and feeding tables: S * A1 * A2 * K(sigma1, sigma2) per channel pair."""
+    hyperfine = isinstance(scheme, HyperfineScheme)
+    fine = scheme.fine if hyperfine else scheme
+    channels = {level: _channels(scheme, level) for level in EXCITED_LEVELS}
     feeding: dict[tuple, complex] = {}
-    for m1, md1, sig1, c1 in halves1:
-        for m2, md2, sig2, c2 in halves2:
-            value = s * c1 * c2 * k.entry(sig1, sig2)
-            if value != 0.0:
-                feeding[(j1, m1, md1, j2, m2, md2)] = value
-    # two-index sums iterate the shared Md ascending, exactly like the
-    # diagonal feeding entries above, so the trace identity is bitwise
-    upper: dict[tuple, complex] = {}
-    for m1 in projections(scheme.j(j1)):
-        for m2 in projections(scheme.j(j2)):
-            acc = 0.0 + 0.0j
-            for md in projections(scheme.j_d):
-                value = feeding.get((j1, m1, md, j2, m2, md))
-                if value is not None:
-                    acc += value
-            if acc != 0.0:
-                upper[(j1, m1, j2, m2)] = acc
-    return upper, feeding
-
-
-def _merge_blocks(blocks: Iterable[tuple[dict, dict]]) -> tuple[dict, dict]:
-    upper: dict[tuple, complex] = {}
-    feeding: dict[tuple, complex] = {}
-    for block_upper, block_feeding in blocks:
-        upper.update(block_upper)
-        feeding.update(block_feeding)
+    for j1 in EXCITED_LEVELS:
+        up1, gr1, sig1, a1 = channels[j1]
+        for j2 in EXCITED_LEVELS:
+            up2, gr2, sig2, a2 = channels[j2]
+            scale = fine.s_factor(j1, j2)
+            if hyperfine:
+                # the recoupling factors absorb 1/sqrt(2J+1) each, which this
+                # scale puts back so that I = 0 reproduces the fine tables
+                scale *= math.sqrt((fine.j(j1).twice + 1) * (fine.j(j2).twice + 1))
+            k = _k_for_pair(j1, j2, k_b, k_c, k_cross).entries
+            # ((S A1) A2) K: one fixed product order keeps every value bit-stable
+            values = (scale * a1)[:, None] * a2[None, :] * k[sig1[:, None] + 1, sig2[None, :] + 1]
+            rows, cols = np.nonzero(values)
+            for i, j, value in zip(rows.tolist(), cols.tolist(), values[rows, cols].tolist()):
+                feeding[up1[i] + gr1[i] + up2[j] + gr2[j]] = value
+    upper = _partial_trace(feeding, hyperfine, over="ground")
+    if not hyperfine:
+        # fine tables omit sums that cancel to exactly 0.0; hyperfine tables
+        # keep every sum a feeding entry reaches, because whether one of their
+        # analytic cancellations lands on exactly 0.0 depends on the last bit
+        # of K, which would make the key set change with K
+        upper = _nonzero(upper)
     return upper, feeding
 
 
@@ -477,7 +514,6 @@ def rates_fine(
     k_cross: KMatrix | None = None,
     *,
     kind: str = "spontaneous",
-    workers: int = 1,
 ) -> RateSet:
     """Assemble the fine-structure rate tables from per-level helicity matrices.
 
@@ -489,40 +525,14 @@ def rates_fine(
     """
     for matrix in (k_b, k_c) + (() if k_cross is None else (k_cross,)):
         matrix.validate()
-    pairs = [(j1, j2) for j1 in EXCITED_LEVELS for j2 in EXCITED_LEVELS]
-
-    def run(pair: tuple[str, str]) -> tuple[dict, dict]:
-        j1, j2 = pair
-        return _fine_block(scheme, j1, j2, _k_for_pair(j1, j2, k_b, k_c, k_cross))
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            blocks = list(pool.map(run, pairs))
-    else:
-        blocks = [run(pair) for pair in pairs]
-    upper, feeding = _merge_blocks(blocks)
+    upper, feeding = _tables(scheme, k_b, k_c, k_cross)
     return RateSet(kind=kind, scheme=scheme, hyperfine=False, upper=upper, feeding=feeding)
 
 
-def _ground_table(scheme: LevelScheme, k_b: KMatrix, k_c: KMatrix) -> dict[tuple, complex]:
-    """Two-index ground table: total absorption out of each ground sublevel pair."""
-    table: dict[tuple, complex] = {}
-    for md1 in projections(scheme.j_d):
-        for md2 in projections(scheme.j_d):
-            acc = 0.0 + 0.0j
-            for level, k in (("b", k_b), ("c", k_c)):
-                s = scheme.s_factor(level, level)
-                for mj in projections(scheme.j(level)):
-                    sig1 = _sigma_of(mj, md1)
-                    sig2 = _sigma_of(mj, md2)
-                    if sig1 is None or sig2 is None:
-                        continue
-                    c1 = clebsch_gordan(scheme.j_d, md1, 1, sig1, scheme.j(level), mj)
-                    c2 = clebsch_gordan(scheme.j_d, md2, 1, sig2, scheme.j(level), mj)
-                    acc += s * c1 * c2 * k.entry(sig1, sig2)
-            if acc != 0.0:
-                table[(md1, md2)] = acc
-    return table
+def _with_ground(rates: RateSet) -> RateSet:
+    """The set plus its ground table: total absorption out of each ground sublevel pair."""
+    ground = _nonzero(_partial_trace(rates.feeding, rates.hyperfine, over="upper"))
+    return replace(rates, ground=ground)
 
 
 def rates_stimulated(
@@ -531,32 +541,22 @@ def rates_stimulated(
     modifier,
     *,
     quad_order: int = 16,
-    workers: int = 1,
 ) -> RateSet:
     """Stimulated tables for a photon distribution seen through a mode modifier.
 
     Each coefficient is evaluated with the helicity matrix at the frequency
     of its second index, so detuned level pairs pick up different photon
-    occupations.  The ground table that drives absorption is built from the
-    same per-level matrices.
+    occupations.  The ground table that drives absorption sums the feeding
+    entries over their shared excited sublevel.
     """
     from .environment import k_stimulated
 
     k_b = k_stimulated(distribution, modifier, scheme.omega_bd, quad_order=quad_order)
     k_c = k_stimulated(distribution, modifier, scheme.omega_cd, quad_order=quad_order)
-    base = rates_fine(scheme, k_b, k_c, kind="stimulated", workers=workers)
-    ground = _ground_table(scheme, k_b, k_c)
-    return RateSet(
-        kind="stimulated",
-        scheme=scheme,
-        hyperfine=False,
-        upper=base.upper,
-        feeding=base.feeding,
-        ground=ground,
-    )
+    return _with_ground(rates_fine(scheme, k_b, k_c, kind="stimulated"))
 
 
-def rates_injected(scheme: LevelScheme, k: KMatrix, *, workers: int = 1) -> RateSet:
+def rates_injected(scheme: LevelScheme, k: KMatrix) -> RateSet:
     """Stimulated-structure tables from one literal helicity matrix.
 
     The injection path feeds externally specified K values straight into
@@ -565,44 +565,10 @@ def rates_injected(scheme: LevelScheme, k: KMatrix, *, workers: int = 1) -> Rate
     table is built from it as well, so the result can drive the full two-way
     superoperator just like a quadrature product.
     """
-    base = rates_fine(scheme, k, k, kind="stimulated", workers=workers)
-    return RateSet(
-        kind="stimulated",
-        scheme=scheme,
-        hyperfine=False,
-        upper=base.upper,
-        feeding=base.feeding,
-        ground=_ground_table(scheme, k, k),
-    )
+    return _with_ground(rates_fine(scheme, k, k, kind="stimulated"))
 
 
-def _hyperfine_halves(
-    scheme: HyperfineScheme, level: str
-) -> list[tuple[HalfInt, HalfInt, HalfInt, HalfInt, int, float]]:
-    """Nonzero (F, M, Fd, Md, sigma, R*C) channel amplitudes of one excited level."""
-    out = []
-    for f in scheme.f_values(level):
-        for m in projections(f):
-            for fd in scheme.f_values(GROUND_LEVEL):
-                mixing = hyperfine_mixing(scheme, level, f, fd)
-                if mixing == 0.0:
-                    continue
-                for md in projections(fd):
-                    sigma = _sigma_of(m, md)
-                    if sigma is None:
-                        continue
-                    c = clebsch_gordan(fd, md, 1, sigma, f, m)
-                    if c != 0.0:
-                        out.append((f, m, fd, md, sigma, mixing * c))
-    return out
-
-
-def rates_hyperfine(
-    scheme: HyperfineScheme,
-    k: KMatrix,
-    *,
-    workers: int = 1,
-) -> RateSet:
+def rates_hyperfine(scheme: HyperfineScheme, k: KMatrix) -> RateSet:
     """Spontaneous hyperfine rate tables from a single helicity matrix.
 
     The hyperfine splittings are assumed negligible on the scale over which
@@ -611,41 +577,7 @@ def rates_hyperfine(
     over hyperfine components is out of scope.
     """
     k.validate()
-    pairs = [(j1, j2) for j1 in EXCITED_LEVELS for j2 in EXCITED_LEVELS]
-    halves = {level: _hyperfine_halves(scheme, level) for level in EXCITED_LEVELS}
-
-    def run(pair: tuple[str, str]) -> tuple[dict, dict]:
-        j1, j2 = pair
-        j_1, j_2 = scheme.fine.j(j1), scheme.fine.j(j2)
-        # the recoupling factors absorb 1/sqrt(2J+1) each, which this scale
-        # puts back so that I = 0 reproduces the fine-structure tables
-        scale = scheme.fine.s_factor(j1, j2) * math.sqrt((j_1.twice + 1) * (j_2.twice + 1))
-        feeding: dict[tuple, complex] = {}
-        for f1, m1, fd1, md1, sig1, a1 in halves[j1]:
-            for f2, m2, fd2, md2, sig2, a2 in halves[j2]:
-                value = scale * a1 * a2 * k.entry(sig1, sig2)
-                if value != 0.0:
-                    feeding[(j1, f1, m1, fd1, md1, j2, f2, m2, fd2, md2)] = value
-        # accumulate the two-index table in exactly the order the diagonal
-        # entries were written to the feeding table, so the trace identity
-        # holds without rounding slack
-        upper: dict[tuple, complex] = {}
-        for f1, m1, fd1, md1, sig1, a1 in halves[j1]:
-            for f2, m2, fd2, md2, sig2, a2 in halves[j2]:
-                if fd1 != fd2 or md1 != md2:
-                    continue
-                key = (j1, f1, m1, j2, f2, m2)
-                value = scale * a1 * a2 * k.entry(sig1, sig2)
-                if value != 0.0:
-                    upper[key] = upper.get(key, 0.0 + 0.0j) + value
-        return upper, feeding
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            blocks = list(pool.map(run, pairs))
-    else:
-        blocks = [run(pair) for pair in pairs]
-    upper, feeding = _merge_blocks(blocks)
+    upper, feeding = _tables(scheme, k, k, None)
     return RateSet(kind="spontaneous", scheme=scheme, hyperfine=True, upper=upper, feeding=feeding)
 
 
@@ -671,30 +603,19 @@ class Superoperator:
         return (self.matrix @ rho.reshape(n * n)).reshape(n, n)
 
 
-def _upper_state(rates: RateSet, key_half: tuple) -> BasisState:
-    if rates.hyperfine:
-        level, f, m = key_half
-        return BasisState(level, m, f)
-    level, m = key_half
-    return BasisState(level, m)
+def _basis_state(level: str, numbers: tuple) -> BasisState:
+    """State of a key half's quantum numbers, (M,) or (F, M)."""
+    return BasisState(level, numbers[-1], *numbers[:-1])
 
 
 def _feeding_states(rates: RateSet, key: tuple) -> tuple[BasisState, BasisState, BasisState, BasisState]:
     """Unpack one feeding key into (upper1, ground1, upper2, ground2) states."""
-    if rates.hyperfine:
-        j1, f1, m1, fd1, md1, j2, f2, m2, fd2, md2 = key
-        return (
-            BasisState(j1, m1, f1),
-            BasisState(GROUND_LEVEL, md1, fd1),
-            BasisState(j2, m2, f2),
-            BasisState(GROUND_LEVEL, md2, fd2),
-        )
-    j1, m1, md1, j2, m2, md2 = key
+    up1, gr1, up2, gr2 = _split_feeding(key, rates.hyperfine)
     return (
-        BasisState(j1, m1),
-        BasisState(GROUND_LEVEL, md1),
-        BasisState(j2, m2),
-        BasisState(GROUND_LEVEL, md2),
+        _basis_state(up1[0], up1[1:]),
+        _basis_state(GROUND_LEVEL, gr1),
+        _basis_state(up2[0], up2[1:]),
+        _basis_state(GROUND_LEVEL, gr2),
     )
 
 
@@ -709,8 +630,8 @@ def _embed_upper(rates: RateSet, basis: Basis) -> np.ndarray:
     g = np.zeros((n, n), dtype=complex)
     for key, value in rates.upper.items():
         mid = len(key) // 2
-        i = basis.index(_upper_state(rates, key[:mid]))
-        j = basis.index(_upper_state(rates, key[mid:]))
+        i = basis.index(_basis_state(key[0], key[1:mid]))
+        j = basis.index(_basis_state(key[mid], key[mid + 1 :]))
         g[i, j] += value
     return g
 
@@ -759,6 +680,12 @@ def build_stimulated_superop(rates: RateSet, basis: Basis | None = None) -> Supe
     if rates.kind != "stimulated":
         raise RateSetContractError(
             f"stimulated superoperator needs a stimulated rate set, got kind={rates.kind!r}"
+        )
+    if rates.hyperfine:
+        # the ground table is embedded on (Md1, Md2) alone, with no Fd
+        raise RateSetContractError(
+            "stimulated superoperator does not support hyperfine rate sets "
+            "(hyperfine=True with kind='stimulated')"
         )
     rates.validate()
     if basis is None:

@@ -19,6 +19,7 @@ from vrelax.environment import (
     k_spontaneous,
     k_stimulated,
 )
+from vrelax.config import build_rate_sets, preset_config, with_overrides
 from vrelax.errors import RateSetContractError, SchemeError
 from vrelax.halfint import HalfInt, projections, triangle_range
 from vrelax.operators import (
@@ -416,13 +417,17 @@ class TestRatesStimulated:
         for key, value in fine_rs.upper.items():
             assert coarse.upper[key] == pytest.approx(value, abs=1e-12)
 
-    def test_workers_produce_identical_tables(self):
-        dist = AngularDistribution.axisymmetric_cos2(1.0)
-        serial = rates_stimulated(dline(), dist, ModeDensityModifier.vacuum(), workers=1)
-        threaded = rates_stimulated(dline(), dist, ModeDensityModifier.vacuum(), workers=8)
-        assert serial.upper == threaded.upper
-        assert serial.feeding == threaded.feeding
-        assert serial.ground == threaded.ground
+    def test_workers_setting_leaves_tables_identical(self):
+        # the workers setting is accepted for compatibility and changes no table
+        cfg = preset_config("dline-cos2")
+        default = build_rate_sets(cfg)
+        eight = build_rate_sets(with_overrides(cfg, workers=8))
+        assert [label for label, _ in default] == [label for label, _ in eight]
+        assert any(rs.ground for _, rs in default)
+        for (_, one), (_, other) in zip(default, eight):
+            assert one.upper == other.upper
+            assert one.feeding == other.feeding
+            assert one.ground == other.ground
 
 
 def uncoupled_amplitude(j_level, j_d, spin, f, m_f, f_d, m_fd, sigma):
@@ -445,6 +450,57 @@ def uncoupled_amplitude(j_level, j_d, spin, f, m_f, f_d, m_fd, sigma):
                     * clebsch_gordan(j_d, m_jd, 1, sigma, j_level, m_j)
                 )
     return acc
+
+
+def uncoupled_tables(hf, k):
+    """Brute-force hyperfine (upper, feeding) tables from uncoupled amplitudes.
+
+    Every coefficient is S * A1 * A2 * K(sigma1, sigma2) with A the
+    nuclear-projection sum above; the two-index table sums the feeding
+    entries over their shared ground sublevel (Fd, Md).
+    """
+    sch = hf.fine
+    channels = {}
+    for level in ("b", "c"):
+        channels[level] = [
+            (f, m, f_d, m_d, (m - m_d).twice // 2,
+             uncoupled_amplitude(sch.j(level), sch.j_d, hf.nuclear_spin, f, m, f_d, m_d,
+                                 (m - m_d).twice // 2))
+            for f in hf.f_values(level)
+            for m in projections(f)
+            for f_d in hf.f_values("d")
+            for m_d in projections(f_d)
+            if abs((m - m_d).twice) <= 2
+        ]
+    upper, feeding = {}, {}
+    for j1 in ("b", "c"):
+        for j2 in ("b", "c"):
+            s = sch.s_factor(j1, j2)
+            for f1, m1, fd1, md1, sig1, a1 in channels[j1]:
+                for f2, m2, fd2, md2, sig2, a2 in channels[j2]:
+                    value = s * a1 * a2 * k.entry(sig1, sig2)
+                    feeding[(j1, f1, m1, fd1, md1, j2, f2, m2, fd2, md2)] = value
+                    if (fd1, md1) == (fd2, md2):
+                        key = (j1, f1, m1, j2, f2, m2)
+                        upper[key] = upper.get(key, 0.0) + value
+    return upper, feeding
+
+
+def assert_matches_oracle(rs, oracle):
+    for table, brute in zip((rs.upper, rs.feeding), oracle):
+        assert set(table) <= set(brute)
+        for key, value in brute.items():
+            assert table.get(key, 0.0) == pytest.approx(value, abs=1e-12), key
+
+
+def hyperfine_ground_table(rs):
+    """(Fd1, Md1, Fd2, Md2) sums of the feeding entries sharing an excited sublevel."""
+    ground = {}
+    for (j1, f1, m1, fd1, md1, j2, f2, m2, fd2, md2), value in rs.feeding.items():
+        if (j1, f1, m1) == (j2, f2, m2):
+            key = (fd1, md1, fd2, md2)
+            ground[key] = ground.get(key, 0.0) + value
+    return ground
 
 
 class TestHyperfineRates:
@@ -532,31 +588,43 @@ class TestHyperfineRates:
         k = k_spontaneous(ModeDensityModifier.planar_cavity(0.9), 1.0)
         rs = rates_hyperfine(hf, k)
         rs.validate(1e-12)
-
-        # brute-force upper table: S * sum over ground (Fd, Md) of the exact
-        # uncoupled amplitudes times the helicity matrix entry
-        cross_fm = [
-            (f, m)
+        assert_matches_oracle(rs, uncoupled_tables(hf, k))
+        cross = [
+            rs.gamma("b", f, m, "c", f, m)
             for f in hf.f_values("b")
             if f in hf.f_values("c")
             for m in projections(f)
         ]
-        found_offdiag = False
-        for f, m in cross_fm:
-            brute = 0.0 + 0.0j
-            for f_d in hf.f_values("d"):
-                for m_d in projections(f_d):
-                    sigma = m - m_d
-                    if abs(sigma.twice) > 2:
-                        continue
-                    a1 = uncoupled_amplitude(sch.j_b, sch.j_d, hf.nuclear_spin, f, m, f_d, m_d, sigma.twice // 2)
-                    a2 = uncoupled_amplitude(sch.j_c, sch.j_d, hf.nuclear_spin, f, m, f_d, m_d, sigma.twice // 2)
-                    brute += a1 * a2 * k.entry(sigma.twice // 2, sigma.twice // 2)
-            got = rs.gamma("b", f, m, "c", f, m)
-            assert got == pytest.approx(brute, abs=1e-12), (f, m)
-            if abs(got) > 1e-6:
-                found_offdiag = True
-        assert found_offdiag, "cavity should open hyperfine cross terms"
+        assert max(abs(value) for value in cross) > 1e-6, "cavity should open hyperfine cross terms"
+
+    @pytest.mark.parametrize("spin", ["1/2", 1, "3/2"])
+    def test_helicity_mixing_k_against_uncoupled_oracle(self, spin):
+        sch = LevelScheme(
+            j_b=half("3/2"), j_c=half("1/2"), j_d=half("1/2"), omega_bd=1.2,
+            dipole_mode="explicit", mu_bd=0.8, mu_cd=1.1,
+        )
+        hf = HyperfineScheme(fine=sch, nuclear_spin=half(spin))
+        k = random_psd_k(np.random.default_rng(31))
+        rs = rates_hyperfine(hf, k)
+        assert rs.selection_defect()[0] > 0.0
+        assert_matches_oracle(rs, uncoupled_tables(hf, k))
+
+    def test_ground_identity_on_hyperfine_ground_table(self):
+        hf = HyperfineScheme(fine=dline(), nuclear_spin=half("3/2"))
+        rs = rates_hyperfine(hf, random_psd_k(np.random.default_rng(12)))
+        ground = hyperfine_ground_table(rs)
+
+        def with_ground(table):
+            return RateSet(
+                kind="stimulated", scheme=hf, hyperfine=True,
+                upper=rs.upper, feeding=rs.feeding, ground=table,
+            )
+
+        assert with_ground(ground).ground_identity_defect() == (0.0, None)
+        with_ground(ground).validate()
+        key = next(iter(ground))
+        defect, where = with_ground({**ground, key: ground[key] + 0.25}).ground_identity_defect()
+        assert defect == pytest.approx(0.25) and where == key
 
     def test_trace_identity_bitwise(self):
         hf = HyperfineScheme(fine=dline(), nuclear_spin=half(1))
@@ -731,6 +799,16 @@ class TestSuperoperators:
         with pytest.raises(RateSetContractError, match="ground"):
             build_stimulated_superop(broken)
 
+    def test_hyperfine_stimulated_rejected(self):
+        hf = HyperfineScheme(fine=dline(), nuclear_spin=half("3/2"))
+        rs = rates_hyperfine(hf, vacuum_k())
+        stimulated = RateSet(
+            kind="stimulated", scheme=hf, hyperfine=True,
+            upper=rs.upper, feeding=rs.feeding, ground=hyperfine_ground_table(rs),
+        )
+        with pytest.raises(RateSetContractError, match="hyperfine"):
+            build_stimulated_superop(stimulated)
+
     def test_inconsistent_tables_named_in_error(self):
         sch = dline()
         good = rates_fine(sch, vacuum_k(), vacuum_k())
@@ -833,6 +911,20 @@ class TestInterference:
 
 
 class TestRateSetAccess:
+    def test_two_index_key_sets(self):
+        # fine tables keep nonzero sums only; a hyperfine key set is fixed by
+        # the helicity support of K, not by which sums cancel to exactly 0.0
+        rng = np.random.default_rng(44)
+        for _ in range(5):
+            rs = rates_fine(random_fine_scheme(rng), random_psd_k(rng), random_psd_k(rng))
+            assert all(value != 0.0 for value in rs.upper.values())
+        hf = HyperfineScheme(fine=dline(), nuclear_spin=half("3/2"))
+        key_sets = {
+            frozenset(rates_hyperfine(hf, k_spontaneous(ModeDensityModifier.planar_cavity(r), 1.0)).upper)
+            for r in np.linspace(0.05, 0.95, 19)
+        }
+        assert len(key_sets) == 1
+
     def test_gamma_coerces_keys(self):
         rs = rates_fine(dline(), vacuum_k(), vacuum_k())
         assert rs.gamma("b", "3/2", "b", "3/2") == rs.gamma("b", half("3/2"), "b", half("3/2"))
