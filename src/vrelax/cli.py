@@ -198,8 +198,8 @@ def _cmd_superop(cfg: ScenarioConfig, stream) -> int:
     parts = _superoperators(cfg, basis)
     if not parts:
         raise ConfigError("environment kind 'none' has no relaxation superoperator")
-    total = np.zeros_like(parts[0][1].matrix)
-    for _label, op in parts:
+    total = parts[0][1].matrix
+    for _label, op in parts[1:]:
         total = total + op.matrix
     combined = Superoperator(matrix=total, basis=basis, label="total-relaxation")
     comments = _common_comments(cfg, "superop")

@@ -186,13 +186,14 @@ def write_superoperator(stream, superop, *, comments: Sequence[str] = ()) -> Non
     _write_comments(stream, [f"label: {superop.label}"])
     _write_comments(stream, ["vec convention: row-major, vec index = i*n + j"])
     _write_comments(stream, _basis_legend(labels))
-    writer = _writer(stream)
-    writer.writerow(("row", "col", "re", "im"))
-    matrix = np.asarray(superop.matrix)
-    for row in range(n * n):
-        for col in range(n * n):
-            value = matrix[row, col]
-            writer.writerow((row, col, _num(value.real), _num(value.imag)))
+    _writer(stream).writerow(("row", "col", "re", "im"))
+    cells = [f",{col}," for col in range(n * n)]
+    for row, values in enumerate(superop.matrix.toarray()):
+        # re and im interleaved, as Python floats whose repr is what _num writes
+        parts = map(repr, values.view(np.float64).tolist())
+        stream.write(
+            "".join([f"{row}{cell}{re},{im}\n" for cell, re, im in zip(cells, parts, parts)])
+        )
 
 
 def write_density_matrix(
@@ -236,10 +237,12 @@ def write_trajectory(
     _write_comments(stream, comments)
     _write_comments(stream, _basis_legend(labels))
     writer = _writer(stream)
+    # one string per sample; repr of a Python float is what _num writes
     if populations_only:
         writer.writerow(["t"] + [f"pop_{i}" for i in range(n)])
         for t, state in trajectory:
-            writer.writerow([_num(t)] + [_num(state[i, i].real) for i in range(n)])
+            values = np.real(np.diagonal(state)).astype(float).tolist()
+            stream.write(",".join(map(repr, [float(t), *values])) + "\n")
         return
     header = ["t"]
     for i in range(n):
@@ -248,10 +251,5 @@ def write_trajectory(
             header.append(f"im_{i}_{j}")
     writer.writerow(header)
     for t, state in trajectory:
-        row = [_num(t)]
-        for i in range(n):
-            for j in range(n):
-                value = state[i, j]
-                row.append(_num(value.real))
-                row.append(_num(value.imag))
-        writer.writerow(row)
+        values = np.ascontiguousarray(state, dtype=complex).view(np.float64).ravel().tolist()
+        stream.write(",".join(map(repr, [float(t), *values])) + "\n")

@@ -6,13 +6,16 @@ The equation of motion is
 
 with H the diagonal atomic Hamiltonian and L_k the relaxation / stimulated
 superoperators from :mod:`vrelax.operators`.  Everything here works on the
-row-major vectorization of rho, so the full generator is the dense matrix
+row-major vectorization of rho, so the full generator is the matrix
 
     G = -i (kron(H, 1) - kron(1, H^T)) + sum_k L_k.matrix
 
-and propagation is classical fixed-step RK4 on dy/dt = G y.  Fixed stepping
-(rather than adaptive) keeps trajectories bit-reproducible; the price is that
-the caller picks dt, so `propagate` warns when dt * max|G| looks stiff.
+stored sparse (CSR; for the diagonal H built here the commutator is a
+diagonal), and propagation is classical fixed-step RK4 on dy/dt = G y, one
+sparse product per stage.  Only the steady-state solve densifies G, for its
+SVD.  Fixed stepping (rather than adaptive) keeps trajectories
+bit-reproducible; the price is that the caller picks dt, so `propagate` warns
+when dt * max|G| looks stiff.
 
 Two hygiene rules, both disclosed rather than hidden:
 
@@ -27,7 +30,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Iterator, Sequence, Union
+from typing import TYPE_CHECKING, Iterator, Sequence, Union
 
 import numpy as np
 
@@ -38,6 +41,9 @@ from .errors import (
     SchemeError,
 )
 from .operators import Basis, HyperfineScheme, LevelScheme, Superoperator
+
+if TYPE_CHECKING:
+    from scipy.sparse import csr_array
 
 __all__ = [
     "AtomicHamiltonian",
@@ -165,21 +171,24 @@ def _hamiltonian_matrix(
     return mat
 
 
-def _generator(
-    hamiltonian, superops: Sequence[Superoperator], n: int
-) -> np.ndarray:
-    """Dense generator matrix on the row-major vec basis."""
+def _generator(hamiltonian, superops: Sequence[Superoperator], n: int) -> csr_array:
+    """Sparse generator on the row-major vec basis."""
+    from scipy.sparse import csr_array, diags_array
+
     h = _hamiltonian_matrix(hamiltonian, n)
-    eye = np.eye(n, dtype=complex)
-    gen = -1j * (np.kron(h, eye) - np.kron(eye, h.T))
+    diag = np.diagonal(h)
+    if np.count_nonzero(h - np.diag(diag)) == 0:
+        gen = diags_array(-1j * (diag[:, None] - diag[None, :]).reshape(n * n), format="csr")
+    else:
+        eye = np.eye(n, dtype=complex)
+        gen = csr_array(-1j * (np.kron(h, eye) - np.kron(eye, h.T)))
     for op in superops:
-        mat = np.asarray(op.matrix, dtype=complex)
-        if mat.shape != (n * n, n * n):
+        if op.matrix.shape != (n * n, n * n):
             raise SchemeError(
-                f"superoperator '{op.label}' acts on {mat.shape[0]}-dim vec space, "
+                f"superoperator '{op.label}' acts on {op.matrix.shape[0]}-dim vec space, "
                 f"expected {n * n}"
             )
-        gen = gen + mat
+        gen = gen + op.matrix
     return gen
 
 
@@ -258,7 +267,7 @@ def propagate(
         )
 
     gen = _generator(hamiltonian, superops, n)
-    stiffness = dt * float(np.max(np.abs(gen))) if gen.size else 0.0
+    stiffness = dt * float(np.max(np.abs(gen.data))) if gen.nnz else 0.0
     if stiffness > 0.1:
         warnings.warn(
             f"dt * max|generator| = {stiffness:.3g} exceeds 0.1; "
@@ -332,7 +341,7 @@ def steady_state(
     if method not in ("auto", "svd", "propagate"):
         raise ValueError(f"method must be 'auto', 'svd' or 'propagate', got {method!r}")
     n = _state_dimension(hamiltonian, superops)
-    gen = _generator(hamiltonian, superops, n)
+    gen = _generator(hamiltonian, superops, n).toarray()
 
     scale = float(np.max(np.abs(gen)))
     if scale == 0.0:

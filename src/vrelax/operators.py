@@ -17,16 +17,23 @@ ordered sum of the diagonal-excited ones, so both trace identities hold to
 the last bit, not merely to rounding.
 
 Superoperators act on the row-major vectorisation of the density matrix:
-vec(A rho B) = kron(A, B.T) vec(rho).  Feeding terms are inserted in
-conjugate pairs so that trace and Hermiticity are preserved for complex
-helicity matrices, not only for real ones.
+vec(A rho B) = kron(A, B.T) vec(rho).  They are stored sparse (scipy CSR):
+every term links only sublevels joined by a dipole channel, so the builders
+emit (row, col, value) triplets straight from the rate tables -- the
+depopulation -(G (x) 1 + 1 (x) G*) over the nonzeros of the n x n table G,
+then the feeding pairs -- and never form the kron products.  Duplicate
+triplets are summed in the order a dense ``+=`` assembly would add them, so
+every stored value equals that assembly's to the bit.  Feeding terms are
+inserted in conjugate pairs so that trace and Hermiticity are preserved for
+complex helicity matrices, not only for real ones.  scipy is imported only
+when a superoperator is built, never by rate assembly.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Iterable, Mapping
+from typing import TYPE_CHECKING, Iterable, Mapping
 
 import numpy as np
 
@@ -34,6 +41,9 @@ from .angular import clebsch_gordan, wigner_6j
 from .environment import KMatrix
 from .errors import RateSetContractError, SchemeError
 from .halfint import HalfInt, half, projections, triangle_ok, triangle_range
+
+if TYPE_CHECKING:  # scipy is imported lazily, when a superoperator is built
+    from scipy.sparse import csr_array
 
 EXCITED_LEVELS = ("b", "c")
 GROUND_LEVEL = "d"
@@ -587,11 +597,27 @@ def rates_hyperfine(scheme: HyperfineScheme, k: KMatrix) -> RateSet:
 
 @dataclass(frozen=True, eq=False)
 class Superoperator:
-    """Linear map on density matrices, stored on the row-major vec basis."""
+    """Linear map on density matrices, stored on the row-major vec basis.
 
-    matrix: np.ndarray
+    ``matrix`` is a ``scipy.sparse.csr_array`` of shape n^2 x n^2; a dense or
+    other sparse input is converted to it at construction.
+    """
+
+    matrix: csr_array
     basis: Basis
     label: str
+
+    def __post_init__(self) -> None:
+        from scipy.sparse import csr_array, issparse
+
+        size = len(self.basis) ** 2
+        shape = self.matrix.shape if issparse(self.matrix) else np.shape(self.matrix)
+        if shape != (size, size):
+            raise SchemeError(
+                f"superoperator '{self.label}' has shape {shape}, expected "
+                f"{(size, size)} for a basis of {len(self.basis)} states"
+            )
+        object.__setattr__(self, "matrix", csr_array(self.matrix, dtype=complex))
 
     def apply(self, rho: np.ndarray) -> np.ndarray:
         n = len(self.basis)
@@ -636,14 +662,55 @@ def _embed_upper(rates: RateSet, basis: Basis) -> np.ndarray:
     return g
 
 
-def _add_depopulation(lmat: np.ndarray, g: np.ndarray) -> None:
-    # -(G rho + rho G^dagger): the conjugate on the right factor is what
-    # keeps Hermiticity preservation exact when per-frequency evaluation
-    # leaves the embedded table non-Hermitian
+def _depopulation(g: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Triplets of -(G (x) 1) followed by those of -(1 (x) G*), over G's nonzeros.
+
+    -(G rho + rho G^dagger): the conjugate on the right factor is what keeps
+    Hermiticity preservation exact when per-frequency evaluation leaves the
+    embedded table non-Hermitian.
+    """
     n = g.shape[0]
-    eye = np.eye(n, dtype=complex)
-    lmat -= np.kron(g, eye)
-    lmat -= np.kron(eye, g.conj())
+    i, j = np.nonzero(g)
+    k = np.arange(n)
+    value = np.repeat(g[i, j], n)
+    rows = np.concatenate([(i[:, None] * n + k).ravel(), (k * n + i[:, None]).ravel()])
+    cols = np.concatenate([(j[:, None] * n + k).ravel(), (k * n + j[:, None]).ravel()])
+    return rows, cols, np.concatenate([-value, -value.conj()])
+
+
+def _feeding(rates: RateSet, basis: Basis) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Triplets of the feeding terms, entry by entry in table order:
+    conj(G) |d1><1| rho |2><d2|  +  G |d2><2| rho |1><d1|."""
+    n = len(basis)
+    rows, cols = [], []
+    for key in rates.feeding:
+        up1, gr1, up2, gr2 = (basis.index(state) for state in _feeding_states(rates, key))
+        rows += (gr1 * n + gr2, gr2 * n + gr1)
+        cols += (up1 * n + up2, up2 * n + up1)
+    values = np.fromiter(rates.feeding.values(), dtype=complex, count=len(rates.feeding))
+    return (
+        np.array(rows, dtype=np.int64),
+        np.array(cols, dtype=np.int64),
+        np.stack([values.conj(), values], axis=1).ravel(),
+    )
+
+
+def _summed_csr(parts: list[tuple[np.ndarray, np.ndarray, np.ndarray]], size: int) -> csr_array:
+    """CSR matrix of (rows, cols, values) triplets with duplicates summed.
+
+    Duplicates are summed from 0 in the order the triplets are given, which
+    is the order of repeated ``+=`` into a zero dense matrix, so every value
+    is bit-identical to that dense assembly.  Sums that cancel to exactly
+    zero are not stored.
+    """
+    from scipy.sparse import csr_array
+
+    rows, cols, values = (np.concatenate(column) for column in zip(*parts))
+    keys, group = np.unique(rows * size + cols, return_inverse=True)
+    sums = np.zeros(keys.size, dtype=complex)
+    np.add.at(sums, group, values)  # unbuffered, one triplet at a time, in order
+    keep = sums != 0
+    return csr_array((sums[keep], np.divmod(keys[keep], size)), shape=(size, size))
 
 
 def build_relaxation_superop(rates: RateSet, basis: Basis | None = None) -> Superoperator:
@@ -658,16 +725,10 @@ def build_relaxation_superop(rates: RateSet, basis: Basis | None = None) -> Supe
     if basis is None:
         basis = _default_basis(rates)
     n = len(basis)
-    lmat = np.zeros((n * n, n * n), dtype=complex)
-    _add_depopulation(lmat, _embed_upper(rates, basis))
-    for key, value in rates.feeding.items():
-        up1, gr1, up2, gr2 = _feeding_states(rates, key)
-        i1, id1 = basis.index(up1), basis.index(gr1)
-        i2, id2 = basis.index(up2), basis.index(gr2)
-        # conj(G) |d1><1| rho |2><d2|  +  G |d2><2| rho |1><d1|
-        lmat[id1 * n + id2, i1 * n + i2] += complex(value).conjugate()
-        lmat[id2 * n + id1, i2 * n + i1] += value
-    return Superoperator(matrix=lmat, basis=basis, label="relaxation")
+    matrix = _summed_csr(
+        [_depopulation(_embed_upper(rates, basis)), _feeding(rates, basis)], n * n
+    )
+    return Superoperator(matrix=matrix, basis=basis, label="relaxation")
 
 
 def build_stimulated_superop(rates: RateSet, basis: Basis | None = None) -> Superoperator:
@@ -691,28 +752,26 @@ def build_stimulated_superop(rates: RateSet, basis: Basis | None = None) -> Supe
     if basis is None:
         basis = _default_basis(rates)
     n = len(basis)
-    lmat = np.zeros((n * n, n * n), dtype=complex)
 
     # emission: excited depopulation + feeding down into the ground manifold
-    _add_depopulation(lmat, _embed_upper(rates, basis))
     g_ground = np.zeros((n, n), dtype=complex)
     for (md1, md2), value in rates.ground.items():
         i = basis.index(BasisState(GROUND_LEVEL, md1))
         j = basis.index(BasisState(GROUND_LEVEL, md2))
         g_ground[i, j] += value
-    _add_depopulation(lmat, g_ground)
-    for key, value in rates.feeding.items():
-        up1, gr1, up2, gr2 = _feeding_states(rates, key)
-        i1, id1 = basis.index(up1), basis.index(gr1)
-        i2, id2 = basis.index(up2), basis.index(gr2)
-        conj = complex(value).conjugate()
-        # emission feeding
-        lmat[id1 * n + id2, i1 * n + i2] += conj
-        lmat[id2 * n + id1, i2 * n + i1] += value
-        # absorption feeding: same coefficient, upper and ground roles swapped
-        lmat[i1 * n + i2, id1 * n + id2] += conj
-        lmat[i2 * n + i1, id2 * n + id1] += value
-    return Superoperator(matrix=lmat, basis=basis, label="stimulated")
+    rows, cols, values = _feeding(rates, basis)
+    # absorption: the emission feeding with the upper and ground roles swapped
+    # (its triplets never share a position with an emission triplet)
+    matrix = _summed_csr(
+        [
+            _depopulation(_embed_upper(rates, basis)),
+            _depopulation(g_ground),
+            (rows, cols, values),
+            (cols, rows, values),
+        ],
+        n * n,
+    )
+    return Superoperator(matrix=matrix, basis=basis, label="stimulated")
 
 
 # ---------------------------------------------------------------------------

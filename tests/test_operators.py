@@ -366,7 +366,7 @@ class TestRatesStimulated:
         )
         assert not rs.upper and not rs.feeding and not rs.ground
         sup = build_stimulated_superop(rs)
-        assert np.all(sup.matrix == 0.0)
+        assert sup.matrix.nnz == 0
 
     def test_cos2_cross_coefficient(self):
         rs = rates_stimulated(
