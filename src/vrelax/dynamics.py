@@ -173,15 +173,11 @@ def _hamiltonian_matrix(
 
 def _generator(hamiltonian, superops: Sequence[Superoperator], n: int) -> csr_array:
     """Sparse generator on the row-major vec basis."""
-    from scipy.sparse import csr_array, diags_array
+    from scipy.sparse import csr_array, identity, kron
 
     h = _hamiltonian_matrix(hamiltonian, n)
-    diag = np.diagonal(h)
-    if np.count_nonzero(h - np.diag(diag)) == 0:
-        gen = diags_array(-1j * (diag[:, None] - diag[None, :]).reshape(n * n), format="csr")
-    else:
-        eye = np.eye(n, dtype=complex)
-        gen = csr_array(-1j * (np.kron(h, eye) - np.kron(eye, h.T)))
+    eye = identity(n, dtype=complex, format="csr")
+    gen = csr_array(-1j * (kron(h, eye, format="csr") - kron(eye, h.T, format="csr")))
     for op in superops:
         if op.matrix.shape != (n * n, n * n):
             raise SchemeError(
