@@ -38,7 +38,6 @@ from .environment import (
     AngularDistribution,
     KMatrix,
     ModeDensityModifier,
-    PhotonEnvironment,
     k_spontaneous,
     k_stimulated,
     quadrature_selfcheck,
@@ -104,7 +103,6 @@ __all__ = [
     "AngularDistribution",
     "KMatrix",
     "ModeDensityModifier",
-    "PhotonEnvironment",
     "k_spontaneous",
     "k_stimulated",
     "quadrature_selfcheck",

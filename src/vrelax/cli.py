@@ -42,7 +42,6 @@ from .config import (
     load_config,
     preset_config,
     preset_names,
-    scheme_basis,
     with_overrides,
 )
 from .csvio import (
@@ -66,6 +65,7 @@ from .errors import (
 )
 from .halfint import HalfInt, half, triangle_range
 from .operators import (
+    Basis,
     LevelScheme,
     Superoperator,
     build_relaxation_superop,
@@ -194,7 +194,7 @@ def _superoperators(cfg: ScenarioConfig, basis) -> list[tuple[str, Superoperator
 
 def _cmd_superop(cfg: ScenarioConfig, stream) -> int:
     scheme = build_scheme(cfg)
-    basis = scheme_basis(scheme)
+    basis = Basis.for_scheme(scheme)
     parts = _superoperators(cfg, basis)
     if not parts:
         raise ConfigError("environment kind 'none' has no relaxation superoperator")
@@ -213,7 +213,7 @@ def _cmd_evolve(cfg: ScenarioConfig, stream) -> int:
     if run.dt is None or run.t_final is None:
         raise ConfigError("[run] dt and t_final are required for evolve")
     scheme = build_scheme(cfg)
-    basis = scheme_basis(scheme)
+    basis = Basis.for_scheme(scheme)
     hamiltonian = build_hamiltonian(scheme, basis)
     superops = [op for _label, op in _superoperators(cfg, basis)]
     rho0 = build_rho0(cfg, scheme, basis)
@@ -242,7 +242,7 @@ def _cmd_evolve(cfg: ScenarioConfig, stream) -> int:
 
 def _cmd_steady(cfg: ScenarioConfig, stream) -> int:
     scheme = build_scheme(cfg)
-    basis = scheme_basis(scheme)
+    basis = Basis.for_scheme(scheme)
     hamiltonian = build_hamiltonian(scheme, basis)
     superops = [op for _label, op in _superoperators(cfg, basis)]
     state = steady_state(hamiltonian, superops)
@@ -299,9 +299,8 @@ def _battery_checks(jmax: HalfInt):
             rates = rates_fine(
                 scheme, k_spontaneous(vacuum, 1.0), k_spontaneous(vacuum, 1.0)
             )
-            for key, value in rates.upper.items():
-                if key[:2] != key[2:]:
-                    worst = max(worst, abs(value))
+            for _key, value in interference_report(rates).off_diagonal:
+                worst = max(worst, abs(value))
         return worst
 
     # (name, minimum jmax in twice-units, tolerance, callable)

@@ -93,7 +93,6 @@ __all__ = [
     "preset_config",
     "preset_names",
     "build_scheme",
-    "scheme_basis",
     "build_rate_sets",
     "build_kmatrix",
     "build_rho0",
@@ -191,6 +190,18 @@ def _key_lines(text: str) -> dict:
     return lines
 
 
+def _to_float(raw: str) -> Optional[float]:
+    """``raw`` as a float, read as a fraction such as ``1/3`` if it is not
+    a plain number; None if it is neither."""
+    try:
+        return float(raw)
+    except ValueError:
+        try:
+            return float(Fraction(raw))
+        except (ValueError, ZeroDivisionError):
+            return None
+
+
 class _SectionReader:
     """Typed access to one INI section with line-anchored errors."""
 
@@ -225,13 +236,9 @@ class _SectionReader:
         raw = self.get(key)
         if raw is None:
             return None
-        try:
-            value = float(raw)
-        except ValueError:
-            try:
-                value = float(Fraction(raw))
-            except (ValueError, ZeroDivisionError):
-                raise self.error(key, f"{raw!r} is not a number") from None
+        value = _to_float(raw)
+        if value is None:
+            raise self.error(key, f"{raw!r} is not a number")
         if not math.isfinite(value):
             raise self.error(key, f"{raw!r} is not finite")
         return value
@@ -403,13 +410,9 @@ def _parse_environment(section: _SectionReader) -> EnvironmentConfig:
             raise section.error("k_diag", "needs exactly three values (sigma = -1, 0, +1)")
         values = []
         for part in parts:
-            try:
-                value = float(part)
-            except ValueError:
-                try:
-                    value = float(Fraction(part))
-                except (ValueError, ZeroDivisionError):
-                    raise section.error("k_diag", f"{part!r} is not a number") from None
+            value = _to_float(part)
+            if value is None:
+                raise section.error("k_diag", f"{part!r} is not a number")
             if not math.isfinite(value) or value < 0:
                 raise section.error("k_diag", f"{part!r} is not a finite value >= 0")
             values.append(value)
@@ -795,12 +798,6 @@ def build_scheme(cfg: ScenarioConfig) -> LevelScheme | HyperfineScheme:
         nuclear_spin=system.nuclear_spin,
         f_offsets={(level, f): off for level, f, off in system.f_offsets},
     )
-
-
-def scheme_basis(scheme: LevelScheme | HyperfineScheme) -> Basis:
-    if isinstance(scheme, HyperfineScheme):
-        return Basis.for_hyperfine(scheme)
-    return Basis.for_fine(scheme)
 
 
 def _modifier(env: EnvironmentConfig, reflectivity: Optional[float]) -> ModeDensityModifier:

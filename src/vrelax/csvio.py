@@ -8,6 +8,11 @@ never depends on dict iteration history, and no timestamps or environment
 echoes.  Context that would break determinism has no place here; callers pass
 it as comment lines, which are written verbatim with a leading ``# ``.
 
+Rate-table rows come in basis order: sorted by the basis positions of the
+sublevels each key names, in key order (``RateSet.entries`` reads the keys;
+the layout is documented once, in ``operators``).  Their cells are formatted
+from the same sublevel tuples, so this module never parses a key.
+
 Delimiter is ``,``, decimal mark is ``.``, one header row per file, UTF-8
 (the caller owns the stream encoding).
 """
@@ -19,7 +24,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .operators import RateSet
+from .operators import GROUND_LEVEL, Basis, RateSet
 
 __all__ = [
     "RATE_COLUMNS",
@@ -31,8 +36,6 @@ __all__ = [
 ]
 
 RATE_COLUMNS = ("kind", "j1", "F1", "M1", "j2", "F2", "M2", "Md1", "Md2", "re", "im")
-
-_LEVEL_POS = {"d": 0, "c": 1, "b": 2}
 
 
 def _num(value) -> str:
@@ -52,82 +55,48 @@ def _writer(stream) -> "csv.writer":
 # rate tables
 
 
-def _upper_rows(label: str, rates: RateSet) -> list[tuple]:
+def _sublevel_cells(basis: Basis) -> dict[tuple, tuple[int, str, str, str, str]]:
+    """Basis position and (j, F, M, Md) cells of every sublevel of the basis.
+
+    An excited sublevel fills j, F and M (F empty for fine structure); a
+    ground sublevel fills j and Md, as "Md" or, with hyperfine structure,
+    "Fd:Md".
+    """
+    cells = {}
+    for position, sublevel in enumerate(basis.sublevels):
+        level, *numbers = sublevel
+        if level == GROUND_LEVEL:
+            cells[sublevel] = (position, level, "", "", ":".join(map(str, numbers)))
+        else:
+            f, m = ":".join(map(str, numbers[:-1])), str(numbers[-1])
+            cells[sublevel] = (position, level, f, m, "")
+    return cells
+
+
+def _table_rows(label: str, rates: RateSet, table: str, basis: Basis) -> list[tuple]:
+    """Rows of one table, in basis order of the sublevels each key names.
+
+    Each half of a key fills j, F and M from its first sublevel and Md from
+    its last: (upper, ground) for feeding keys, one sublevel otherwise.
+    """
+    cells = _sublevel_cells(basis)
+    try:
+        entries = sorted(
+            ([cells[sublevel] for sublevel in sublevels], value)
+            for sublevels, value in rates.entries(table)
+        )
+    except KeyError as missing:
+        basis.position(missing.args[0])  # raises the SchemeError naming the sublevel
+        raise
     rows = []
-    if rates.hyperfine:
-        for key in sorted(
-            rates.upper,
-            key=lambda k: (
-                _LEVEL_POS[k[0]], k[1].twice, k[2].twice,
-                _LEVEL_POS[k[3]], k[4].twice, k[5].twice,
-            ),
-        ):
-            j1, f1, m1, j2, f2, m2 = key
-            value = complex(rates.upper[key])
-            rows.append(
-                (f"{label}-upper", j1, str(f1), str(m1), j2, str(f2), str(m2),
-                 "", "", _num(value.real), _num(value.imag))
-            )
-    else:
-        for key in sorted(
-            rates.upper,
-            key=lambda k: (_LEVEL_POS[k[0]], k[1].twice, _LEVEL_POS[k[2]], k[3].twice),
-        ):
-            j1, m1, j2, m2 = key
-            value = complex(rates.upper[key])
-            rows.append(
-                (f"{label}-upper", j1, "", str(m1), j2, "", str(m2),
-                 "", "", _num(value.real), _num(value.imag))
-            )
-    return rows
-
-
-def _feeding_rows(label: str, rates: RateSet) -> list[tuple]:
-    rows = []
-    if rates.hyperfine:
-        # the ground sublevel of a hyperfine channel needs both F_d and M_d;
-        # the Md columns carry them as one "F:M" cell so the column set stays
-        # identical to the fine-structure layout
-        for key in sorted(
-            rates.feeding,
-            key=lambda k: (
-                _LEVEL_POS[k[0]], k[1].twice, k[2].twice, k[3].twice, k[4].twice,
-                _LEVEL_POS[k[5]], k[6].twice, k[7].twice, k[8].twice, k[9].twice,
-            ),
-        ):
-            j1, f1, m1, fd1, md1, j2, f2, m2, fd2, md2 = key
-            value = complex(rates.feeding[key])
-            rows.append(
-                (f"{label}-feeding", j1, str(f1), str(m1), j2, str(f2), str(m2),
-                 f"{fd1}:{md1}", f"{fd2}:{md2}", _num(value.real), _num(value.imag))
-            )
-    else:
-        for key in sorted(
-            rates.feeding,
-            key=lambda k: (
-                _LEVEL_POS[k[0]], k[1].twice, k[2].twice,
-                _LEVEL_POS[k[3]], k[4].twice, k[5].twice,
-            ),
-        ):
-            j1, m1, md1, j2, m2, md2 = key
-            value = complex(rates.feeding[key])
-            rows.append(
-                (f"{label}-feeding", j1, "", str(m1), j2, "", str(m2),
-                 str(md1), str(md2), _num(value.real), _num(value.imag))
-            )
-    return rows
-
-
-def _ground_rows(label: str, rates: RateSet) -> list[tuple]:
-    if rates.ground is None:
-        return []
-    rows = []
-    for key in sorted(rates.ground, key=lambda k: (k[0].twice, k[1].twice)):
-        md1, md2 = key
-        value = complex(rates.ground[key])
+    for named, value in entries:
+        half = len(named) // 2
+        (_, j1, f1, m1, _), (_, j2, f2, m2, _) = named[0], named[half]
+        md1, md2 = named[half - 1][-1], named[-1][-1]
+        value = complex(value)
         rows.append(
-            (f"{label}-ground", "d", "", "", "d", "", "",
-             str(md1), str(md2), _num(value.real), _num(value.imag))
+            (f"{label}-{table}", j1, f1, m1, j2, f2, m2, md1, md2,
+             _num(value.real), _num(value.imag))
         )
     return rows
 
@@ -150,9 +119,9 @@ def write_rate_tables(
     writer = _writer(stream)
     writer.writerow(RATE_COLUMNS)
     for label, rates in labeled_sets:
-        writer.writerows(_upper_rows(label, rates))
-        writer.writerows(_feeding_rows(label, rates))
-        writer.writerows(_ground_rows(label, rates))
+        basis = Basis.for_scheme(rates.scheme)
+        for table in ("upper", "feeding", "ground"):
+            writer.writerows(_table_rows(label, rates, table, basis))
 
 
 # ---------------------------------------------------------------------------

@@ -90,14 +90,13 @@ def build_hamiltonian(
     scheme: Union[LevelScheme, HyperfineScheme], basis: Basis | None = None
 ) -> AtomicHamiltonian:
     """Assemble the diagonal Hamiltonian over the scheme's standard basis."""
+    basis = basis if basis is not None else Basis.for_scheme(scheme)
     if isinstance(scheme, HyperfineScheme):
-        basis = basis if basis is not None else Basis.for_hyperfine(scheme)
         diag = [
             scheme.fine.omega(state.level) + scheme.f_offset(state.level, state.f)
             for state in basis
         ]
     else:
-        basis = basis if basis is not None else Basis.for_fine(scheme)
         diag = [scheme.omega(state.level) for state in basis]
     return AtomicHamiltonian(np.asarray(diag, dtype=float), basis)
 

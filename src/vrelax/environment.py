@@ -33,7 +33,6 @@ from .halfint import check_sigma
 __all__ = [
     "AngularDistribution",
     "ModeDensityModifier",
-    "PhotonEnvironment",
     "KMatrix",
     "k_spontaneous",
     "k_stimulated",
@@ -342,15 +341,6 @@ class ModeDensityModifier:
         if omega <= self.omega_edge:
             return 0.0
         return math.sqrt((omega - self.omega_edge) / self.curvature**3)
-
-
-@dataclass(frozen=True)
-class PhotonEnvironment:
-    """A distribution plus a mode-density modifier; ``distribution`` may be
-    None for purely spontaneous scenarios."""
-
-    modifier: ModeDensityModifier
-    distribution: Optional[AngularDistribution] = None
 
 
 # ---------------------------------------------------------------------------

@@ -231,12 +231,16 @@ class BasisState:
 
 
 class Basis:
-    """Ordered sublevel basis: levels d, c, b; within a level F then M ascending."""
+    """Ordered sublevel basis: levels d, c, b; within a level F then M ascending.
+
+    A basis maps each sublevel tuple, (level, M) or (level, F, M), to its
+    position; rate-table keys are made of these tuples (see "Key layouts").
+    """
 
     def __init__(self, states: Iterable[BasisState]):
         self.states = tuple(states)
-        self._index = {state: i for i, state in enumerate(self.states)}
-        if len(self._index) != len(self.states):
+        self._position = {_sublevel(state): i for i, state in enumerate(self.states)}
+        if len(self._position) != len(self.states):
             raise SchemeError("basis states must be distinct")
 
     @classmethod
@@ -258,11 +262,27 @@ class Basis:
         ]
         return cls(states)
 
-    def index(self, state: BasisState) -> int:
+    @classmethod
+    def for_scheme(cls, scheme: LevelScheme | HyperfineScheme) -> "Basis":
+        if isinstance(scheme, HyperfineScheme):
+            return cls.for_hyperfine(scheme)
+        return cls.for_fine(scheme)
+
+    @property
+    def sublevels(self) -> tuple[tuple, ...]:
+        """The sublevel tuple of every state, in basis order."""
+        return tuple(self._position)
+
+    def position(self, sublevel: tuple) -> int:
         try:
-            return self._index[state]
+            return self._position[sublevel]
         except KeyError:
+            level, *numbers = sublevel
+            state = BasisState(level, numbers[-1], *numbers[:-1])
             raise SchemeError(f"state {state.label()} is not in the basis") from None
+
+    def index(self, state: BasisState) -> int:
+        return self.position(_sublevel(state))
 
     def labels(self) -> tuple[str, ...]:
         return tuple(state.label() for state in self.states)
@@ -274,6 +294,10 @@ class Basis:
         return iter(self.states)
 
 
+def _sublevel(state: BasisState) -> tuple:
+    return (state.level, state.m) if state.f is None else (state.level, state.f, state.m)
+
+
 # ---------------------------------------------------------------------------
 # rate tables
 
@@ -282,7 +306,13 @@ class Basis:
 #   fine feeding  (j1, M1, Md1, j2, M2, Md2)
 #   hf upper      (j1, F1, M1, j2, F2, M2)
 #   hf feeding    (j1, F1, M1, Fd1, Md1, j2, F2, M2, Fd2, Md2)
-#   ground        (Md1, Md2)
+#   ground        (Md1, Md2), or (Fd1, Md1, Fd2, Md2) with hyperfine structure
+# A key is a run of sublevels.  An excited half, (j, M) or (j, F, M), is
+# the sublevel tuple itself; a ground half, (Md,) or (Fd, Md), names the
+# sublevel ("d", Md) or ("d", Fd, Md).  Only this module parses keys;
+# ``RateSet.entries`` hands them to the superoperator builders and the CSV
+# writer as sublevel tuples, which ``Basis.position`` resolves.  CSV order is basis order: rows sort by the
+# basis positions of their key's sublevels, taken in key order.
 
 
 def _coerce_key(key: tuple) -> tuple:
@@ -373,6 +403,26 @@ class RateSet:
         if self.ground is None:
             return 0.0 + 0.0j
         return self.ground.get((half(md1), half(md2)), 0.0 + 0.0j)
+
+    def entries(self, table: str) -> list[tuple[tuple[tuple, ...], complex]]:
+        """(sublevels, value) pairs of the "upper", "feeding" or "ground" table.
+
+        Pairs come in table order, each with the sublevels its key names in
+        key order: (upper1, upper2), (upper1, ground1, upper2, ground2) or
+        (ground1, ground2).
+        """
+        d = (GROUND_LEVEL,)
+        pairs = []
+        if table == "feeding":
+            for key, value in self.feeding.items():
+                up1, gr1, up2, gr2 = _split_feeding(key, self.hyperfine)
+                pairs.append(((up1, d + gr1, up2, d + gr2), value))
+            return pairs
+        prefix = d if table == "ground" else ()
+        for key, value in (getattr(self, table) or {}).items():
+            mid = len(key) // 2
+            pairs.append(((prefix + key[:mid], prefix + key[mid:]), value))
+        return pairs
 
     def hermitian_defect(self) -> tuple[float, tuple | None]:
         worst, worst_key = 0.0, None
@@ -629,36 +679,12 @@ class Superoperator:
         return (self.matrix @ rho.reshape(n * n)).reshape(n, n)
 
 
-def _basis_state(level: str, numbers: tuple) -> BasisState:
-    """State of a key half's quantum numbers, (M,) or (F, M)."""
-    return BasisState(level, numbers[-1], *numbers[:-1])
-
-
-def _feeding_states(rates: RateSet, key: tuple) -> tuple[BasisState, BasisState, BasisState, BasisState]:
-    """Unpack one feeding key into (upper1, ground1, upper2, ground2) states."""
-    up1, gr1, up2, gr2 = _split_feeding(key, rates.hyperfine)
-    return (
-        _basis_state(up1[0], up1[1:]),
-        _basis_state(GROUND_LEVEL, gr1),
-        _basis_state(up2[0], up2[1:]),
-        _basis_state(GROUND_LEVEL, gr2),
-    )
-
-
-def _default_basis(rates: RateSet) -> Basis:
-    if rates.hyperfine:
-        return Basis.for_hyperfine(rates.scheme)
-    return Basis.for_fine(rates.scheme)
-
-
-def _embed_upper(rates: RateSet, basis: Basis) -> np.ndarray:
+def _embed(pairs: list[tuple[tuple[tuple, ...], complex]], basis: Basis) -> np.ndarray:
+    """A two-sublevel table ("upper" or "ground" entries) as an n x n matrix."""
     n = len(basis)
     g = np.zeros((n, n), dtype=complex)
-    for key, value in rates.upper.items():
-        mid = len(key) // 2
-        i = basis.index(_basis_state(key[0], key[1:mid]))
-        j = basis.index(_basis_state(key[mid], key[mid + 1 :]))
-        g[i, j] += value
+    for (s1, s2), value in pairs:
+        g[basis.position(s1), basis.position(s2)] += value
     return g
 
 
@@ -682,9 +708,10 @@ def _feeding(rates: RateSet, basis: Basis) -> tuple[np.ndarray, np.ndarray, np.n
     """Triplets of the feeding terms, entry by entry in table order:
     conj(G) |d1><1| rho |2><d2|  +  G |d2><2| rho |1><d1|."""
     n = len(basis)
+    position = basis.position
     rows, cols = [], []
-    for key in rates.feeding:
-        up1, gr1, up2, gr2 = (basis.index(state) for state in _feeding_states(rates, key))
+    for sublevels, _value in rates.entries("feeding"):
+        up1, gr1, up2, gr2 = map(position, sublevels)
         rows += (gr1 * n + gr2, gr2 * n + gr1)
         cols += (up1 * n + up2, up2 * n + up1)
     values = np.fromiter(rates.feeding.values(), dtype=complex, count=len(rates.feeding))
@@ -723,10 +750,10 @@ def build_relaxation_superop(rates: RateSet, basis: Basis | None = None) -> Supe
     """
     rates.validate()
     if basis is None:
-        basis = _default_basis(rates)
+        basis = Basis.for_scheme(rates.scheme)
     n = len(basis)
     matrix = _summed_csr(
-        [_depopulation(_embed_upper(rates, basis)), _feeding(rates, basis)], n * n
+        [_depopulation(_embed(rates.entries("upper"), basis)), _feeding(rates, basis)], n * n
     )
     return Superoperator(matrix=matrix, basis=basis, label="relaxation")
 
@@ -743,29 +770,24 @@ def build_stimulated_superop(rates: RateSet, basis: Basis | None = None) -> Supe
             f"stimulated superoperator needs a stimulated rate set, got kind={rates.kind!r}"
         )
     if rates.hyperfine:
-        # the ground table is embedded on (Md1, Md2) alone, with no Fd
+        # no rate builder makes one: rates_stimulated and rates_injected are fine-only
         raise RateSetContractError(
             "stimulated superoperator does not support hyperfine rate sets "
             "(hyperfine=True with kind='stimulated')"
         )
     rates.validate()
     if basis is None:
-        basis = _default_basis(rates)
+        basis = Basis.for_scheme(rates.scheme)
     n = len(basis)
-
-    # emission: excited depopulation + feeding down into the ground manifold
-    g_ground = np.zeros((n, n), dtype=complex)
-    for (md1, md2), value in rates.ground.items():
-        i = basis.index(BasisState(GROUND_LEVEL, md1))
-        j = basis.index(BasisState(GROUND_LEVEL, md2))
-        g_ground[i, j] += value
     rows, cols, values = _feeding(rates, basis)
-    # absorption: the emission feeding with the upper and ground roles swapped
-    # (its triplets never share a position with an emission triplet)
+    # emission: excited depopulation + feeding down into the ground manifold;
+    # absorption: ground depopulation + the emission feeding with the upper and
+    # ground roles swapped (its triplets never share a position with an
+    # emission triplet)
     matrix = _summed_csr(
         [
-            _depopulation(_embed_upper(rates, basis)),
-            _depopulation(g_ground),
+            _depopulation(_embed(rates.entries("upper"), basis)),
+            _depopulation(_embed(rates.entries("ground"), basis)),
             (rows, cols, values),
             (cols, rows, values),
         ],
@@ -817,8 +839,9 @@ def interference_report(rates: RateSet) -> InterferenceReport:
     """
     points: list[InterferencePoint] = []
     if rates.hyperfine:
-        b_keys = {(f, m) for (j, f, m, *_rest) in _iter_upper_halves(rates) if j == "b"}
-        c_keys = {(f, m) for (j, f, m, *_rest) in _iter_upper_halves(rates) if j == "c"}
+        halves = [sublevel for pair, _value in rates.entries("upper") for sublevel in pair]
+        b_keys = {sublevel[1:] for sublevel in halves if sublevel[0] == "b"}
+        c_keys = {sublevel[1:] for sublevel in halves if sublevel[0] == "c"}
         for f, m in sorted(b_keys & c_keys):
             g_bb = rates.gamma("b", f, m, "b", f, m)
             g_cc = rates.gamma("c", f, m, "c", f, m)
@@ -843,10 +866,3 @@ def interference_report(rates: RateSet) -> InterferenceReport:
     ]
     off.sort(key=lambda item: (-abs(item[1]), tuple(map(repr, item[0]))))
     return InterferenceReport(points=tuple(points), off_diagonal=tuple(off))
-
-
-def _iter_upper_halves(rates: RateSet):
-    for key in rates.upper:
-        mid = len(key) // 2
-        yield key[:mid]
-        yield key[mid:]

@@ -14,6 +14,7 @@ import pytest
 
 from vrelax.cli import main
 from vrelax.config import preset_names
+from vrelax.environment import ModeDensityModifier, k_spontaneous
 
 DLINE_TEMPLATE = """\
 [system]
@@ -354,6 +355,17 @@ class TestDoctorCommand:
         out = capsys.readouterr().out
         assert "doctor: FAIL" in out
         assert "quadrature" in out.split("doctor: FAIL", 1)[1]
+
+    def test_diagonality_check_fails_on_cross_terms(self, capsys, monkeypatch):
+        # a cavity in place of free space gives b-c cross terms the check must see
+        import vrelax.cli as cli
+
+        cavity = ModeDensityModifier.planar_cavity(0.9)
+        monkeypatch.setattr(cli, "k_spontaneous", lambda _mod, omega: k_spontaneous(cavity, omega))
+        assert main(["doctor"]) == 1
+        out = capsys.readouterr().out
+        assert "FAIL free-space-diagonality" in out
+        assert "doctor: FAIL (free-space-diagonality)" in out
 
     def test_lowered_grid_reports_skip_not_pass(self, capsys):
         assert main(["doctor", "--jmax", "1/2"]) == 0

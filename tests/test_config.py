@@ -16,12 +16,11 @@ from vrelax.config import (
     parse_config,
     preset_config,
     preset_names,
-    scheme_basis,
     serialize_config,
     with_overrides,
 )
 from vrelax.halfint import half
-from vrelax.operators import HyperfineScheme, LevelScheme
+from vrelax.operators import Basis, HyperfineScheme, LevelScheme
 
 DLINE = """\
 [system]
@@ -275,7 +274,7 @@ class TestBuilders:
 
     def test_scheme_basis_orders_ground_first(self):
         cfg = parse_config(DLINE)
-        basis = scheme_basis(build_scheme(cfg))
+        basis = Basis.for_scheme(build_scheme(cfg))
         labels = [state.level for state in basis.states]
         assert labels == sorted(labels, key=("d", "c", "b").index)
 
@@ -319,7 +318,7 @@ class TestRho0Builder:
     def fine_parts(self, rho0):
         cfg = parse_config(dline(run=f"command = evolve\ndt = 0.01\nt_final = 0.1\nrho0 = {rho0}"))
         scheme = build_scheme(cfg)
-        basis = scheme_basis(scheme)
+        basis = Basis.for_scheme(scheme)
         return cfg, scheme, basis
 
     def test_single_sublevel(self):
@@ -347,7 +346,7 @@ class TestRho0Builder:
     def test_hyperfine_single_needs_f_and_m(self):
         cfg = preset_config("sodium-hyperfine")
         scheme = build_scheme(cfg)
-        basis = scheme_basis(scheme)
+        basis = Basis.for_scheme(scheme)
         rho = build_rho0(cfg, scheme, basis)  # preset pins single:b:3:0
         assert np.trace(rho) == pytest.approx(1.0, abs=0)
         hot = int(np.argmax(np.diag(rho).real))
@@ -358,7 +357,7 @@ class TestRho0Builder:
         cfg = parse_config(dline(run="command = evolve\ndt = 0.01\nt_final = 0.1"))
         scheme = build_scheme(cfg)
         with pytest.raises(ConfigError):
-            build_rho0(cfg, scheme, scheme_basis(scheme))
+            build_rho0(cfg, scheme, Basis.for_scheme(scheme))
 
     def test_sublevel_outside_basis_is_an_error(self):
         cfg, scheme, basis = self.fine_parts("single:b:9/2")

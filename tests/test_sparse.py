@@ -15,6 +15,7 @@ import textwrap
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import vrelax
 from vrelax.config import (
@@ -24,21 +25,18 @@ from vrelax.config import (
     build_scheme,
     preset_config,
     preset_names,
-    scheme_basis,
 )
-from vrelax.csvio import write_superoperator, write_trajectory
+from vrelax.csvio import write_rate_tables, write_superoperator, write_trajectory
 from vrelax.dynamics import Trajectory, build_hamiltonian, propagate
 from vrelax.environment import KMatrix
 from vrelax.errors import SchemeError, VrelaxError
-from vrelax.halfint import half
+from vrelax.halfint import HalfInt, half
 from vrelax.operators import (
     Basis,
     BasisState,
     HyperfineScheme,
     LevelScheme,
     Superoperator,
-    _embed_upper,
-    _feeding_states,
     build_relaxation_superop,
     build_stimulated_superop,
     rates_fine,
@@ -72,22 +70,55 @@ def _subtract_depopulation(lmat, g):
     lmat -= np.kron(eye, g.conj())
 
 
+# The oracle reads rate-table keys itself, into BasisState objects that it
+# finds by search in ``basis.states``, so it shares no code with the
+# builders' key reader or position map.
+
+
+def _state(level, numbers):
+    """Basis state of a key half's quantum numbers, (M,) or (F, M)."""
+    return BasisState(level, numbers[-1], *numbers[:-1])
+
+
+def oracle_positions(rates, table, key, basis):
+    """Basis positions of the states a key names, in key order.
+
+    Feeding halves are (level, M) + (Md,) for fine and (level, F, M) +
+    (Fd, Md) for hyperfine structure; ground keys hold ground halves only.
+    """
+    mid = len(key) // 2
+    if table == "feeding":
+        cut = 3 if rates.hyperfine else 2
+        up1, gr1, up2, gr2 = key[:cut], key[cut:mid], key[mid : mid + cut], key[mid + cut :]
+        states = (_state(up1[0], up1[1:]), _state("d", gr1), _state(up2[0], up2[1:]),
+                  _state("d", gr2))
+    elif table == "ground":
+        states = (_state("d", key[:mid]), _state("d", key[mid:]))
+    else:
+        states = (_state(key[0], key[1:mid]), _state(key[mid], key[mid + 1 :]))
+    return [basis.states.index(state) for state in states]
+
+
+def _oracle_embed(rates, table, basis):
+    n = len(basis)
+    g = np.zeros((n, n), dtype=complex)
+    for key, value in getattr(rates, table).items():
+        i, j = oracle_positions(rates, table, key, basis)
+        g[i, j] += value
+    return g
+
+
 def dense_superop(rates, basis):
     """The dense assembly the sparse builders replace: np.zeros, -= kron,
     then the feeding += loops (emission, and for stimulated sets absorption)."""
     n = len(basis)
     stimulated = rates.kind == "stimulated"
     lmat = np.zeros((n * n, n * n), dtype=complex)
-    _subtract_depopulation(lmat, _embed_upper(rates, basis))
+    _subtract_depopulation(lmat, _oracle_embed(rates, "upper", basis))
     if stimulated:
-        g_ground = np.zeros((n, n), dtype=complex)
-        for (md1, md2), value in rates.ground.items():
-            i = basis.index(BasisState("d", md1))
-            j = basis.index(BasisState("d", md2))
-            g_ground[i, j] += value
-        _subtract_depopulation(lmat, g_ground)
+        _subtract_depopulation(lmat, _oracle_embed(rates, "ground", basis))
     for key, value in rates.feeding.items():
-        i1, id1, i2, id2 = (basis.index(s) for s in _feeding_states(rates, key))
+        i1, id1, i2, id2 = oracle_positions(rates, "feeding", key, basis)
         conj = complex(value).conjugate()
         lmat[id1 * n + id2, i1 * n + i2] += conj
         lmat[id2 * n + id1, i2 * n + i1] += value
@@ -132,7 +163,7 @@ def _build(rates, basis):
 @pytest.mark.parametrize("name", preset_names())
 def test_builders_bitwise_equal_dense_assembly_on_presets(name):
     cfg = preset_config(name)
-    basis = scheme_basis(build_scheme(cfg))
+    basis = Basis.for_scheme(build_scheme(cfg))
     sets = build_rate_sets(cfg)
     assert sets
     for _label, rates in sets:
@@ -158,11 +189,74 @@ def test_builders_bitwise_equal_dense_assembly_on_helicity_mixing_k():
             assert np.array_equal(bits(_build(rates, basis).matrix.toarray()), bits(dense))
 
 
+@st.composite
+def random_rate_sets(draw):
+    """A fine, injected or hyperfine rate set on a random scheme with n <= 32,
+    under random PSD K, with its basis."""
+    jd = draw(st.integers(0, 5))  # all angular momenta twice their value
+    allowed = list(range(abs(jd - 2), jd + 3, 2))  # dipole partners of J_d
+    jb, jc = draw(st.sampled_from(allowed)), draw(st.sampled_from(allowed))
+    fine = LevelScheme(
+        j_b=HalfInt(jb), j_c=HalfInt(jc), j_d=HalfInt(jd),
+        omega_bd=draw(st.sampled_from([1.0, 1.3])), omega_cd=1.0,
+    )
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["fine", "injected", "hyperfine"]))
+    if kind == "fine":
+        return rates_fine(fine, random_psd_k(rng), random_psd_k(rng)), Basis.for_fine(fine)
+    if kind == "injected":
+        return rates_injected(fine, random_psd_k(rng)), Basis.for_fine(fine)
+    size = jb + jc + jd + 3  # sum of 2J + 1 over the three levels
+    spin = draw(st.integers(0, 32 // size - 1))  # (2I + 1) * size <= 32
+    scheme = HyperfineScheme(fine=fine, nuclear_spin=HalfInt(spin))
+    return rates_hyperfine(scheme, random_psd_k(rng)), Basis.for_hyperfine(scheme)
+
+
+def _csv_row_key(row):
+    """(table, key) of a rate CSV row, read back from its cells."""
+    table = row[0].rsplit("-", 1)[1]
+    j1, f1, m1, j2, f2, m2, md1, md2 = row[1:9]
+
+    def upper(level, f, m):
+        return (level, *([half(f)] if f else []), half(m))
+
+    def ground(cell):
+        return tuple(half(part) for part in cell.split(":"))
+
+    if table == "upper":
+        return table, upper(j1, f1, m1) + upper(j2, f2, m2)
+    if table == "feeding":
+        return table, upper(j1, f1, m1) + ground(md1) + upper(j2, f2, m2) + ground(md2)
+    return table, ground(md1) + ground(md2)
+
+
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(random_rate_sets())
+def test_random_schemes_match_dense_oracle_and_write_rows_in_basis_order(case):
+    rates, basis = case
+    assert len(basis) <= 32
+    dense = dense_superop(rates, basis)
+    assert np.array_equal(bits(_build(rates, basis).matrix.toarray()), bits(dense))
+
+    out = io.StringIO()
+    write_rate_tables(out, [("x", rates)])
+    rows = list(csv.reader(out.getvalue().splitlines()))[1:]
+    keys = [_csv_row_key(row) for row in rows]
+    tables = [table for table, _key in keys]
+    expected = ["upper", "feeding", "ground"]
+    assert tables == sorted(tables, key=expected.index)
+    for table in expected:
+        written = [key for name, key in keys if name == table]
+        assert sorted(written, key=repr) == sorted(getattr(rates, table) or {}, key=repr)
+        order = [oracle_positions(rates, table, key, basis) for key in written]
+        assert order == sorted(order) and len(order) == len(set(map(tuple, order)))
+
+
 @pytest.mark.parametrize("name, steps", [("dline-cos2", 400), ("sodium-hyperfine", 150)])
 def test_sparse_rk4_matches_dense_gemv_rk4(name, steps):
     cfg = preset_config(name)
     scheme = build_scheme(cfg)
-    basis = scheme_basis(scheme)
+    basis = Basis.for_scheme(scheme)
     superops = [_build(rates, basis) for _label, rates in build_rate_sets(cfg)]
     hamiltonian = build_hamiltonian(scheme, basis)
     rho0 = build_rho0(cfg, scheme, basis)
