@@ -10,7 +10,8 @@ Subcommands::
     vrelax doctor   [--jmax J]     numerical self-checks
 
 Exit codes: 0 success, 1 check failure (a failed doctor check or a
-degenerate steady state), 2 configuration error, 3 numerical abort.
+degenerate steady state), 2 configuration error (a bad path included),
+3 numerical abort (a marginal steady-state null vector included).
 
 Output is deterministic: the same config produces byte-identical CSV on
 every run, regardless of worker count.  All physical tables carry their
@@ -31,6 +32,7 @@ from .angular import (
     cg_orthogonality_defect,
     channel_sum_defect,
     d1_orthogonality_defect,
+    momentum_cap,
     sixj_sum_rule_defect,
 )
 from .config import (
@@ -51,7 +53,7 @@ from .csvio import (
     write_superoperator,
     write_trajectory,
 )
-from .dynamics import build_hamiltonian, propagate, steady_state
+from .dynamics import build_hamiltonian, propagate, steady_state, step_count
 from .environment import ModeDensityModifier, k_spontaneous, quadrature_selfcheck
 from .errors import (
     AngularDomainError,
@@ -212,6 +214,10 @@ def _cmd_evolve(cfg: ScenarioConfig, stream) -> int:
     run = cfg.run
     if run.dt is None or run.t_final is None:
         raise ConfigError("[run] dt and t_final are required for evolve")
+    try:
+        step_count(run.t_final, run.dt)
+    except ValueError as exc:
+        raise ConfigError(f"[run] {exc}") from None
     scheme = build_scheme(cfg)
     basis = Basis.for_scheme(scheme)
     hamiltonian = build_hamiltonian(scheme, basis)
@@ -318,6 +324,8 @@ def _cmd_doctor(args) -> int:
         jmax = half(args.jmax)
     except (ValueError, TypeError) as exc:
         raise ConfigError(f"--jmax: {exc}") from None
+    if jmax.twice > momentum_cap().twice:
+        raise ConfigError(f"--jmax {jmax} exceeds the factorial-table cap {momentum_cap()}")
     forced = args.force_quad_order
     quad_order = args.quad_order if forced is None else forced
     print("vrelax doctor")
@@ -432,13 +440,13 @@ def _resolve_config(args) -> ScenarioConfig:
     )
 
 
-@contextlib.contextmanager
 def _output_stream(cfg: ScenarioConfig):
     if cfg.run.out is None:
-        yield sys.stdout
-    else:
-        with open(cfg.run.out, "w", encoding="utf-8", newline="") as handle:
-            yield handle
+        return contextlib.nullcontext(sys.stdout)
+    try:
+        return open(cfg.run.out, "w", encoding="utf-8", newline="")
+    except OSError as exc:
+        raise ConfigError(f"cannot write output {cfg.run.out!r}: {exc}") from None
 
 
 _DISPATCH = {

@@ -143,6 +143,20 @@ def _basis_legend(labels: Sequence[str]) -> list[str]:
     return [f"basis {i}: {label}" for i, label in enumerate(labels)]
 
 
+def _write_matrix_rows(stream, header: tuple[str, str], matrix) -> None:
+    """Header plus one ``row,col,re,im`` line per entry of a dense 2-D array,
+    row-major; real input is written with a 0.0 imaginary part."""
+    _writer(stream).writerow((*header, "re", "im"))
+    arr = np.ascontiguousarray(matrix, dtype=complex)
+    cells = [f",{col}," for col in range(arr.shape[1])]
+    for row, values in enumerate(arr):
+        # re and im interleaved, as Python floats whose repr is what _num writes
+        parts = map(repr, values.view(np.float64).tolist())
+        stream.write(
+            "".join([f"{row}{cell}{re},{im}\n" for cell, re, im in zip(cells, parts, parts)])
+        )
+
+
 def write_superoperator(stream, superop, *, comments: Sequence[str] = ()) -> None:
     """Emit the dense n^2 x n^2 superoperator matrix, every entry listed.
 
@@ -150,19 +164,11 @@ def write_superoperator(stream, superop, *, comments: Sequence[str] = ()) -> Non
     rho[i, j] over the basis spelled out in the legend block.
     """
     labels = superop.basis.labels()
-    n = len(labels)
     _write_comments(stream, comments)
     _write_comments(stream, [f"label: {superop.label}"])
     _write_comments(stream, ["vec convention: row-major, vec index = i*n + j"])
     _write_comments(stream, _basis_legend(labels))
-    _writer(stream).writerow(("row", "col", "re", "im"))
-    cells = [f",{col}," for col in range(n * n)]
-    for row, values in enumerate(superop.matrix.toarray()):
-        # re and im interleaved, as Python floats whose repr is what _num writes
-        parts = map(repr, values.view(np.float64).tolist())
-        stream.write(
-            "".join([f"{row}{cell}{re},{im}\n" for cell, re, im in zip(cells, parts, parts)])
-        )
+    _write_matrix_rows(stream, ("row", "col"), superop.matrix.toarray())
 
 
 def write_density_matrix(
@@ -175,13 +181,7 @@ def write_density_matrix(
     """Emit a density matrix as dense (i, j, re, im) rows with a basis legend."""
     _write_comments(stream, comments)
     _write_comments(stream, _basis_legend(labels))
-    writer = _writer(stream)
-    writer.writerow(("i", "j", "re", "im"))
-    arr = np.asarray(rho)
-    for i in range(arr.shape[0]):
-        for j in range(arr.shape[1]):
-            value = arr[i, j]
-            writer.writerow((i, j, _num(value.real), _num(value.imag)))
+    _write_matrix_rows(stream, ("i", "j"), rho)
 
 
 # ---------------------------------------------------------------------------

@@ -12,10 +12,16 @@ row-major vectorization of rho, so the full generator is the matrix
 
 stored sparse (CSR; for the diagonal H built here the commutator is a
 diagonal), and propagation is classical fixed-step RK4 on dy/dt = G y, one
-sparse product per stage.  Only the steady-state solve densifies G, for its
-SVD.  Fixed stepping (rather than adaptive) keeps trajectories
-bit-reproducible; the price is that the caller picks dt, so `propagate` warns
-when dt * max|G| looks stiff.
+sparse product per stage.  Fixed stepping (rather than adaptive) keeps
+trajectories bit-reproducible; the price is that the caller picks dt, so
+`propagate` warns when dt * max|G| looks stiff.
+
+The steady state has one solver: the null vector of the SVD of the dense G,
+normalized by its trace, Hermitized and checked for its fixed-point residual.
+A singular value counts as zero below 1e-10 of the largest one, so the test
+is relative to the fastest scale in G: a Hamiltonian far above the slowest
+relaxation rate makes slow relaxation modes read as null ones, and the state
+is reported degenerate.
 
 Two hygiene rules, both disclosed rather than hidden:
 
@@ -45,12 +51,21 @@ from .operators import Basis, HyperfineScheme, LevelScheme, Superoperator
 if TYPE_CHECKING:
     from scipy.sparse import csr_array
 
+# every tolerance of this module; none is a caller's knob
+_HERM_TOL = 1e-12  # validate_density_matrix: max |rho - rho^dagger|
+_TRACE_TOL = 1e-9  # validate_density_matrix: |trace - 1|
+_EIG_FLOOR = -1e-9  # validate_density_matrix: smallest eigenvalue
+_TRACE_DRIFT_TOL = 1e-6  # propagate: trace drift that aborts the run
+_NEGATIVITY_TOL = 1e-6  # propagate: how far below zero an eigenvalue may fall
+_NULL_TOL = 1e-10  # steady_state: null singular values, relative to the largest
+
 __all__ = [
     "AtomicHamiltonian",
     "Trajectory",
     "build_hamiltonian",
     "propagate",
     "steady_state",
+    "step_count",
     "validate_density_matrix",
 ]
 
@@ -106,18 +121,12 @@ def build_hamiltonian(
 # ---------------------------------------------------------------------------
 
 
-def validate_density_matrix(
-    rho: np.ndarray,
-    *,
-    herm_tol: float = 1e-12,
-    trace_tol: float = 1e-9,
-    eig_floor: float = -1e-9,
-) -> np.ndarray:
+def validate_density_matrix(rho: np.ndarray) -> np.ndarray:
     """Check the density-matrix invariants; returns the array as complex.
 
     Raises ``ValueError`` naming the first violated invariant: square shape,
-    Hermiticity (max asymmetry below ``herm_tol``), unit trace within
-    ``trace_tol``, and eigenvalues above ``eig_floor``.
+    finite entries, Hermiticity (max asymmetry at most 1e-12), unit trace
+    within 1e-9, and no eigenvalue below -1e-9.
     """
     arr = np.asarray(rho, dtype=complex)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
@@ -125,16 +134,16 @@ def validate_density_matrix(
     if not np.all(np.isfinite(arr)):
         raise ValueError("density matrix contains non-finite entries")
     asym = float(np.max(np.abs(arr - arr.conj().T)))
-    if asym > herm_tol:
+    if asym > _HERM_TOL:
         raise ValueError(f"density matrix is not Hermitian: max asymmetry {asym:.3e}")
     trace = complex(arr.trace())
-    if abs(trace - 1.0) > trace_tol:
+    if abs(trace - 1.0) > _TRACE_TOL:
         raise ValueError(f"density matrix trace must be 1, got {trace!r}")
     smallest = float(np.linalg.eigvalsh(0.5 * (arr + arr.conj().T))[0])
-    if smallest < eig_floor:
+    if smallest < _EIG_FLOOR:
         raise ValueError(
             f"density matrix has a negative eigenvalue {smallest:.3e} "
-            f"below the floor {eig_floor:.1e}"
+            f"below the floor {_EIG_FLOOR:.1e}"
         )
     return arr
 
@@ -224,6 +233,23 @@ class Trajectory:
         return self.populations().sum(axis=1)
 
 
+def step_count(t_final: float, dt: float) -> int:
+    """Number of ``dt`` steps in ``t_final``; raises ``ValueError`` unless
+    both are finite and positive and the count is whole within 1e-9 relative."""
+    if not (math.isfinite(dt) and dt > 0.0):
+        raise ValueError(f"dt must be positive, got {dt!r}")
+    if not (math.isfinite(t_final) and t_final > 0.0):
+        raise ValueError(f"t_final must be positive, got {t_final!r}")
+    steps_exact = t_final / dt
+    steps = int(round(steps_exact))
+    if steps < 1 or abs(steps - steps_exact) > 1e-9 * max(abs(steps_exact), 1.0):
+        raise ValueError(
+            f"t_final={t_final!r} is not a whole number of dt={dt!r} steps "
+            f"(t_final/dt = {steps_exact!r})"
+        )
+    return steps
+
+
 def propagate(
     rho0: np.ndarray,
     hamiltonian: Union[AtomicHamiltonian, np.ndarray, Sequence[float]],
@@ -232,34 +258,22 @@ def propagate(
     dt: float,
     *,
     sample_every: int = 1,
-    trace_tol: float = 1e-6,
-    negativity_tol: float = 1e-6,
 ) -> Trajectory:
     """Integrate the master equation with classical RK4.
 
-    ``t_final`` must be a whole number of ``dt`` steps (within 1e-9 relative);
+    ``t_final`` must be a whole number of ``dt`` steps (see :func:`step_count`);
     the trajectory is sampled every ``sample_every`` steps and always includes
     the initial and final states.  Warns when dt * max|generator| exceeds 0.1.
 
     Aborts with :class:`NumericalAbortError` (carrying the time and the
     monitor value) as soon as the trace drifts from its initial value by more
-    than ``trace_tol`` or an eigenvalue falls below ``-negativity_tol``.
+    than 1e-6 or an eigenvalue falls below -1e-6.
     """
     rho = validate_density_matrix(rho0).copy()
     n = rho.shape[0]
-    if not (math.isfinite(dt) and dt > 0.0):
-        raise ValueError(f"dt must be positive, got {dt!r}")
-    if not (math.isfinite(t_final) and t_final > 0.0):
-        raise ValueError(f"t_final must be positive, got {t_final!r}")
+    steps = step_count(t_final, dt)
     if sample_every < 1:
         raise ValueError(f"sample_every must be >= 1, got {sample_every}")
-    steps_exact = t_final / dt
-    steps = int(round(steps_exact))
-    if steps < 1 or abs(steps - steps_exact) > 1e-9 * max(abs(steps_exact), 1.0):
-        raise ValueError(
-            f"t_final={t_final!r} is not a whole number of dt={dt!r} steps "
-            f"(t_final/dt = {steps_exact!r})"
-        )
 
     gen = _generator(hamiltonian, superops, n)
     stiffness = dt * float(np.max(np.abs(gen.data))) if gen.nnz else 0.0
@@ -286,17 +300,17 @@ def propagate(
         t = step * dt
 
         drift = abs(float(rho.trace().real) - trace0)
-        if drift > trace_tol:
+        if drift > _TRACE_DRIFT_TOL:
             raise NumericalAbortError(
-                f"trace drifted by {drift:.3e} (tolerance {trace_tol:.1e}) "
+                f"trace drifted by {drift:.3e} (tolerance {_TRACE_DRIFT_TOL:.1e}) "
                 f"at t={t:.6g}",
                 time=t,
                 value=drift,
             )
         smallest = float(np.linalg.eigvalsh(rho)[0])
-        if smallest < -negativity_tol:
+        if smallest < -_NEGATIVITY_TOL:
             raise NumericalAbortError(
-                f"eigenvalue {smallest:.3e} fell below -{negativity_tol:.1e} "
+                f"eigenvalue {smallest:.3e} fell below -{_NEGATIVITY_TOL:.1e} "
                 f"at t={t:.6g}",
                 time=t,
                 value=smallest,
@@ -317,24 +331,20 @@ def propagate(
 def steady_state(
     hamiltonian: Union[AtomicHamiltonian, np.ndarray, Sequence[float]],
     superops: Sequence[Superoperator],
-    *,
-    method: str = "auto",
-    null_tol: float = 1e-10,
 ) -> np.ndarray:
     """Trace-1 fixed point of the full generator.
 
-    ``method="auto"`` takes the null vector of the generator's SVD and falls
-    back to long-time propagation (converged to ||drho/dt||_max < 1e-12) when
-    the SVD candidate is numerically marginal: an essentially traceless null
-    vector, or a fixed-point residual above tolerance.  ``"svd"`` and
-    ``"propagate"`` force one branch, for cross-checking.
+    Takes the null vector of the SVD of the dense generator, divides it by its
+    trace and Hermitizes it.  Singular values below 1e-10 of the largest count
+    as null (see the module docstring for what that relative test implies).
 
     A null space of dimension > 1 means the long-time state depends on the
     initial condition; that raises :class:`DegenerateSteadyStateError` with
-    the dimension instead of silently picking one.
+    the dimension instead of silently picking one.  A marginal candidate -- no
+    null vector, an essentially traceless one (|trace| <= 1e-9), or a
+    fixed-point residual above 1e-10 * max(1, max|G|) -- raises
+    :class:`ConvergenceError` naming which.
     """
-    if method not in ("auto", "svd", "propagate"):
-        raise ValueError(f"method must be 'auto', 'svd' or 'propagate', got {method!r}")
     n = _state_dimension(hamiltonian, superops)
     gen = _generator(hamiltonian, superops, n).toarray()
 
@@ -344,30 +354,24 @@ def steady_state(
         raise DegenerateSteadyStateError(n * n)
 
     _, svals, vh = np.linalg.svd(gen)
-    null_dim = int(np.sum(svals < null_tol * svals[0]))
+    null_dim = int(np.sum(svals < _NULL_TOL * svals[0]))
     if null_dim > 1:
         raise DegenerateSteadyStateError(null_dim)
-
-    if method == "propagate":
-        return _relax_to_fixed_point(gen, n)
-
-    candidate = None
-    if null_dim == 1:
-        raw = vh[-1].conj().reshape(n, n)
-        trace = complex(raw.trace())
-        if abs(trace) > 1e-9:
-            candidate = _hermitized(raw / trace)
-            residual = float(np.max(np.abs(gen @ candidate.reshape(n * n))))
-            if residual > 1e-10 * max(1.0, scale):
-                candidate = None
-    if candidate is None:
-        if method == "svd":
-            raise ConvergenceError(
-                "SVD null vector is numerically marginal (traceless or poor "
-                "fixed-point residual); use method='auto' or 'propagate'"
-            )
-        candidate = _relax_to_fixed_point(gen, n)
-    return candidate
+    if null_dim == 0:
+        raise ConvergenceError(
+            f"generator has no null vector (smallest singular value "
+            f"{svals[-1] / svals[0]:.3e} of the largest)"
+        )
+    raw = vh[-1].conj().reshape(n, n)
+    trace = complex(raw.trace())
+    if abs(trace) <= 1e-9:
+        raise ConvergenceError(f"the null vector is traceless (|trace| = {abs(trace):.3e})")
+    rho = _hermitized(raw / trace)
+    residual = float(np.max(np.abs(gen @ rho.reshape(n * n))))
+    limit = 1e-10 * max(1.0, scale)
+    if residual > limit:
+        raise ConvergenceError(f"null vector residual {residual:.3e} exceeds {limit:.3e}")
+    return rho
 
 
 def _state_dimension(hamiltonian, superops: Sequence[Superoperator]) -> int:
@@ -380,37 +384,3 @@ def _state_dimension(hamiltonian, superops: Sequence[Superoperator]) -> int:
         return len(superops[0].basis)
     raise SchemeError("cannot infer the state dimension from the arguments")
 
-
-def _relax_to_fixed_point(
-    gen: np.ndarray, n: int, *, tol: float = 1e-12
-) -> np.ndarray:
-    """March exp(gen t) applied to the maximally mixed state out to t -> inf.
-
-    One RK4 step matrix at a safe dt is squared repeatedly, doubling the time
-    horizon per iteration, until ||drho/dt||_max falls below ``tol``.  The
-    state is re-Hermitized and trace-renormalized between doublings.
-    """
-    scale = float(np.max(np.abs(gen)))
-    dt = 0.05 / scale
-    a = gen * dt
-    eye = np.eye(n * n, dtype=complex)
-    # RK4 one-step matrix: degree-4 Taylor polynomial of exp(a)
-    stepper = eye + a @ (eye + a @ (eye + a @ (eye + a / 4.0) / 3.0) / 2.0)
-
-    rho = np.eye(n, dtype=complex) / n
-    y = rho.reshape(n * n)
-    for _ in range(64):
-        y = stepper @ y
-        rho = _hermitized(y.reshape(n, n))
-        trace = float(rho.trace().real)
-        if abs(trace) < 1e-300:
-            break
-        rho = rho / trace
-        y = rho.reshape(n * n)
-        if float(np.max(np.abs(gen @ y))) < tol:
-            return rho
-        stepper = stepper @ stepper
-    raise ConvergenceError(
-        f"long-time propagation did not reach ||drho/dt|| < {tol:.1e}; "
-        f"the generator may have undamped modes"
-    )

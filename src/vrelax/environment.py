@@ -42,6 +42,7 @@ __all__ = [
 ]
 
 _TWO_PI = 2.0 * math.pi
+_K_TOL = 1e-10  # KMatrix.validate: Hermitian defect and diagonal tolerance
 
 # ---------------------------------------------------------------------------
 # angular distributions
@@ -135,10 +136,17 @@ class AngularDistribution:
 
         Required columns: ``theta_rad, phi_rad, lambda, n_mean``.  The
         (theta, phi) grid must be complete and rectangular for each helicity,
-        helicity must be -1 or +1, and values must be finite and >= 0.
+        helicity must be -1 or +1, and values must be finite and >= 0.  Any
+        defect, an unreadable file included, raises DistributionDomainError.
         """
         rows: list[tuple[float, float, int, float]] = []
-        with open(path, newline="", encoding="utf-8") as handle:
+        try:
+            handle = open(path, newline="", encoding="utf-8")
+        except OSError as exc:
+            raise DistributionDomainError(
+                f"cannot read distribution CSV {path!r}: {exc}"
+            ) from None
+        with handle:
             reader = csv.DictReader(handle)
             expected = {"theta_rad", "phi_rad", "lambda", "n_mean"}
             names = set(reader.fieldnames or [])
@@ -397,13 +405,13 @@ class KMatrix:
     def hermitian_defect(self) -> float:
         return float(np.max(np.abs(self.entries - self.entries.conj().T)))
 
-    def validate(self, tol: float = 1e-10) -> None:
-        if self.hermitian_defect() > tol:
+    def validate(self) -> None:
+        if self.hermitian_defect() > _K_TOL:
             raise DistributionDomainError(
                 f"K matrix is not Hermitian (defect {self.hermitian_defect():.3e})"
             )
         diag = self.entries.diagonal()
-        if np.any(diag.real < -tol) or np.any(np.abs(diag.imag) > tol):
+        if np.any(diag.real < -_K_TOL) or np.any(np.abs(diag.imag) > _K_TOL):
             raise DistributionDomainError(
                 f"K diagonal must be real and >= 0, got {diag}"
             )

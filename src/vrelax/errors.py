@@ -53,7 +53,8 @@ class NumericalAbortError(VrelaxError):
 
 
 class ConvergenceError(VrelaxError):
-    """Long-time relaxation did not reach the requested residual."""
+    """The steady-state solve found no null vector of the generator, or only
+    a traceless one, or one that fails the fixed-point residual check."""
 
 
 class DegenerateSteadyStateError(VrelaxError):

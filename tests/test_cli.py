@@ -15,6 +15,7 @@ import pytest
 from vrelax.cli import main
 from vrelax.config import preset_names
 from vrelax.environment import ModeDensityModifier, k_spontaneous
+from vrelax.operators import Superoperator
 
 DLINE_TEMPLATE = """\
 [system]
@@ -73,6 +74,23 @@ class TestArgumentHandling:
         path.write_text("not an ini file at all\n", encoding="utf-8")
         assert main(["rates", "--config", str(path)]) == 2
         assert "vrelax: config error:" in capsys.readouterr().err
+
+    def test_missing_distribution_csv_is_a_config_error(self, tmp_path, capsys):
+        missing = tmp_path / "absent.csv"
+        cfg = write_cfg(
+            tmp_path, f"kind = tabulated\ndistribution_csv = {missing}", "command = rates"
+        )
+        assert main(["rates", "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("vrelax: config error: cannot read distribution CSV")
+        assert str(missing) in err
+
+    def test_out_path_in_missing_directory_is_a_config_error(self, tmp_path, capsys):
+        out = tmp_path / "no-such-dir" / "k.csv"
+        assert main(["kmatrix", "--preset", "dline-vacuum", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("vrelax: config error: cannot write output")
+        assert str(out) in err
 
     def test_command_mismatch_with_config_is_allowed(self, tmp_path):
         # argv names the command; the [run] command key is advisory metadata.
@@ -307,6 +325,17 @@ class TestEvolveCommand:
         cfg = write_cfg(tmp_path, "kind = vacuum", "command = evolve\nrho0 = uniform:b")
         assert main(["evolve", "--config", cfg]) == 2
 
+    def test_fractional_step_count_is_a_config_error(self, tmp_path, capsys):
+        cfg = write_cfg(
+            tmp_path,
+            "kind = vacuum",
+            "command = evolve\ndt = 0.003\nt_final = 1.0\nrho0 = uniform:b",
+        )
+        assert main(["evolve", "--config", cfg, "--out", str(tmp_path / "x.csv")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("vrelax: config error:")
+        assert "t_final=1.0 is not a whole number of dt=0.003 steps" in err
+
 
 class TestSteadyCommand:
     def test_isotropic_detailed_balance(self, tmp_path):
@@ -335,6 +364,22 @@ class TestSteadyCommand:
         err = capsys.readouterr().err
         assert "not unique" in err
         assert "propagate instead" in err
+
+    def test_traceless_null_vector_exits_three(self, capsys, monkeypatch):
+        # every vec entry decays except the d(-1/2)-d(+1/2) coherence (vec
+        # index 1, zero energy difference): the only null vector is traceless
+        import vrelax.cli as cli
+
+        def coherence_only(_cfg, basis):
+            diag = -np.ones(len(basis) ** 2)
+            diag[1] = 0.0
+            return [("coherence-only", Superoperator(np.diag(diag), basis, "coherence-only"))]
+
+        monkeypatch.setattr(cli, "_superoperators", coherence_only)
+        assert main(["steady", "--preset", "dline-vacuum"]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("vrelax: numerical abort:")
+        assert "null vector is traceless" in err
 
 
 class TestDoctorCommand:
@@ -366,6 +411,14 @@ class TestDoctorCommand:
         out = capsys.readouterr().out
         assert "FAIL free-space-diagonality" in out
         assert "doctor: FAIL (free-space-diagonality)" in out
+
+    def test_jmax_above_the_factorial_cap_is_a_config_error(self, capsys):
+        assert main(["doctor", "--jmax", "13"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""  # rejected before any check runs
+        assert captured.err == (
+            "vrelax: config error: --jmax 13 exceeds the factorial-table cap 25/2\n"
+        )
 
     def test_lowered_grid_reports_skip_not_pass(self, capsys):
         assert main(["doctor", "--jmax", "1/2"]) == 0

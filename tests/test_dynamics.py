@@ -417,9 +417,21 @@ class TestSteadyState:
             steady_state(np.zeros(3), [])
         assert exc_info.value.dimension == 9
 
-    def test_method_validation(self):
-        with pytest.raises(ValueError, match="method"):
-            steady_state(np.zeros(3), [], method="magic")
+    @pytest.mark.parametrize(
+        "diagonal, reason",
+        [
+            # populations decay and the b-d coherence is frozen, so the one
+            # null vector is traceless and names no density matrix
+            ([-1.0, 0.0, -1.0, -1.0], "null vector is traceless"),
+            # everything decays: no null vector at all
+            ([-1.0, -1.0, -1.0, -1.0], "no null vector"),
+        ],
+    )
+    def test_marginal_null_vector_raises_convergence_error(self, diagonal, reason):
+        basis = Basis([BasisState("b", half(0)), BasisState("d", half(0))])
+        op = Superoperator(np.diag(diagonal), basis, "marginal")
+        with pytest.raises(ConvergenceError, match=reason):
+            steady_state(np.zeros(2), [op])
 
     def pumped_dline(self, n_mean, distribution):
         # split excited levels; degenerate ones leave conserved quantities
@@ -527,6 +539,48 @@ class TestSteadyState:
         sch, h, r_rates, s_rates, l_r, l_s = self.pumped_dline(
             5.0, AngularDistribution.axisymmetric_cos2
         )
-        rho_svd = steady_state(h, [l_r, l_s], method="svd")
-        rho_prop = steady_state(h, [l_r, l_s], method="propagate")
+        n = len(l_r.basis)
+        hmat, eye = h.matrix(), np.eye(n)
+        gen = -1j * (np.kron(hmat, eye) - np.kron(eye, hmat.T))
+        gen = gen + l_r.matrix.toarray() + l_s.matrix.toarray()
+        rho_svd = steady_state(h, [l_r, l_s])
+        rho_prop = _relax_to_fixed_point(gen, n)
         assert np.max(np.abs(rho_svd - rho_prop)) < 1e-9
+
+
+def _relax_to_fixed_point(
+    gen: np.ndarray, n: int, *, tol: float = 1e-12
+) -> np.ndarray:
+    """March exp(gen t) applied to the maximally mixed state out to t -> inf.
+
+    One RK4 step matrix at a safe dt is squared repeatedly, doubling the time
+    horizon per iteration, until ||drho/dt||_max falls below ``tol``.  The
+    state is re-Hermitized and trace-renormalized between doublings.
+
+    The oracle for ``steady_state``, with which it shares no code.
+    """
+    scale = float(np.max(np.abs(gen)))
+    dt = 0.05 / scale
+    a = gen * dt
+    eye = np.eye(n * n, dtype=complex)
+    # RK4 one-step matrix: degree-4 Taylor polynomial of exp(a)
+    stepper = eye + a @ (eye + a @ (eye + a @ (eye + a / 4.0) / 3.0) / 2.0)
+
+    rho = np.eye(n, dtype=complex) / n
+    y = rho.reshape(n * n)
+    for _ in range(64):
+        y = stepper @ y
+        rho = y.reshape(n, n)
+        rho = 0.5 * (rho + rho.conj().T)
+        trace = float(rho.trace().real)
+        if abs(trace) < 1e-300:
+            break
+        rho = rho / trace
+        y = rho.reshape(n * n)
+        if float(np.max(np.abs(gen @ y))) < tol:
+            return rho
+        stepper = stepper @ stepper
+    raise ConvergenceError(
+        f"long-time propagation did not reach ||drho/dt|| < {tol:.1e}; "
+        f"the generator may have undamped modes"
+    )

@@ -322,6 +322,12 @@ class TestDistributionCsv:
         with pytest.raises(DistributionDomainError, match="duplicate"):
             AngularDistribution.from_csv(str(path))
 
+    def test_missing_file_rejected_naming_the_path(self, tmp_path):
+        path = tmp_path / "absent.csv"
+        with pytest.raises(DistributionDomainError, match="cannot read") as exc_info:
+            AngularDistribution.from_csv(str(path))
+        assert str(path) in str(exc_info.value)
+
 
 class TestKMatrix:
     def test_from_diagonal_order(self):
