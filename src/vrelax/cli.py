@@ -23,6 +23,8 @@ from __future__ import annotations
 import argparse
 import contextlib
 import math
+import os
+import stat
 import sys
 from typing import Optional, Sequence
 
@@ -440,13 +442,34 @@ def _resolve_config(args) -> ScenarioConfig:
     )
 
 
+@contextlib.contextmanager
 def _output_stream(cfg: ScenarioConfig):
+    """stdout, or a temporary file beside the output path that replaces it
+    only once the command has succeeded: a failed command leaves an earlier
+    result in place.  The result keeps an existing file's permission bits."""
     if cfg.run.out is None:
-        return contextlib.nullcontext(sys.stdout)
+        yield sys.stdout
+        return
+    target = os.path.realpath(cfg.run.out)
+    tmp = f"{target}.{os.getpid()}.tmp"
     try:
-        return open(cfg.run.out, "w", encoding="utf-8", newline="")
+        if os.path.exists(target):  # writable and not a directory; not truncated
+            os.close(os.open(target, os.O_WRONLY))
+        handle = open(tmp, "x", encoding="utf-8", newline="")
     except OSError as exc:
-        raise ConfigError(f"cannot write output {cfg.run.out!r}: {exc}") from None
+        raise ConfigError(f"cannot write output {cfg.run.out!r}: {exc.strerror}") from None
+    try:
+        with handle:
+            yield handle
+        try:
+            if os.path.exists(target):
+                os.chmod(tmp, stat.S_IMODE(os.stat(target).st_mode))
+            os.replace(tmp, target)
+        except OSError as exc:
+            raise ConfigError(f"cannot write output {cfg.run.out!r}: {exc.strerror}") from None
+    finally:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
 
 
 _DISPATCH = {

@@ -3,6 +3,11 @@
 A scenario file is flat INI with three sections.  Unknown sections or keys
 are rejected outright, with the offending line number in the message.
 
+Two tables are the one source of this schema: ``_KEYS`` gives each key's
+section, reader and bound, ``_ENV_KINDS`` each environment kind's keys and
+photon source.  Parsing, the builders' kind dispatch and ``serialize_config``
+derive from them and from the config dataclasses, which hold the defaults.
+
 ``[system]`` describes the level scheme::
 
     kind = fine | hyperfine
@@ -55,7 +60,7 @@ import configparser
 import math
 import re
 import textwrap
-from dataclasses import dataclass, field, replace
+from dataclasses import MISSING, dataclass, field, fields, replace
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -100,14 +105,6 @@ __all__ = [
 ]
 
 COMMANDS = ("kmatrix", "rates", "superop", "evolve", "steady", "doctor")
-
-_SYSTEM_KINDS = ("fine", "hyperfine")
-_ENV_KINDS = (
-    "none", "vacuum", "isotropic", "cos2", "tabulated", "cavity", "photonic", "injected",
-)
-# environments with no photon occupation: only spontaneous decay, possibly
-# through a modified mode density
-_SPONTANEOUS_ONLY_KINDS = ("none", "vacuum", "cavity", "photonic")
 
 _F_OFFSET_RE = re.compile(r"^f_offset_([bcd])_(.+)$")
 
@@ -203,7 +200,10 @@ def _to_float(raw: str) -> Optional[float]:
 
 
 class _SectionReader:
-    """Typed access to one INI section with line-anchored errors."""
+    """Typed access to one INI section with line-anchored errors.
+
+    Each reader turns the stripped, non-empty text of one key into its value.
+    """
 
     def __init__(self, name: str, raw: dict, lines: dict):
         self.name = name
@@ -226,16 +226,10 @@ class _SectionReader:
             raise self.error(key, "empty value")
         return value
 
-    def require(self, key: str) -> str:
-        value = self.get(key)
-        if value is None:
-            raise ConfigError(f"[{self.name}] is missing required key '{key}'")
-        return value
+    def text(self, key: str, raw: str) -> str:
+        return raw
 
-    def number(self, key: str) -> Optional[float]:
-        raw = self.get(key)
-        if raw is None:
-            return None
+    def number(self, key: str, raw: str) -> float:
         value = _to_float(raw)
         if value is None:
             raise self.error(key, f"{raw!r} is not a number")
@@ -243,19 +237,13 @@ class _SectionReader:
             raise self.error(key, f"{raw!r} is not finite")
         return value
 
-    def integer(self, key: str) -> Optional[int]:
-        raw = self.get(key)
-        if raw is None:
-            return None
+    def integer(self, key: str, raw: str) -> int:
         try:
             return int(raw)
         except ValueError:
             raise self.error(key, f"{raw!r} is not an integer") from None
 
-    def boolean(self, key: str) -> Optional[bool]:
-        raw = self.get(key)
-        if raw is None:
-            return None
+    def boolean(self, key: str, raw: str) -> bool:
         lowered = raw.lower()
         if lowered in ("true", "yes", "on", "1"):
             return True
@@ -263,87 +251,174 @@ class _SectionReader:
             return False
         raise self.error(key, f"{raw!r} is not a boolean")
 
-    def halfint(self, key: str) -> Optional[HalfInt]:
-        raw = self.get(key)
-        if raw is None:
-            return None
+    def halfint(self, key: str, raw: str) -> HalfInt:
         try:
             return half(raw)
         except (ValueError, TypeError) as exc:
             raise self.error(key, str(exc)) from None
 
-    def choice(self, key: str, allowed: Sequence[str]) -> Optional[str]:
-        raw = self.get(key)
-        if raw is None:
-            return None
+    def choice(self, key: str, raw: str, allowed: Sequence[str]) -> str:
         if raw not in allowed:
             raise self.error(key, f"{raw!r} is not one of {', '.join(allowed)}")
         return raw
 
+    def channels(self, key: str, raw: str) -> tuple[int, ...]:
+        parts = [p.strip() for p in raw.split(",") if p.strip()]
+        try:
+            channels = tuple(int(p) for p in parts)
+        except ValueError:
+            raise self.error(key, f"{raw!r} is not a channel list") from None
+        if not channels or any(c not in (-1, 0, 1) for c in channels):
+            raise self.error(key, "channels must come from -1, 0, +1")
+        return tuple(sorted(set(channels)))
 
-_SYSTEM_KEYS = {
-    "kind", "j_b", "j_c", "j_d", "omega_bd", "omega_cd", "dipole_mode",
-    "mu_bd", "mu_cd", "nuclear_spin", "restrict_excited",
-}
-_ENV_KEYS = {
-    "kind", "n_mean", "distribution_csv", "reflectivity", "omega_edge",
-    "curvature", "gapped_channels", "k_diag", "include_spontaneous",
-}
-_RUN_KEYS = {
-    "command", "quad_order", "dt", "t_final", "sample_every", "rho0",
-    "workers", "populations_only", "out", "s_scale", "n_scale",
-}
+    def k_values(self, key: str, raw: str) -> tuple[float, float, float]:
+        parts = [p.strip() for p in raw.split(",") if p.strip()]
+        if len(parts) != 3:
+            raise self.error(key, "needs exactly three values (sigma = -1, 0, +1)")
+        values = []
+        for part in parts:
+            value = _to_float(part)
+            if value is None:
+                raise self.error(key, f"{part!r} is not a number")
+            if not math.isfinite(value) or value < 0:
+                raise self.error(key, f"{part!r} is not a finite value >= 0")
+            values.append(value)
+        return (values[0], values[1], values[2])
 
-# which environment kinds each optional key belongs to
-_ENV_KEY_OWNERS = {
-    "n_mean": ("isotropic", "cos2"),
-    "distribution_csv": ("tabulated",),
-    "reflectivity": ("cavity",),
-    "omega_edge": ("photonic",),
-    "curvature": ("photonic",),
-    "gapped_channels": ("photonic",),
-    "k_diag": ("injected",),
-    "include_spontaneous": ("isotropic", "cos2", "tabulated", "injected"),
-}
-_ENV_REQUIRED = {
-    "isotropic": ("n_mean",),
-    "cos2": ("n_mean",),
-    "tabulated": ("distribution_csv",),
-    "cavity": ("reflectivity",),
-    "photonic": ("omega_edge", "curvature", "gapped_channels"),
-    "injected": ("k_diag",),
-}
+    def initial_state(self, key: str, raw: str) -> str:
+        if raw.split(":", 1)[0] not in ("single", "uniform") and raw != "thermal-ground":
+            raise self.error(
+                key, f"{raw!r} is not single:<level>:..., uniform:<level> or thermal-ground"
+            )
+        return raw
 
 
-def _reject_unknown_keys(section: _SectionReader, allowed, extra_ok=None) -> None:
+@dataclass(frozen=True)
+class _EnvKind:
+    """The keys one environment kind takes, and its photon source: "none"
+    (spontaneous decay only, through the kind's mode density),
+    "distribution" (quadrature over an angular photon distribution) or
+    "injected" (literal K values)."""
+
+    required: tuple[str, ...] = ()
+    optional: tuple[str, ...] = ()
+    photons: str = "none"
+
+
+# Every environment kind, once.  Ownership of the optional keys, the required
+# keys, and the builders' choice of rate sets and K matrix all come from here.
+_ENV_KINDS = {
+    "none": _EnvKind(),
+    "vacuum": _EnvKind(),
+    "isotropic": _EnvKind(("n_mean",), ("include_spontaneous",), "distribution"),
+    "cos2": _EnvKind(("n_mean",), ("include_spontaneous",), "distribution"),
+    "tabulated": _EnvKind(("distribution_csv",), ("include_spontaneous",), "distribution"),
+    "cavity": _EnvKind(("reflectivity",)),
+    "photonic": _EnvKind(("omega_edge", "curvature", "gapped_channels")),
+    "injected": _EnvKind(("k_diag",), ("include_spontaneous",), "injected"),
+}
+
+_R = _SectionReader
+# Every INI key, once: section -> key -> (reader, bound).  A reader is a
+# _SectionReader method, or the tuple of words the key allows; a bound is
+# checked on the value read.  Values are read in table order, which decides
+# which of two bad values is reported first.  Defaults are the dataclass
+# defaults; a field without one is a required key.
+_KEYS = {
+    "system": {
+        "kind": (("fine", "hyperfine"), None),
+        "j_b": (_R.halfint, None),
+        "j_c": (_R.halfint, None),
+        "j_d": (_R.halfint, None),
+        "omega_bd": (_R.number, None),
+        "omega_cd": (_R.number, None),
+        "dipole_mode": (("alkali", "explicit"), None),
+        "mu_bd": (_R.number, None),
+        "mu_cd": (_R.number, None),
+        "nuclear_spin": (_R.halfint, None),
+        "restrict_excited": (("b", "c"), None),
+    },
+    "environment": {
+        "kind": (tuple(_ENV_KINDS), None),
+        "gapped_channels": (_R.channels, None),
+        "k_diag": (_R.k_values, None),
+        "n_mean": (_R.number, ">= 0"),
+        "distribution_csv": (_R.text, None),
+        "reflectivity": (_R.number, None),
+        "omega_edge": (_R.number, None),
+        "curvature": (_R.number, None),
+        "include_spontaneous": (_R.boolean, None),
+    },
+    "run": {
+        "command": (COMMANDS, None),
+        "quad_order": (_R.integer, ">= 1"),
+        "workers": (_R.integer, ">= 1"),
+        "sample_every": (_R.integer, ">= 1"),
+        "dt": (_R.number, "> 0"),
+        "t_final": (_R.number, "> 0"),
+        "s_scale": (_R.number, "> 0"),
+        "n_scale": (_R.number, ">= 0"),
+        "rho0": (_R.initial_state, None),
+        "populations_only": (_R.boolean, None),
+        "out": (_R.text, None),
+    },
+}
+
+
+def _read(section: _SectionReader, keys) -> dict:
+    """The values of ``keys``, in order, each within its bound; None if absent."""
+    values = {}
+    for key in keys:
+        reader, bound = _KEYS[section.name][key]
+        raw = section.get(key)
+        if raw is None:
+            values[key] = None
+            continue
+        if isinstance(reader, tuple):
+            value = section.choice(key, raw, reader)
+        else:
+            value = reader(section, key, raw)
+        if bound is not None:
+            op, limit = bound.split()
+            if not (value > int(limit) if op == ">" else value >= int(limit)):
+                raise section.error(key, f"must be {bound}")
+        values[key] = value
+    return values
+
+
+def _open(section: _SectionReader, cls, extra_ok=None) -> Optional[str]:
+    """The checks that come before any value is read: unknown keys, the
+    kind's value, then the presence of every required key.  Returns the kind."""
+    table = _KEYS[section.name]
     for key in section.raw:
-        if key in allowed:
-            continue
-        if extra_ok is not None and extra_ok(key):
-            continue
-        raise section.error(key, "unknown key")
+        if key not in table and not (extra_ok is not None and extra_ok(key)):
+            raise section.error(key, "unknown key")
+    kind = _read(section, ("kind",))["kind"] if "kind" in table else None
+    for f in fields(cls):
+        if f.default is MISSING and section.get(f.name) is None:
+            raise ConfigError(f"[{section.name}] is missing required key '{f.name}'")
+    return kind
+
+
+def _given(values: dict) -> dict:
+    """The values that were set; the dataclass defaults stand for the rest."""
+    return {key: value for key, value in values.items() if value is not None}
 
 
 def _parse_system(section: _SectionReader) -> SystemConfig:
-    _reject_unknown_keys(section, _SYSTEM_KEYS, extra_ok=lambda k: _F_OFFSET_RE.match(k))
-    kind = section.choice("kind", _SYSTEM_KINDS)
-    if kind is None:
-        raise ConfigError("[system] is missing required key 'kind'")
-    for key in ("j_b", "j_c", "j_d"):
-        section.require(key)
-    j_b, j_c, j_d = (section.halfint(key) for key in ("j_b", "j_c", "j_d"))
-    omega_bd = section.number("omega_bd")
-    omega_cd = section.number("omega_cd")
-    dipole_mode = section.choice("dipole_mode", ("alkali", "explicit")) or "alkali"
-    mu_bd = section.number("mu_bd")
-    mu_cd = section.number("mu_cd")
+    kind = _open(section, SystemConfig, extra_ok=_F_OFFSET_RE.match)
+    keys = tuple(_KEYS["system"])
+    split = keys.index("nuclear_spin")  # the dipole rule comes before the rest
+    values = _read(section, keys[:split])
+    mu_bd, mu_cd = values["mu_bd"], values["mu_cd"]
+    dipole_mode = values["dipole_mode"] or SystemConfig.dipole_mode
     if dipole_mode == "explicit" and (mu_bd is None or mu_cd is None):
         raise section.error("dipole_mode", "explicit mode requires mu_bd and mu_cd")
     if dipole_mode == "alkali" and (mu_bd is not None or mu_cd is not None):
         key = "mu_bd" if mu_bd is not None else "mu_cd"
         raise section.error(key, "dipole moments require dipole_mode = explicit")
-    nuclear_spin = section.halfint("nuclear_spin")
-    restrict = section.choice("restrict_excited", ("b", "c"))
+    values.update(_read(section, keys[split:]))
     offsets: list[tuple[str, HalfInt, float]] = []
     for key in section.raw:
         match = _F_OFFSET_RE.match(key)
@@ -351,138 +426,41 @@ def _parse_system(section: _SectionReader) -> SystemConfig:
             continue
         if kind != "hyperfine":
             raise section.error(key, "hyperfine offsets need kind = hyperfine")
-        level = match.group(1)
-        try:
-            f_value = half(match.group(2))
-        except (ValueError, TypeError) as exc:
-            raise section.error(key, str(exc)) from None
-        offsets.append((level, f_value, section.number(key)))
-    if kind == "hyperfine" and nuclear_spin is None:
+        f_value = section.halfint(key, match.group(2))
+        offsets.append((match.group(1), f_value, section.number(key, section.get(key))))
+    if kind == "hyperfine" and values["nuclear_spin"] is None:
         raise ConfigError("[system] kind = hyperfine requires nuclear_spin")
-    if kind == "fine" and nuclear_spin is not None:
+    if kind == "fine" and values["nuclear_spin"] is not None:
         raise section.error("nuclear_spin", "only meaningful for kind = hyperfine")
     offsets.sort(key=lambda item: ({"d": 0, "c": 1, "b": 2}[item[0]], item[1].twice))
-    return SystemConfig(
-        kind=kind,
-        j_b=j_b,
-        j_c=j_c,
-        j_d=j_d,
-        omega_bd=1.0 if omega_bd is None else omega_bd,
-        omega_cd=1.0 if omega_cd is None else omega_cd,
-        dipole_mode=dipole_mode,
-        mu_bd=mu_bd,
-        mu_cd=mu_cd,
-        nuclear_spin=nuclear_spin,
-        f_offsets=tuple(offsets),
-        restrict_excited=restrict,
-    )
+    return SystemConfig(f_offsets=tuple(offsets), **_given(values))
 
 
 def _parse_environment(section: _SectionReader) -> EnvironmentConfig:
-    _reject_unknown_keys(section, _ENV_KEYS)
-    kind = section.choice("kind", _ENV_KINDS)
-    if kind is None:
-        raise ConfigError("[environment] is missing required key 'kind'")
-    for key, owners in _ENV_KEY_OWNERS.items():
-        if key in section.raw and kind not in owners:
+    kind = _open(section, EnvironmentConfig)
+    # ownership is checked in field order, after the kind and before any value
+    for f in fields(EnvironmentConfig)[1:]:
+        owners = [name for name, spec in _ENV_KINDS.items()
+                  if f.name in spec.required + spec.optional]
+        if f.name in section.raw and kind not in owners:
             raise section.error(
-                key, f"only meaningful for kind {' or '.join(repr(o) for o in owners)}"
+                f.name, f"only meaningful for kind {' or '.join(repr(o) for o in owners)}"
             )
-    for key in _ENV_REQUIRED.get(kind, ()):
+    for key in _ENV_KINDS[kind].required:
         if key not in section.raw:
             raise ConfigError(f"[environment] kind = {kind} requires key '{key}'")
-    gapped: Optional[tuple[int, ...]] = None
-    raw_gapped = section.get("gapped_channels")
-    if raw_gapped is not None:
-        parts = [p.strip() for p in raw_gapped.split(",") if p.strip()]
-        try:
-            channels = tuple(int(p) for p in parts)
-        except ValueError:
-            raise section.error("gapped_channels", f"{raw_gapped!r} is not a channel list") from None
-        if not channels or any(c not in (-1, 0, 1) for c in channels):
-            raise section.error("gapped_channels", "channels must come from -1, 0, +1")
-        gapped = tuple(sorted(set(channels)))
-    k_diag: Optional[tuple[float, float, float]] = None
-    raw_k = section.get("k_diag")
-    if raw_k is not None:
-        parts = [p.strip() for p in raw_k.split(",") if p.strip()]
-        if len(parts) != 3:
-            raise section.error("k_diag", "needs exactly three values (sigma = -1, 0, +1)")
-        values = []
-        for part in parts:
-            value = _to_float(part)
-            if value is None:
-                raise section.error("k_diag", f"{part!r} is not a number")
-            if not math.isfinite(value) or value < 0:
-                raise section.error("k_diag", f"{part!r} is not a finite value >= 0")
-            values.append(value)
-        k_diag = (values[0], values[1], values[2])
-    n_mean = section.number("n_mean")
-    if n_mean is not None and n_mean < 0:
-        raise section.error("n_mean", "must be >= 0")
-    return EnvironmentConfig(
-        kind=kind,
-        n_mean=n_mean,
-        distribution_csv=section.get("distribution_csv"),
-        reflectivity=section.number("reflectivity"),
-        omega_edge=section.number("omega_edge"),
-        curvature=section.number("curvature"),
-        gapped_channels=gapped,
-        k_diag=k_diag,
-        include_spontaneous=section.boolean("include_spontaneous"),
-    )
+    return EnvironmentConfig(**_given(_read(section, _KEYS["environment"])))
 
 
 def _parse_run(section: _SectionReader) -> RunConfig:
-    _reject_unknown_keys(section, _RUN_KEYS)
-    command = section.choice("command", COMMANDS)
-    quad_order = section.integer("quad_order")
-    if quad_order is not None and quad_order < 1:
-        raise section.error("quad_order", "must be >= 1")
-    workers = section.integer("workers")
-    if workers is not None and workers < 1:
-        raise section.error("workers", "must be >= 1")
-    sample_every = section.integer("sample_every")
-    if sample_every is not None and sample_every < 1:
-        raise section.error("sample_every", "must be >= 1")
-    dt = section.number("dt")
-    if dt is not None and dt <= 0:
-        raise section.error("dt", "must be > 0")
-    t_final = section.number("t_final")
-    if t_final is not None and t_final <= 0:
-        raise section.error("t_final", "must be > 0")
-    s_scale = section.number("s_scale")
-    if s_scale is not None and s_scale <= 0:
-        raise section.error("s_scale", "must be > 0")
-    n_scale = section.number("n_scale")
-    if n_scale is not None and n_scale < 0:
-        raise section.error("n_scale", "must be >= 0")
-    rho0 = section.get("rho0")
-    if rho0 is not None:
-        head = rho0.split(":", 1)[0]
-        if head not in ("single", "uniform") and rho0 != "thermal-ground":
-            raise section.error(
-                "rho0",
-                f"{rho0!r} is not single:<level>:..., uniform:<level> or thermal-ground",
-            )
-    return RunConfig(
-        command=command,
-        quad_order=16 if quad_order is None else quad_order,
-        dt=dt,
-        t_final=t_final,
-        sample_every=1 if sample_every is None else sample_every,
-        rho0=rho0,
-        workers=1 if workers is None else workers,
-        populations_only=bool(section.boolean("populations_only")),
-        out=section.get("out"),
-        s_scale=1.0 if s_scale is None else s_scale,
-        n_scale=1.0 if n_scale is None else n_scale,
-    )
+    _open(section, RunConfig)
+    return RunConfig(**_given(_read(section, _KEYS["run"])))
 
 
 def _cross_validate(cfg: ScenarioConfig) -> None:
     system, env = cfg.system, cfg.environment
-    if system.kind == "hyperfine" and env.kind in ("isotropic", "cos2", "tabulated"):
+    photons = _ENV_KINDS[env.kind].photons
+    if system.kind == "hyperfine" and photons == "distribution":
         raise ConfigError(
             f"environment kind {env.kind!r} resolves a photon distribution over "
             "fine-structure lines and is not available for hyperfine schemes; "
@@ -493,11 +471,12 @@ def _cross_validate(cfg: ScenarioConfig) -> None:
             "photonic environments are frequency dependent and hyperfine rate "
             "tables share a single helicity matrix; not supported"
         )
-    if system.restrict_excited is not None and env.kind not in _SPONTANEOUS_ONLY_KINDS:
+    if system.restrict_excited is not None and photons != "none":
+        spontaneous_only = [name for name, spec in _ENV_KINDS.items() if spec.photons == "none"]
         raise ConfigError(
             "restrict_excited implements the two-level reduction of the decay "
             "tables and is only meaningful for spontaneous-only environments "
-            f"(none, vacuum, cavity, photonic), not {env.kind!r}"
+            f"({', '.join(spontaneous_only)}), not {env.kind!r}"
         )
 
 
@@ -510,9 +489,8 @@ def parse_config(text: str) -> ScenarioConfig:
     except configparser.Error as exc:
         raise ConfigError(f"INI parse failure: {exc}") from None
     lines = _key_lines(text)
-    known = {"system", "environment", "run"}
     for name in parser.sections():
-        if name not in known:
+        if name not in _KEYS:
             line = lines.get(("section", name))
             where = f"line {line}: " if line else ""
             raise ConfigError(f"{where}unknown section [{name}]")
@@ -523,10 +501,7 @@ def parse_config(text: str) -> ScenarioConfig:
     environment = _parse_environment(
         _SectionReader("environment", parser["environment"], lines)
     )
-    if "run" in parser:
-        run = _parse_run(_SectionReader("run", parser["run"], lines))
-    else:
-        run = RunConfig()
+    run = _parse_run(_SectionReader("run", parser["run"] if "run" in parser else {}, lines))
     cfg = ScenarioConfig(system=system, environment=environment, run=run)
     _cross_validate(cfg)
     return cfg
@@ -545,60 +520,33 @@ def load_config(path: str) -> ScenarioConfig:
 # serialization
 
 
+def _ini_value(value) -> str:
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, tuple):
+        return ", ".join(_ini_value(item) for item in value)
+    return repr(value) if isinstance(value, float) else str(value)
+
+
 def serialize_config(cfg: ScenarioConfig) -> str:
-    """Canonical INI form; parse(serialize(cfg)) == cfg."""
-    system, env, run = cfg.system, cfg.environment, cfg.run
-    lines = ["[system]", f"kind = {system.kind}"]
-    for key in ("j_b", "j_c", "j_d"):
-        lines.append(f"{key} = {getattr(system, key)}")
-    lines.append(f"omega_bd = {system.omega_bd!r}")
-    lines.append(f"omega_cd = {system.omega_cd!r}")
-    lines.append(f"dipole_mode = {system.dipole_mode}")
-    if system.mu_bd is not None:
-        lines.append(f"mu_bd = {system.mu_bd!r}")
-    if system.mu_cd is not None:
-        lines.append(f"mu_cd = {system.mu_cd!r}")
-    if system.nuclear_spin is not None:
-        lines.append(f"nuclear_spin = {system.nuclear_spin}")
-    for level, f_value, offset in system.f_offsets:
-        lines.append(f"f_offset_{level}_{f_value} = {offset!r}")
-    if system.restrict_excited is not None:
-        lines.append(f"restrict_excited = {system.restrict_excited}")
-    lines += ["", "[environment]", f"kind = {env.kind}"]
-    if env.n_mean is not None:
-        lines.append(f"n_mean = {env.n_mean!r}")
-    if env.distribution_csv is not None:
-        lines.append(f"distribution_csv = {env.distribution_csv}")
-    if env.reflectivity is not None:
-        lines.append(f"reflectivity = {env.reflectivity!r}")
-    if env.omega_edge is not None:
-        lines.append(f"omega_edge = {env.omega_edge!r}")
-    if env.curvature is not None:
-        lines.append(f"curvature = {env.curvature!r}")
-    if env.gapped_channels is not None:
-        lines.append("gapped_channels = " + ", ".join(str(c) for c in env.gapped_channels))
-    if env.k_diag is not None:
-        lines.append("k_diag = " + ", ".join(repr(v) for v in env.k_diag))
-    if env.include_spontaneous is not None:
-        lines.append(f"include_spontaneous = {'true' if env.include_spontaneous else 'false'}")
-    lines += ["", "[run]"]
-    if run.command is not None:
-        lines.append(f"command = {run.command}")
-    lines.append(f"quad_order = {run.quad_order}")
-    if run.dt is not None:
-        lines.append(f"dt = {run.dt!r}")
-    if run.t_final is not None:
-        lines.append(f"t_final = {run.t_final!r}")
-    lines.append(f"sample_every = {run.sample_every}")
-    if run.rho0 is not None:
-        lines.append(f"rho0 = {run.rho0}")
-    lines.append(f"workers = {run.workers}")
-    lines.append(f"populations_only = {'true' if run.populations_only else 'false'}")
-    if run.out is not None:
-        lines.append(f"out = {run.out}")
-    lines.append(f"s_scale = {run.s_scale!r}")
-    lines.append(f"n_scale = {run.n_scale!r}")
-    return "\n".join(lines) + "\n"
+    """Canonical INI form; parse(serialize(cfg)) == cfg.
+
+    One section per ScenarioConfig field and one key per field of its
+    object; unset (None) values are omitted and ``f_offsets`` becomes
+    ``f_offset_<level>_<F>`` lines.
+    """
+    blocks = []
+    for section in fields(cfg):
+        obj = getattr(cfg, section.name)
+        lines = [f"[{section.name}]"]
+        for f in fields(obj):
+            value = getattr(obj, f.name)
+            if f.name == "f_offsets":
+                lines += [f"f_offset_{lvl}_{f_value} = {off!r}" for lvl, f_value, off in value]
+            elif value is not None:
+                lines.append(f"{f.name} = {_ini_value(value)}")
+        blocks.append("\n".join(lines))
+    return "\n\n".join(blocks) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -800,10 +748,9 @@ def build_scheme(cfg: ScenarioConfig) -> LevelScheme | HyperfineScheme:
     )
 
 
-def _modifier(env: EnvironmentConfig, reflectivity: Optional[float]) -> ModeDensityModifier:
+def _modifier(env: EnvironmentConfig) -> ModeDensityModifier:
     if env.kind == "cavity":
-        r = env.reflectivity if reflectivity is None else reflectivity
-        return ModeDensityModifier.planar_cavity(r)
+        return ModeDensityModifier.planar_cavity(env.reflectivity)
     if env.kind == "photonic":
         return ModeDensityModifier.photonic_crystal(
             env.omega_edge, env.curvature, env.gapped_channels
@@ -822,13 +769,12 @@ def _distribution(env: EnvironmentConfig, n_scale: float) -> AngularDistribution
 
 
 def _spontaneous_included(env: EnvironmentConfig) -> bool:
-    if env.kind == "none":
-        return False
-    if env.kind in ("vacuum", "cavity", "photonic"):
-        return True
+    photons = _ENV_KINDS[env.kind].photons
+    if photons == "none":
+        return env.kind != "none"
     if env.include_spontaneous is not None:
         return env.include_spontaneous
-    return env.kind in ("isotropic", "cos2", "tabulated")
+    return photons == "distribution"
 
 
 def _restricted(rates: RateSet, level: str) -> RateSet:
@@ -847,12 +793,7 @@ def _restricted(rates: RateSet, level: str) -> RateSet:
     )
 
 
-def build_rate_sets(
-    cfg: ScenarioConfig,
-    *,
-    quad_order: Optional[int] = None,
-    reflectivity: Optional[float] = None,
-) -> list[tuple[str, RateSet]]:
+def build_rate_sets(cfg: ScenarioConfig) -> list[tuple[str, RateSet]]:
     """All rate sets the scenario calls for, as (label, RateSet) pairs.
 
     Labels record provenance: "spontaneous" for decay through the (possibly
@@ -860,12 +801,12 @@ def build_rate_sets(
     "injected" for literal K values.  Order is fixed: spontaneous first.
     """
     run, env = cfg.run, cfg.environment
-    quad = run.quad_order if quad_order is None else quad_order
+    photons = _ENV_KINDS[env.kind].photons
     scheme = build_scheme(cfg)
     hyper = isinstance(scheme, HyperfineScheme)
     sets: list[tuple[str, RateSet]] = []
     if _spontaneous_included(env):
-        mod = _modifier(env, reflectivity)
+        mod = _modifier(env)
         if hyper:
             # flat modifiers only (validated), so one evaluation point serves
             k = k_spontaneous(mod, scheme.fine.omega_bd)
@@ -874,11 +815,13 @@ def build_rate_sets(
             k_b = k_spontaneous(mod, scheme.omega_bd)
             k_c = k_spontaneous(mod, scheme.omega_cd)
             sets.append(("spontaneous", rates_fine(scheme, k_b, k_c, kind="spontaneous")))
-    if env.kind in ("isotropic", "cos2", "tabulated"):
+    if photons == "distribution":
         dist = _distribution(env, run.n_scale)
-        rates = rates_stimulated(scheme, dist, ModeDensityModifier.vacuum(), quad_order=quad)
+        rates = rates_stimulated(
+            scheme, dist, ModeDensityModifier.vacuum(), quad_order=run.quad_order
+        )
         sets.append(("stimulated", rates))
-    elif env.kind == "injected":
+    elif photons == "injected":
         k = KMatrix.from_diagonal([v * run.n_scale for v in env.k_diag])
         if hyper:
             sets.append(("injected", rates_hyperfine(scheme, k)))
@@ -889,26 +832,21 @@ def build_rate_sets(
     return sets
 
 
-def build_kmatrix(
-    cfg: ScenarioConfig,
-    *,
-    quad_order: Optional[int] = None,
-    reflectivity: Optional[float] = None,
-) -> KMatrix:
+def build_kmatrix(cfg: ScenarioConfig) -> KMatrix:
     """The scenario's helicity matrix, evaluated at omega_bd where it matters."""
     env, run = cfg.environment, cfg.run
+    photons = _ENV_KINDS[env.kind].photons
     if env.kind == "none":
         raise ConfigError("environment kind 'none' defines no K matrix")
-    if env.kind in ("vacuum", "cavity", "photonic"):
-        return k_spontaneous(_modifier(env, reflectivity), cfg.system.omega_bd)
-    if env.kind == "injected":
+    if photons == "none":
+        return k_spontaneous(_modifier(env), cfg.system.omega_bd)
+    if photons == "injected":
         return KMatrix.from_diagonal([v * run.n_scale for v in env.k_diag])
-    quad = run.quad_order if quad_order is None else quad_order
     return k_stimulated(
         _distribution(env, run.n_scale),
         ModeDensityModifier.vacuum(),
         cfg.system.omega_bd,
-        quad_order=quad,
+        quad_order=run.quad_order,
     )
 
 

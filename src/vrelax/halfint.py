@@ -8,6 +8,7 @@ parity checks trivial: a quantum number is integral iff ``twice`` is even.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterator, Union
 
@@ -42,7 +43,7 @@ class HalfInt:
             return cls(2 * value)
         if isinstance(value, float):
             doubled = 2.0 * value
-            if doubled != round(doubled):
+            if not math.isfinite(doubled) or doubled != round(doubled):
                 raise AngularDomainError(
                     f"{value!r} is not an integer or half-odd-integer"
                 )

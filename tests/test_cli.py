@@ -7,6 +7,8 @@ shell user would see them, without spawning subprocesses.
 
 import csv
 import math
+import os
+import stat
 import warnings
 
 import numpy as np
@@ -91,6 +93,53 @@ class TestArgumentHandling:
         err = capsys.readouterr().err
         assert err.startswith("vrelax: config error: cannot write output")
         assert str(out) in err
+
+    def test_infinite_quantum_number_is_a_config_error(self, tmp_path, capsys):
+        path = tmp_path / "scenario.ini"
+        path.write_text(
+            DLINE_TEMPLATE.replace("j_b = 3/2", "j_b = inf").format(
+                environment="kind = vacuum", run="command = rates"),
+            encoding="utf-8",
+        )
+        assert main(["rates", "--config", str(path)]) == 2
+        assert capsys.readouterr().err == (
+            "vrelax: config error: line 3: [system] j_b: "
+            "cannot parse quantum number 'inf'\n"
+        )
+
+    @pytest.mark.parametrize(
+        "argv, run, code",
+        [
+            (["evolve"], "command = evolve\ndt = 0.003\nt_final = 1.0\nrho0 = uniform:b", 2),
+            (["evolve"], "command = evolve\ndt = 4.0\nt_final = 80.0\nrho0 = uniform:b", 3),
+            (["steady", "--preset", "dline-vacuum"], None, 1),
+        ],
+        ids=["fractional-steps", "unstable-step", "degenerate-steady"],
+    )
+    def test_failed_command_keeps_the_previous_output(self, tmp_path, argv, run, code):
+        out = tmp_path / "result.csv"
+        out.write_text("earlier result\n", encoding="utf-8")
+        if run is not None:
+            argv = argv + ["--config", write_cfg(tmp_path, "kind = vacuum", run)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            assert main(argv + ["--out", str(out)]) == code
+        assert out.read_text(encoding="utf-8") == "earlier result\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+            ["result.csv"] + (["scenario.ini"] if run is not None else [])
+        )
+
+    def test_output_permission_bits_match_a_plain_open(self, tmp_path):
+        fresh, kept = tmp_path / "fresh.csv", tmp_path / "kept.csv"
+        kept.write_text("earlier result\n", encoding="utf-8")
+        os.chmod(kept, 0o640)
+        for out in (fresh, kept):
+            assert main(["kmatrix", "--preset", "dline-vacuum", "--out", str(out)]) == 0
+        umask = os.umask(0)
+        os.umask(umask)
+        assert stat.S_IMODE(fresh.stat().st_mode) == 0o666 & ~umask
+        assert stat.S_IMODE(kept.stat().st_mode) == 0o640
+        assert kept.read_bytes() == fresh.read_bytes()
 
     def test_command_mismatch_with_config_is_allowed(self, tmp_path):
         # argv names the command; the [run] command key is advisory metadata.
@@ -418,6 +467,14 @@ class TestDoctorCommand:
         assert captured.out == ""  # rejected before any check runs
         assert captured.err == (
             "vrelax: config error: --jmax 13 exceeds the factorial-table cap 25/2\n"
+        )
+
+    def test_infinite_jmax_is_a_config_error(self, capsys):
+        assert main(["doctor", "--jmax", "inf"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "vrelax: config error: --jmax: cannot parse quantum number 'inf'\n"
         )
 
     def test_lowered_grid_reports_skip_not_pass(self, capsys):

@@ -1,12 +1,15 @@
 """INI scenario parsing, presets, and scenario-to-object builders."""
 
+import hashlib
 import math
+import textwrap
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from vrelax.config import (
+    PRESETS,
     ConfigError,
     build_kmatrix,
     build_rate_sets,
@@ -19,6 +22,7 @@ from vrelax.config import (
     serialize_config,
     with_overrides,
 )
+from vrelax.errors import VrelaxError
 from vrelax.halfint import half
 from vrelax.operators import Basis, HyperfineScheme, LevelScheme
 
@@ -380,3 +384,70 @@ class TestOverrides:
             with_overrides(preset_config("dline-vacuum"), reflectivity=0.5)
         out = with_overrides(preset_config("dline-cavity"), reflectivity=0.99)
         assert out.environment.reflectivity == 0.99
+
+
+# ---------------------------------------------------------------------------
+# single-defect battery over the presets
+
+_BATTERY_KEYS = {
+    "system": (
+        "kind", "j_b", "j_c", "j_d", "omega_bd", "omega_cd", "dipole_mode", "mu_bd",
+        "mu_cd", "nuclear_spin", "restrict_excited", "f_offset_b_1", "colour",
+    ),
+    "environment": (
+        "kind", "n_mean", "distribution_csv", "reflectivity", "omega_edge", "curvature",
+        "gapped_channels", "k_diag", "include_spontaneous", "colour",
+    ),
+    "run": (
+        "command", "quad_order", "dt", "t_final", "sample_every", "rho0", "workers",
+        "populations_only", "out", "s_scale", "n_scale", "colour",
+    ),
+}
+_BATTERY_VALUES = (
+    "", "x", "-1", "0", "1/0", "inf", "nan", "-1, 0, 1", "hyperfine", "tabulated",
+    "explicit",
+)
+
+
+def _battery_cases():
+    """(label, INI lines): each preset with exactly one defect."""
+    for name in preset_names():
+        lines = textwrap.dedent(PRESETS[name]).strip().splitlines()
+        if "[run]" not in lines:
+            lines += ["", "[run]"]
+        keyed = [i for i, line in enumerate(lines) if "=" in line]
+        present = {lines[i].split("=")[0].strip() for i in keyed}
+        for i in keyed:
+            key = lines[i].split("=")[0].strip()
+            yield f"{name} drop {key}", lines[:i] + lines[i + 1:]
+            for value in _BATTERY_VALUES:
+                yield f"{name} set {key}={value}", [
+                    *lines[:i], f"{key} = {value}", *lines[i + 1:]]
+        for section, keys in _BATTERY_KEYS.items():
+            at = lines.index(f"[{section}]") + 1
+            for key in [key for key in keys if key not in present]:
+                for value in _BATTERY_VALUES:
+                    yield f"{name} add [{section}] {key}={value}", [
+                        *lines[:at], f"{key} = {value}", *lines[at:]]
+        yield f"{name} extra section", lines + ["[extra]", "x = 1"]
+        start, stop = lines.index("[environment]"), lines.index("[run]")
+        yield f"{name} no environment", lines[:start] + lines[stop:]
+
+
+def _battery_outcome(lines) -> str:
+    try:
+        return "ok " + serialize_config(parse_config("\n".join(lines) + "\n"))
+    except VrelaxError as exc:
+        return f"{type(exc).__name__} {exc}"
+
+
+# sha256 of the outcome listing; a change here changes what some INI
+# file means or which defect it reports first
+BATTERY_SHA256 = "2e1a2782ed59f2288ca362e9d0343231a7b0d116fe6cb0d6de50ee900b98c43e"
+
+
+def test_parse_battery_outcomes_are_pinned():
+    listing = "".join(
+        f"{label}: {_battery_outcome(lines)!r}\n" for label, lines in _battery_cases()
+    )
+    assert hashlib.sha256(listing.encode()).hexdigest() == BATTERY_SHA256
