@@ -442,22 +442,40 @@ def _resolve_config(args) -> ScenarioConfig:
     )
 
 
+def _cannot_write(cfg: ScenarioConfig, exc: OSError) -> ConfigError:
+    return ConfigError(f"cannot write output {cfg.run.out!r}: {exc.strerror}")
+
+
 @contextlib.contextmanager
 def _output_stream(cfg: ScenarioConfig):
     """stdout, or a temporary file beside the output path that replaces it
     only once the command has succeeded: a failed command leaves an earlier
-    result in place.  The result keeps an existing file's permission bits."""
+    result in place.  The result keeps an existing file's permission bits.
+    A path that exists but is no regular file (a device, a FIFO, a pipe
+    under /dev/fd) cannot be replaced and is written in place."""
     if cfg.run.out is None:
         yield sys.stdout
+        return
+    try:
+        in_place = not stat.S_ISREG(os.stat(cfg.run.out).st_mode)
+    except OSError:
+        in_place = False  # missing: created through the temporary file
+    if in_place:
+        try:
+            handle = open(cfg.run.out, "w", encoding="utf-8", newline="")
+        except OSError as exc:
+            raise _cannot_write(cfg, exc) from None
+        with handle:
+            yield handle
         return
     target = os.path.realpath(cfg.run.out)
     tmp = f"{target}.{os.getpid()}.tmp"
     try:
-        if os.path.exists(target):  # writable and not a directory; not truncated
+        if os.path.exists(target):  # writable; not truncated
             os.close(os.open(target, os.O_WRONLY))
         handle = open(tmp, "x", encoding="utf-8", newline="")
     except OSError as exc:
-        raise ConfigError(f"cannot write output {cfg.run.out!r}: {exc.strerror}") from None
+        raise _cannot_write(cfg, exc) from None
     try:
         with handle:
             yield handle
@@ -466,7 +484,7 @@ def _output_stream(cfg: ScenarioConfig):
                 os.chmod(tmp, stat.S_IMODE(os.stat(target).st_mode))
             os.replace(tmp, target)
         except OSError as exc:
-            raise ConfigError(f"cannot write output {cfg.run.out!r}: {exc.strerror}") from None
+            raise _cannot_write(cfg, exc) from None
     finally:
         with contextlib.suppress(FileNotFoundError):
             os.remove(tmp)

@@ -320,11 +320,14 @@ _ENV_KINDS = {
 }
 
 _R = _SectionReader
+_NON_NEGATIVE = (">= 0", lambda value: value >= 0)
+_AT_LEAST_ONE = (">= 1", lambda value: value >= 1)
+_POSITIVE = ("> 0", lambda value: value > 0)
 # Every INI key, once: section -> key -> (reader, bound).  A reader is a
-# _SectionReader method, or the tuple of words the key allows; a bound is
-# checked on the value read.  Values are read in table order, which decides
-# which of two bad values is reported first.  Defaults are the dataclass
-# defaults; a field without one is a required key.
+# _SectionReader method, or the tuple of words the key allows; a bound pairs
+# its message text with the test a value must pass.  Values are read in table
+# order, which decides which of two bad values is reported first.  Defaults
+# are the dataclass defaults; a field without one is a required key.
 _KEYS = {
     "system": {
         "kind": (("fine", "hyperfine"), None),
@@ -343,7 +346,7 @@ _KEYS = {
         "kind": (tuple(_ENV_KINDS), None),
         "gapped_channels": (_R.channels, None),
         "k_diag": (_R.k_values, None),
-        "n_mean": (_R.number, ">= 0"),
+        "n_mean": (_R.number, _NON_NEGATIVE),
         "distribution_csv": (_R.text, None),
         "reflectivity": (_R.number, None),
         "omega_edge": (_R.number, None),
@@ -352,13 +355,13 @@ _KEYS = {
     },
     "run": {
         "command": (COMMANDS, None),
-        "quad_order": (_R.integer, ">= 1"),
-        "workers": (_R.integer, ">= 1"),
-        "sample_every": (_R.integer, ">= 1"),
-        "dt": (_R.number, "> 0"),
-        "t_final": (_R.number, "> 0"),
-        "s_scale": (_R.number, "> 0"),
-        "n_scale": (_R.number, ">= 0"),
+        "quad_order": (_R.integer, _AT_LEAST_ONE),
+        "workers": (_R.integer, _AT_LEAST_ONE),
+        "sample_every": (_R.integer, _AT_LEAST_ONE),
+        "dt": (_R.number, _POSITIVE),
+        "t_final": (_R.number, _POSITIVE),
+        "s_scale": (_R.number, _POSITIVE),
+        "n_scale": (_R.number, _NON_NEGATIVE),
         "rho0": (_R.initial_state, None),
         "populations_only": (_R.boolean, None),
         "out": (_R.text, None),
@@ -379,10 +382,8 @@ def _read(section: _SectionReader, keys) -> dict:
             value = section.choice(key, raw, reader)
         else:
             value = reader(section, key, raw)
-        if bound is not None:
-            op, limit = bound.split()
-            if not (value > int(limit) if op == ">" else value >= int(limit)):
-                raise section.error(key, f"must be {bound}")
+        if bound is not None and not bound[1](value):
+            raise section.error(key, f"must be {bound[0]}")
         values[key] = value
     return values
 

@@ -9,6 +9,7 @@ import csv
 import math
 import os
 import stat
+import threading
 import warnings
 
 import numpy as np
@@ -140,6 +141,23 @@ class TestArgumentHandling:
         assert stat.S_IMODE(fresh.stat().st_mode) == 0o666 & ~umask
         assert stat.S_IMODE(kept.stat().st_mode) == 0o640
         assert kept.read_bytes() == fresh.read_bytes()
+
+    def test_output_to_a_fifo_is_written_in_place(self, tmp_path):
+        # A FIFO, like a device or a /dev/fd pipe, cannot be replaced by a
+        # finished file: the CSV goes through it and the FIFO stays.
+        fifo, plain = tmp_path / "result.fifo", tmp_path / "result.csv"
+        os.mkfifo(fifo)
+        received = []
+        reader = threading.Thread(
+            target=lambda: received.append(fifo.read_bytes()), daemon=True
+        )
+        reader.start()
+        assert main(["kmatrix", "--preset", "dline-vacuum", "--out", str(fifo)]) == 0
+        reader.join(timeout=10)
+        assert main(["kmatrix", "--preset", "dline-vacuum", "--out", str(plain)]) == 0
+        assert received == [plain.read_bytes()]
+        assert stat.S_ISFIFO(os.stat(fifo).st_mode)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["result.csv", "result.fifo"]
 
     def test_command_mismatch_with_config_is_allowed(self, tmp_path):
         # argv names the command; the [run] command key is advisory metadata.
