@@ -483,7 +483,11 @@ def _cross_validate(cfg: ScenarioConfig) -> None:
 
 def parse_config(text: str) -> ScenarioConfig:
     """Parse and validate an INI scenario; raises ConfigError on any defect."""
-    parser = configparser.ConfigParser(interpolation=None, strict=True)
+    # no header can name the default section, so [DEFAULT] is an ordinary
+    # (and unknown) section instead of keys merged into every other one
+    parser = configparser.ConfigParser(
+        interpolation=None, strict=True, default_section="\n"
+    )
     parser.optionxform = str  # keep key case as written
     try:
         parser.read_string(text)

@@ -16,12 +16,21 @@ sparse product per stage.  Fixed stepping (rather than adaptive) keeps
 trajectories bit-reproducible; the price is that the caller picks dt, so
 `propagate` warns when dt * max|G| looks stiff.
 
-The steady state has one solver: the null vector of the SVD of the dense G,
-normalized by its trace, Hermitized and checked for its fixed-point residual.
-A singular value counts as zero below 1e-10 of the largest one, so the test
-is relative to the fastest scale in G: a Hamiltonian far above the slowest
-relaxation rate makes slow relaxation modes read as null ones, and the state
-is reported degenerate.
+The steady state is the null vector of G, found block by block.  G splits
+exactly into the diagonal blocks of its weakly connected components: vec
+entries that no chain of nonzeros links never mix, so G is a direct sum of
+these blocks up to a permutation (for a helicity-diagonal K they refine the
+coherence orders q = M_i - M_j; helicity cross terms only make them larger).
+Each block is decomposed by a dense SVD, blocks of equal size in one batched
+call, and the n^2 x n^2 matrix is never formed.  A singular value counts as
+zero below 1e-10 of the largest one over all blocks -- the largest singular
+value of G itself -- so the test is relative to the fastest scale in G: a
+Hamiltonian far above the slowest relaxation rate makes slow relaxation
+modes read as null ones, and the state is reported degenerate.  The one
+null vector is normalized by its trace, Hermitized and checked for its
+fixed-point residual against the sparse G.  A degenerate report also counts
+the null vectors that live wholly on the ground-ground (d-d) entries, the
+dark ground manifold that nothing pumps out of.
 
 Two hygiene rules, both disclosed rather than hidden:
 
@@ -334,35 +343,48 @@ def steady_state(
 ) -> np.ndarray:
     """Trace-1 fixed point of the full generator.
 
-    Takes the null vector of the SVD of the dense generator, divides it by its
-    trace and Hermitizes it.  Singular values below 1e-10 of the largest count
-    as null (see the module docstring for what that relative test implies).
+    Splits the sparse generator G into its weakly connected components (see
+    the module docstring), takes the SVD of each diagonal block and counts
+    singular values below 1e-10 of the largest one over all blocks as null.
+    That is the null test of the dense SVD of G, since G is a direct sum of
+    its blocks up to a permutation.  The one null vector is scattered back
+    into vec space, divided by its trace and Hermitized.
 
     A null space of dimension > 1 means the long-time state depends on the
     initial condition; that raises :class:`DegenerateSteadyStateError` with
-    the dimension instead of silently picking one.  A marginal candidate -- no
-    null vector, an essentially traceless one (|trace| <= 1e-9), or a
+    the dimension, and with how much of it lies wholly in the ground-ground
+    (d-d) sector, instead of silently picking one.  A marginal candidate --
+    no null vector, an essentially traceless one (|trace| <= 1e-9), or a
     fixed-point residual above 1e-10 * max(1, max|G|) -- raises
     :class:`ConvergenceError` naming which.
     """
     n = _state_dimension(hamiltonian, superops)
-    gen = _generator(hamiltonian, superops, n).toarray()
+    gen = _generator(hamiltonian, superops, n)
 
-    scale = float(np.max(np.abs(gen)))
+    scale = float(np.max(np.abs(gen.data))) if gen.nnz else 0.0
     if scale == 0.0:
         # the zero generator fixes everything; never a unique state for n > 0
         raise DegenerateSteadyStateError(n * n)
 
-    _, svals, vh = np.linalg.svd(gen)
-    null_dim = int(np.sum(svals < _NULL_TOL * svals[0]))
+    blocks = _block_svds(gen)
+    largest = max(float(svals[:, 0].max()) for _, svals, _ in blocks)
+    smallest = min(float(svals[:, -1].min()) for _, svals, _ in blocks)
+    threshold = _NULL_TOL * largest
+    null_dim = sum(int(np.sum(svals < threshold)) for _, svals, _ in blocks)
     if null_dim > 1:
-        raise DegenerateSteadyStateError(null_dim)
+        basis = _basis(hamiltonian, superops)
+        dark = None if basis is None else _dark_ground_dimension(blocks, threshold, basis)
+        raise DegenerateSteadyStateError(null_dim, dark_ground=dark)
     if null_dim == 0:
         raise ConvergenceError(
             f"generator has no null vector (smallest singular value "
-            f"{svals[-1] / svals[0]:.3e} of the largest)"
+            f"{smallest / largest:.3e} of the largest)"
         )
-    raw = vh[-1].conj().reshape(n, n)
+    positions, svals, vh = next(b for b in blocks if b[1][:, -1].min() < threshold)
+    k = int(np.argmin(svals[:, -1]))
+    vec = np.zeros(n * n, dtype=complex)
+    vec[positions[k]] = vh[k, -1].conj()
+    raw = vec.reshape(n, n)
     trace = complex(raw.trace())
     if abs(trace) <= 1e-9:
         raise ConvergenceError(f"the null vector is traceless (|trace| = {abs(trace):.3e})")
@@ -372,6 +394,73 @@ def steady_state(
     if residual > limit:
         raise ConvergenceError(f"null vector residual {residual:.3e} exceeds {limit:.3e}")
     return rho
+
+
+def _block_svds(gen: csr_array) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """SVDs of the diagonal blocks of ``gen``, one per weakly connected component.
+
+    Blocks of equal size are stacked and decomposed in one batched call.  One
+    ``(positions, svals, vh)`` triple per block size s, for k blocks of that
+    size: ``positions`` (k, s) holds each block's vec indices, in ascending
+    order, and ``svals`` (k, s) and ``vh`` (k, s, s) its SVD factors.
+    """
+    from scipy.sparse import csr_array
+    from scipy.sparse.csgraph import connected_components
+
+    size = gen.shape[0]
+    # an int8 pattern: csgraph casts its input to float, which complex refuses
+    pattern = csr_array(
+        (np.ones(gen.nnz, dtype=np.int8), gen.indices, gen.indptr), shape=gen.shape
+    )
+    count, labels = connected_components(pattern, directed=True, connection="weak")
+    # relabel components in ascending size, so that equal sizes sit side by side
+    sizes = np.bincount(labels, minlength=count)
+    by_size = np.argsort(sizes, kind="stable")
+    relabel = np.empty(count, dtype=np.intp)
+    relabel[by_size] = np.arange(count)
+    labels, sizes = relabel[labels], sizes[by_size]
+    order = np.argsort(labels, kind="stable")
+    starts = np.cumsum(sizes) - sizes
+    local = np.empty(size, dtype=np.intp)
+    local[order] = np.arange(size) - np.repeat(starts, sizes)
+
+    # scatter every nonzero into one flat buffer of all dense blocks; ``gen``
+    # is a sparse sum, so canonical CSR and each (row, col) is stored once
+    offsets = np.cumsum(sizes * sizes) - sizes * sizes
+    rows = np.repeat(np.arange(size), np.diff(gen.indptr))
+    row_labels = labels[rows]
+    buffer = np.zeros(int(np.sum(sizes * sizes)), dtype=complex)
+    flat = offsets[row_labels] + local[rows] * sizes[row_labels] + local[gen.indices]
+    buffer[flat] = gen.data
+
+    blocks = []
+    first = 0
+    for s, k in zip(*np.unique(sizes, return_counts=True)):
+        s, k = int(s), int(k)
+        stack = buffer[offsets[first] : offsets[first] + k * s * s].reshape(k, s, s)
+        positions = order[starts[first] : starts[first] + k * s].reshape(k, s)
+        _, svals, vh = np.linalg.svd(stack)
+        blocks.append((positions, svals, vh))
+        first += k
+    return blocks
+
+
+def _dark_ground_dimension(blocks, threshold: float, basis: Basis) -> int:
+    """Dimension of the null space that lies wholly in the d-d sector.
+
+    Per block, that is its null count minus the rank of its null vectors
+    restricted to the entries outside d-d (rank at 1e-12 of their unit norm),
+    so it does not depend on which basis of the null space the SVD returned.
+    """
+    ground = np.array([state.level == "d" for state in basis])
+    in_dd = np.outer(ground, ground).reshape(-1)
+    dark = 0
+    for positions, svals, vh in blocks:
+        for k in np.nonzero(svals[:, -1] < threshold)[0]:
+            null = vh[k, svals[k] < threshold]
+            outside = null[:, ~in_dd[positions[k]]]
+            dark += null.shape[0] - int(np.linalg.matrix_rank(outside, tol=1e-12))
+    return dark
 
 
 def _state_dimension(hamiltonian, superops: Sequence[Superoperator]) -> int:
@@ -384,3 +473,8 @@ def _state_dimension(hamiltonian, superops: Sequence[Superoperator]) -> int:
         return len(superops[0].basis)
     raise SchemeError("cannot infer the state dimension from the arguments")
 
+
+def _basis(hamiltonian, superops: Sequence[Superoperator]) -> Basis | None:
+    if isinstance(hamiltonian, AtomicHamiltonian):
+        return hamiltonian.basis
+    return superops[0].basis if superops else None

@@ -61,14 +61,23 @@ class DegenerateSteadyStateError(VrelaxError):
     """The generator has more than one steady state.
 
     ``dimension`` is the numerically determined null-space dimension.
+    ``dark_ground``, when known, is the part of it that lies wholly in the
+    ground-ground (d-d) sector: the stationary states of the dark ground
+    manifold, which nothing pumps out of.
     """
 
-    def __init__(self, dimension: int) -> None:
+    def __init__(self, dimension: int, *, dark_ground: int | None = None) -> None:
+        dark = (
+            f", of which {dark_ground} lie wholly in the dark ground manifold (d-d)"
+            if dark_ground is not None
+            else ""
+        )
         super().__init__(
             f"steady state is not unique: generator null space has dimension "
-            f"{dimension}; pick an initial state and propagate instead"
+            f"{dimension}{dark}; pick an initial state and propagate instead"
         )
         self.dimension = dimension
+        self.dark_ground = dark_ground
 
 
 class ConfigError(VrelaxError):

@@ -8,6 +8,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from vrelax.cli import main
 from vrelax.config import (
     PRESETS,
     ConfigError,
@@ -108,6 +109,16 @@ class TestStrictRejection:
 
     def test_unknown_section(self):
         self.check(DLINE + "\n[extra]\nx = 1\n", "line 16", "unknown section [extra]")
+
+    def test_default_section_is_an_unknown_section(self, tmp_path):
+        # configparser would merge [DEFAULT] into every section and report
+        # its keys there ("[system] dt: unknown key"); it is a section like
+        # any other, and an unknown one
+        text = DLINE + "\n[DEFAULT]\ndt = 0.1\n"
+        self.check(text, "line 16", "unknown section [DEFAULT]")
+        path = tmp_path / "default.ini"
+        path.write_text(text, encoding="utf-8")
+        assert main(["rates", "--config", str(path)]) == 2
 
     def test_unknown_key(self):
         self.check(dline(system="kind = fine\nbogus = 1"), "line 3", "bogus: unknown key")

@@ -3,22 +3,36 @@
 Closed-form anchors: free evolution of coherences, the single-channel
 exponential decay of an isolated excited sublevel, and a populations-only
 rate-equation solve that the full steady state must reproduce whenever no
-coherence couples into the populations (isotropic pumping).
+coherence couples into the populations (isotropic pumping).  The block-wise
+steady-state solver is checked against the dense-SVD solver it replaced,
+kept here as the oracle.
 """
 
 import math
+import tracemalloc
+from collections import Counter
+from typing import Sequence, Union
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+
+from test_sparse import random_psd_k, random_rate_sets
 
 from vrelax import half
+from vrelax.config import build_rate_sets, build_scheme, preset_config, preset_names
 from vrelax.dynamics import (
+    _NULL_TOL,
     AtomicHamiltonian,
     Trajectory,
     build_hamiltonian,
     propagate,
     steady_state,
     validate_density_matrix,
+    _block_svds,
+    _generator,
+    _hermitized,
+    _state_dimension,
 )
 from vrelax.environment import (
     AngularDistribution,
@@ -584,3 +598,182 @@ def _relax_to_fixed_point(
         f"long-time propagation did not reach ||drho/dt|| < {tol:.1e}; "
         f"the generator may have undamped modes"
     )
+
+
+# ---------------------------------------------------------------------------
+# the block solver against the dense SVD it replaced
+
+
+def dense_steady_state(
+    hamiltonian: Union[AtomicHamiltonian, np.ndarray, Sequence[float]],
+    superops: Sequence[Superoperator],
+) -> np.ndarray:
+    """The dense-SVD solver that ``steady_state`` replaced, kept as its oracle.
+
+    One SVD of the dense n^2 x n^2 generator; the same null rule (below
+    1e-10 of the largest singular value), errors and residual check.
+    """
+    n = _state_dimension(hamiltonian, superops)
+    gen = _generator(hamiltonian, superops, n).toarray()
+
+    scale = float(np.max(np.abs(gen)))
+    if scale == 0.0:
+        # the zero generator fixes everything; never a unique state for n > 0
+        raise DegenerateSteadyStateError(n * n)
+
+    _, svals, vh = np.linalg.svd(gen)
+    null_dim = int(np.sum(svals < _NULL_TOL * svals[0]))
+    if null_dim > 1:
+        raise DegenerateSteadyStateError(null_dim)
+    if null_dim == 0:
+        raise ConvergenceError(
+            f"generator has no null vector (smallest singular value "
+            f"{svals[-1] / svals[0]:.3e} of the largest)"
+        )
+    raw = vh[-1].conj().reshape(n, n)
+    trace = complex(raw.trace())
+    if abs(trace) <= 1e-9:
+        raise ConvergenceError(f"the null vector is traceless (|trace| = {abs(trace):.3e})")
+    rho = _hermitized(raw / trace)
+    residual = float(np.max(np.abs(gen @ rho.reshape(n * n))))
+    limit = 1e-10 * max(1.0, scale)
+    if residual > limit:
+        raise ConvergenceError(f"null vector residual {residual:.3e} exceeds {limit:.3e}")
+    return rho
+
+
+def null_dimension(solver, hamiltonian, superops):
+    """1 for a unique state, else the dimension the solver reports."""
+    try:
+        solver(hamiltonian, superops)
+    except DegenerateSteadyStateError as exc:
+        return exc.dimension
+    return 1
+
+
+def preset_problem(name):
+    cfg = preset_config(name)
+    scheme = build_scheme(cfg)
+    basis = Basis.for_scheme(scheme)
+    superops = [
+        build_stimulated_superop(rates, basis)
+        if rates.kind == "stimulated"
+        else build_relaxation_superop(rates, basis)
+        for _label, rates in build_rate_sets(cfg)
+    ]
+    return build_hamiltonian(scheme, basis), superops
+
+
+# (null dimension, its part in the dark ground manifold) of every preset
+# without a unique steady state; sodium's 34 = 3^2 + 5^2 are the F_d = 1
+# and F_d = 2 ground blocks
+DEGENERATE_PRESETS = {
+    "dline-vacuum": (4, 4),
+    "dline-cavity": (4, 4),
+    "dline-photonic": (4, 4),
+    "twolevel-decay": (10, 1),
+    "sodium-hyperfine": (34, 34),
+}
+
+
+@pytest.mark.parametrize("name", preset_names())
+def test_block_solver_matches_dense_oracle_on_presets(name):
+    hamiltonian, superops = preset_problem(name)
+    if name in DEGENERATE_PRESETS:
+        dimension, dark = DEGENERATE_PRESETS[name]
+        assert null_dimension(dense_steady_state, hamiltonian, superops) == dimension
+        with pytest.raises(DegenerateSteadyStateError) as exc_info:
+            steady_state(hamiltonian, superops)
+        assert exc_info.value.dimension == dimension
+        assert exc_info.value.dark_ground == dark
+        assert f"of which {dark} lie wholly in the dark ground manifold" in str(
+            exc_info.value
+        )
+        return
+    rho = steady_state(hamiltonian, superops)
+    assert np.max(np.abs(rho - dense_steady_state(hamiltonian, superops))) <= 1e-13
+
+
+@settings(max_examples=20, deadline=None, derandomize=True, database=None)
+@given(random_rate_sets())
+def test_block_solver_null_dimension_matches_dense_oracle_on_random_schemes(case):
+    rates, basis = case
+    hamiltonian = build_hamiltonian(rates.scheme, basis)
+    superops = [build_relaxation_superop(rates, basis)]
+    assert null_dimension(steady_state, hamiltonian, superops) == null_dimension(
+        dense_steady_state, hamiltonian, superops
+    )
+
+
+def test_helicity_mixing_k_joins_coherence_orders_and_matches_oracle():
+    # a K with helicity cross terms couples coherence orders q = M_i - M_j,
+    # so the generator's blocks outgrow the q-blocks of a diagonal K
+    sch = dline(omega_bd=1.3, omega_cd=1.0)
+    rng = np.random.default_rng(7)
+    l_r = build_relaxation_superop(rates_fine(sch, random_psd_k(rng), random_psd_k(rng)))
+    l_s = build_stimulated_superop(
+        rates_stimulated(sch, AngularDistribution.isotropic(2.0), ModeDensityModifier.vacuum())
+    )
+    h = build_hamiltonian(sch)
+    basis = l_r.basis
+    n = len(basis)
+    largest_block = max(
+        positions.shape[1] for positions, _, _ in _block_svds(_generator(h, [l_r, l_s], n))
+    )
+    largest_q_block = max(Counter(a.m - b.m for a in basis for b in basis).values())
+    assert largest_block > largest_q_block
+    rho = steady_state(h, [l_r, l_s])
+    assert np.max(np.abs(rho - dense_steady_state(h, [l_r, l_s]))) <= 1e-13
+
+
+def thermal_problem(n_mean=1.5):
+    """J_b = 11/2, J_c = 9/2 over J_d = 9/2 (n = 32) in isotropic thermal light."""
+    sch = LevelScheme(
+        j_b=half("11/2"), j_c=half("9/2"), j_d=half("9/2"), omega_bd=1.3, omega_cd=1.0
+    )
+    l_r = build_relaxation_superop(rates_fine(sch, vacuum_k(1.3), vacuum_k(1.0)))
+    l_s = build_stimulated_superop(
+        rates_stimulated(
+            sch, AngularDistribution.isotropic(n_mean), ModeDensityModifier.vacuum()
+        )
+    )
+    return build_hamiltonian(sch), [l_r, l_s]
+
+
+def test_thermal_steady_state_stays_small_in_memory():
+    # the dense generator alone would be 1024^2 complex entries, 16.8 MB
+    h, superops = thermal_problem()
+    steady_state(h, superops)  # lazy imports and caches stay out of the peak
+    tracemalloc.start()
+    try:
+        rho = steady_state(h, superops)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4e6
+    pops = np.diag(rho).real
+    ground = [i for i, st in enumerate(h.basis) if st.level == "d"]
+    excited = [i for i, st in enumerate(h.basis) if st.level != "d"]
+    assert np.max(np.abs(pops[excited] - 1.5 / 2.5 * pops[ground[0]])) < 1e-12
+
+
+@pytest.mark.xfail(raises=DegenerateSteadyStateError, strict=True)
+def test_weak_thermal_field_under_optical_frequencies_is_unique():
+    """Known limit of the null rule, pinned here until it is mended.
+
+    At omega ~ 1e6 and n_mean = 1e-6 the largest singular value is set by
+    the Hamiltonian, so 1e-10 of it lies above the slow population
+    relaxation: roundoff-level singular values of the rate block read as
+    null and the state is reported with null dimension 4, though weak
+    pumping makes it unique.  Comparing each block with its own
+    dissipative scale alone is too fragile a fix (the population block's
+    roundoff value sits only about 7x below such a threshold); the rule
+    needs a roundoff floor as well.
+    """
+    sch = dline(omega_bd=1.3e6, omega_cd=1e6)
+    l_r = build_relaxation_superop(rates_fine(sch, vacuum_k(1.3e6), vacuum_k(1e6)))
+    l_s = build_stimulated_superop(
+        rates_stimulated(sch, AngularDistribution.isotropic(1e-6), ModeDensityModifier.vacuum())
+    )
+    rho = steady_state(build_hamiltonian(sch), [l_r, l_s])
+    validate_density_matrix(rho)
