@@ -14,8 +14,8 @@ degenerate steady state), 2 configuration error (a bad path included),
 3 numerical abort (a marginal steady-state null vector included).
 
 Output is deterministic: the same config produces byte-identical CSV on
-every run, regardless of worker count.  All physical tables carry their
-normalization convention in the ``#`` header block.
+every run.  All physical tables carry their normalization convention in the
+``#`` header block.
 """
 
 from __future__ import annotations
@@ -326,6 +326,8 @@ def _cmd_doctor(args) -> int:
         jmax = half(args.jmax)
     except (ValueError, TypeError) as exc:
         raise ConfigError(f"--jmax: {exc}") from None
+    if jmax.twice < 0:
+        raise ConfigError(f"--jmax must be >= 0, got {jmax}")
     if jmax.twice > momentum_cap().twice:
         raise ConfigError(f"--jmax {jmax} exceeds the factorial-table cap {momentum_cap()}")
     forced = args.force_quad_order
@@ -393,10 +395,6 @@ def _build_parser() -> argparse.ArgumentParser:
         )
         cmd.add_argument("--out", metavar="PATH", help="write CSV here instead of stdout")
         cmd.add_argument(
-            "--workers", type=int, metavar="N",
-            help="accepted for compatibility; changes neither results nor speed",
-        )
-        cmd.add_argument(
             "--quad-order", type=int, dest="quad_order", metavar="N",
             help="Gauss-Legendre order for distribution quadrature",
         )
@@ -434,7 +432,6 @@ def _resolve_config(args) -> ScenarioConfig:
         cfg = preset_config(args.preset)
     return with_overrides(
         cfg,
-        workers=args.workers,
         quad_order=args.quad_order,
         out=args.out,
         populations_only=getattr(args, "populations_only", False),

@@ -42,8 +42,6 @@ keeps literal K injection and distribution quadrature mutually exclusive.
     sample_every = 1         output stride
     rho0                     single:<level>:<M>  (hyperfine: single:<level>:<F>:<M>),
                              uniform:<level>, or thermal-ground; no silent default
-    workers = 1              accepted for compatibility; changes neither results
-                             nor speed (tables are built in one thread)
     populations_only = false trajectory CSV compact mode
     out                      output path (CLI --out overrides)
     s_scale = 1.0            scalar line-strength prefactor S
@@ -150,7 +148,6 @@ class RunConfig:
     t_final: Optional[float] = None
     sample_every: int = 1
     rho0: Optional[str] = None
-    workers: int = 1
     populations_only: bool = False
     out: Optional[str] = None
     s_scale: float = 1.0
@@ -356,7 +353,6 @@ _KEYS = {
     "run": {
         "command": (COMMANDS, None),
         "quad_order": (_R.integer, _AT_LEAST_ONE),
-        "workers": (_R.integer, _AT_LEAST_ONE),
         "sample_every": (_R.integer, _AT_LEAST_ONE),
         "dt": (_R.number, _POSITIVE),
         "t_final": (_R.number, _POSITIVE),
@@ -782,22 +778,6 @@ def _spontaneous_included(env: EnvironmentConfig) -> bool:
     return photons == "distribution"
 
 
-def _restricted(rates: RateSet, level: str) -> RateSet:
-    """Two-level reduction: drop every channel touching the other excited level."""
-
-    def keep(key: tuple) -> bool:
-        return all(part == level for part in key if isinstance(part, str))
-
-    return RateSet(
-        kind=rates.kind,
-        scheme=rates.scheme,
-        hyperfine=rates.hyperfine,
-        upper={k: v for k, v in rates.upper.items() if keep(k)},
-        feeding={k: v for k, v in rates.feeding.items() if keep(k)},
-        ground=rates.ground,
-    )
-
-
 def build_rate_sets(cfg: ScenarioConfig) -> list[tuple[str, RateSet]]:
     """All rate sets the scenario calls for, as (label, RateSet) pairs.
 
@@ -819,7 +799,7 @@ def build_rate_sets(cfg: ScenarioConfig) -> list[tuple[str, RateSet]]:
         else:
             k_b = k_spontaneous(mod, scheme.omega_bd)
             k_c = k_spontaneous(mod, scheme.omega_cd)
-            sets.append(("spontaneous", rates_fine(scheme, k_b, k_c, kind="spontaneous")))
+            sets.append(("spontaneous", rates_fine(scheme, k_b, k_c)))
     if photons == "distribution":
         dist = _distribution(env, run.n_scale)
         rates = rates_stimulated(
@@ -833,7 +813,7 @@ def build_rate_sets(cfg: ScenarioConfig) -> list[tuple[str, RateSet]]:
         else:
             sets.append(("injected", rates_injected(scheme, k)))
     if cfg.system.restrict_excited is not None:
-        sets = [(label, _restricted(rs, cfg.system.restrict_excited)) for label, rs in sets]
+        sets = [(label, rs.restricted(cfg.system.restrict_excited)) for label, rs in sets]
     return sets
 
 
@@ -908,7 +888,6 @@ def build_rho0(
 def with_overrides(
     cfg: ScenarioConfig,
     *,
-    workers: Optional[int] = None,
     quad_order: Optional[int] = None,
     out: Optional[str] = None,
     populations_only: Optional[bool] = None,
@@ -916,10 +895,6 @@ def with_overrides(
 ) -> ScenarioConfig:
     """Config with CLI flag overrides applied (reflectivity requires cavity)."""
     run = cfg.run
-    if workers is not None:
-        if workers < 1:
-            raise ConfigError(f"--workers must be >= 1, got {workers}")
-        run = replace(run, workers=workers)
     if quad_order is not None:
         if quad_order < 1:
             raise ConfigError(f"--quad-order must be >= 1, got {quad_order}")

@@ -4,17 +4,17 @@ The equation of motion is
 
     drho/dt = -i [H, rho] + sum_k L_k[rho]
 
-with H the diagonal atomic Hamiltonian and L_k the relaxation / stimulated
-superoperators from :mod:`vrelax.operators`.  Everything here works on the
-row-major vectorization of rho, so the full generator is the matrix
+with H = diag(E) the atomic Hamiltonian of bare level energies
+(:class:`AtomicHamiltonian`, the only form accepted) and L_k the relaxation /
+stimulated superoperators from :mod:`vrelax.operators`.  Everything here works
+on the row-major vectorization of rho, so the full generator is the matrix
 
-    G = -i (kron(H, 1) - kron(1, H^T)) + sum_k L_k.matrix
+    G = -i diag(E_i - E_j) + sum_k L_k.matrix
 
-stored sparse (CSR; for the diagonal H built here the commutator is a
-diagonal), and propagation is classical fixed-step RK4 on dy/dt = G y, one
-sparse product per stage.  Fixed stepping (rather than adaptive) keeps
-trajectories bit-reproducible; the price is that the caller picks dt, so
-`propagate` warns when dt * max|G| looks stiff.
+stored sparse (CSR), and propagation is classical fixed-step RK4 on
+dy/dt = G y, one sparse product per stage.  Fixed stepping (rather than
+adaptive) keeps trajectories bit-reproducible; the price is that the caller
+picks dt, so `propagate` warns when dt * max|G| looks stiff.
 
 The steady state is the null vector of G, found block by block.  G splits
 exactly into the diagonal blocks of its weakly connected components: vec
@@ -45,7 +45,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterator, Sequence, Union
+from typing import TYPE_CHECKING, Iterator, Sequence
 
 import numpy as np
 
@@ -106,12 +106,9 @@ class AtomicHamiltonian:
             )
         object.__setattr__(self, "diagonal", diag)
 
-    def matrix(self) -> np.ndarray:
-        return np.diag(self.diagonal.astype(complex))
-
 
 def build_hamiltonian(
-    scheme: Union[LevelScheme, HyperfineScheme], basis: Basis | None = None
+    scheme: LevelScheme | HyperfineScheme, basis: Basis | None = None
 ) -> AtomicHamiltonian:
     """Assemble the diagonal Hamiltonian over the scheme's standard basis."""
     basis = basis if basis is not None else Basis.for_scheme(scheme)
@@ -162,39 +159,28 @@ def validate_density_matrix(rho: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _hamiltonian_matrix(
-    hamiltonian: Union[AtomicHamiltonian, np.ndarray, Sequence[float]], n: int
-) -> np.ndarray:
-    if isinstance(hamiltonian, AtomicHamiltonian):
-        mat = hamiltonian.matrix()
-    else:
-        arr = np.asarray(hamiltonian)
-        if arr.ndim == 1:
-            mat = np.diag(arr.astype(complex))
-        elif arr.ndim == 2:
-            mat = arr.astype(complex)
-        else:
-            raise SchemeError(
-                f"Hamiltonian must be a diagonal vector or a square matrix, "
-                f"got ndim={arr.ndim}"
-            )
-    if mat.shape != (n, n):
+def _generator(
+    hamiltonian: AtomicHamiltonian, superops: Sequence[Superoperator]
+) -> csr_array:
+    """Sparse generator on the row-major vec basis.
+
+    The commutator -i[H, rho] of the diagonal H is the diagonal
+    -i (E_i - E_j) at vec position i n + j, stored where it is nonzero.
+    """
+    from scipy.sparse import csr_array
+
+    if not isinstance(hamiltonian, AtomicHamiltonian):
         raise SchemeError(
-            f"Hamiltonian shape {mat.shape} does not match state dimension {n}"
+            f"hamiltonian must be an AtomicHamiltonian, got {type(hamiltonian).__name__}"
         )
-    defect = float(np.max(np.abs(mat - mat.conj().T))) if n else 0.0
-    if defect > 1e-12 * max(1.0, float(np.max(np.abs(mat)))):
-        raise SchemeError(f"Hamiltonian is not Hermitian: max asymmetry {defect:.3e}")
-    return mat
-
-
-def _generator(hamiltonian, superops: Sequence[Superoperator], n: int) -> csr_array:
-    """Sparse generator on the row-major vec basis."""
-    from scipy.sparse import csr_array, identity, kron
-
-    h = _hamiltonian_matrix(hamiltonian, n)
-    eye = identity(n, dtype=complex, format="csr")
-    gen = csr_array(-1j * (kron(h, eye, format="csr") - kron(eye, h.T, format="csr")))
+    energy = hamiltonian.diagonal
+    n = energy.size
+    split = (energy[:, None] - energy[None, :]).reshape(n * n)
+    stored = split != 0.0
+    indptr = np.concatenate(([0], np.cumsum(stored)))
+    gen = csr_array(
+        (-1j * split[stored], np.flatnonzero(stored), indptr), shape=(n * n, n * n)
+    )
     for op in superops:
         if op.matrix.shape != (n * n, n * n):
             raise SchemeError(
@@ -261,7 +247,7 @@ def step_count(t_final: float, dt: float) -> int:
 
 def propagate(
     rho0: np.ndarray,
-    hamiltonian: Union[AtomicHamiltonian, np.ndarray, Sequence[float]],
+    hamiltonian: AtomicHamiltonian,
     superops: Sequence[Superoperator],
     t_final: float,
     dt: float,
@@ -279,12 +265,16 @@ def propagate(
     than 1e-6 or an eigenvalue falls below -1e-6.
     """
     rho = validate_density_matrix(rho0).copy()
-    n = rho.shape[0]
     steps = step_count(t_final, dt)
     if sample_every < 1:
         raise ValueError(f"sample_every must be >= 1, got {sample_every}")
 
-    gen = _generator(hamiltonian, superops, n)
+    gen = _generator(hamiltonian, superops)
+    n = len(hamiltonian.basis)
+    if rho.shape != (n, n):
+        raise SchemeError(
+            f"Hamiltonian shape {(n, n)} does not match state dimension {rho.shape[0]}"
+        )
     stiffness = dt * float(np.max(np.abs(gen.data))) if gen.nnz else 0.0
     if stiffness > 0.1:
         warnings.warn(
@@ -338,8 +328,7 @@ def propagate(
 
 
 def steady_state(
-    hamiltonian: Union[AtomicHamiltonian, np.ndarray, Sequence[float]],
-    superops: Sequence[Superoperator],
+    hamiltonian: AtomicHamiltonian, superops: Sequence[Superoperator]
 ) -> np.ndarray:
     """Trace-1 fixed point of the full generator.
 
@@ -358,8 +347,8 @@ def steady_state(
     fixed-point residual above 1e-10 * max(1, max|G|) -- raises
     :class:`ConvergenceError` naming which.
     """
-    n = _state_dimension(hamiltonian, superops)
-    gen = _generator(hamiltonian, superops, n)
+    gen = _generator(hamiltonian, superops)
+    n = len(hamiltonian.basis)
 
     scale = float(np.max(np.abs(gen.data))) if gen.nnz else 0.0
     if scale == 0.0:
@@ -372,8 +361,7 @@ def steady_state(
     threshold = _NULL_TOL * largest
     null_dim = sum(int(np.sum(svals < threshold)) for _, svals, _ in blocks)
     if null_dim > 1:
-        basis = _basis(hamiltonian, superops)
-        dark = None if basis is None else _dark_ground_dimension(blocks, threshold, basis)
+        dark = _dark_ground_dimension(blocks, threshold, hamiltonian.basis)
         raise DegenerateSteadyStateError(null_dim, dark_ground=dark)
     if null_dim == 0:
         raise ConvergenceError(
@@ -461,20 +449,3 @@ def _dark_ground_dimension(blocks, threshold: float, basis: Basis) -> int:
             outside = null[:, ~in_dd[positions[k]]]
             dark += null.shape[0] - int(np.linalg.matrix_rank(outside, tol=1e-12))
     return dark
-
-
-def _state_dimension(hamiltonian, superops: Sequence[Superoperator]) -> int:
-    if isinstance(hamiltonian, AtomicHamiltonian):
-        return len(hamiltonian.basis)
-    arr = np.asarray(hamiltonian)
-    if arr.ndim in (1, 2) and arr.size:
-        return int(arr.shape[0])
-    if superops:
-        return len(superops[0].basis)
-    raise SchemeError("cannot infer the state dimension from the arguments")
-
-
-def _basis(hamiltonian, superops: Sequence[Superoperator]) -> Basis | None:
-    if isinstance(hamiltonian, AtomicHamiltonian):
-        return hamiltonian.basis
-    return superops[0].basis if superops else None

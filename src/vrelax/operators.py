@@ -384,14 +384,25 @@ class RateSet:
     the density matrix regardless.  Only the trace identities are therefore
     load-bearing contracts; ``hermitian_defect`` stays available as a
     structure diagnostic.
+
+    The structure is read off the inputs: ``hyperfine`` from the scheme, and
+    ``kind`` from the ground (absorption) table, which only stimulated sets
+    carry.
     """
 
-    kind: str
     scheme: LevelScheme | HyperfineScheme
-    hyperfine: bool
     upper: Mapping[tuple, complex]
     feeding: Mapping[tuple, complex]
     ground: Mapping[tuple, complex] | None = None
+
+    @property
+    def kind(self) -> str:
+        """``"stimulated"`` with a ground table, even an empty one; else ``"spontaneous"``."""
+        return "spontaneous" if self.ground is None else "stimulated"
+
+    @property
+    def hyperfine(self) -> bool:
+        return isinstance(self.scheme, HyperfineScheme)
 
     def gamma(self, *key) -> complex:
         return self.upper.get(_coerce_key(key), 0.0 + 0.0j)
@@ -414,8 +425,9 @@ class RateSet:
         d = (GROUND_LEVEL,)
         pairs = []
         if table == "feeding":
+            hyperfine = self.hyperfine
             for key, value in self.feeding.items():
-                up1, gr1, up2, gr2 = _split_feeding(key, self.hyperfine)
+                up1, gr1, up2, gr2 = _split_feeding(key, hyperfine)
                 pairs.append(((up1, d + gr1, up2, d + gr2), value))
             return pairs
         prefix = d if table == "ground" else ()
@@ -451,8 +463,9 @@ class RateSet:
         structure diagnostic rather than a validity gate.
         """
         worst, worst_key = 0.0, None
+        hyperfine = self.hyperfine
         for key, value in self.feeding.items():
-            up1, gr1, up2, gr2 = _split_feeding(key, self.hyperfine)
+            up1, gr1, up2, gr2 = _split_feeding(key, hyperfine)
             if (up1[-1] - gr1[-1]).twice != (up2[-1] - gr2[-1]).twice and abs(value) > worst:
                 worst, worst_key = abs(value), key
         return worst, worst_key
@@ -465,10 +478,6 @@ class RateSet:
         return _max_defect(sums, self.ground)
 
     def validate(self, tol: float = 1e-10) -> None:
-        if self.kind not in ("spontaneous", "stimulated"):
-            raise RateSetContractError(f"unknown rate-set kind {self.kind!r}")
-        if self.kind == "stimulated" and self.ground is None:
-            raise RateSetContractError("stimulated rate set is missing the ground-depopulation table")
         defect, key = self.trace_identity_defect()
         if defect > tol:
             raise RateSetContractError(
@@ -481,6 +490,21 @@ class RateSet:
                 f"feeding table does not sum back to the ground table: "
                 f"defect {defect:.3e} at {key}"
             )
+
+    def restricted(self, level: str) -> "RateSet":
+        """Two-level reduction: drop every entry touching the other excited level."""
+        hyperfine = self.hyperfine
+        upper = {
+            key: value
+            for key, value in self.upper.items()
+            if key[0] == level and key[len(key) // 2] == level
+        }
+        feeding = {}
+        for key, value in self.feeding.items():
+            up1, _gr1, up2, _gr2 = _split_feeding(key, hyperfine)
+            if up1[0] == level and up2[0] == level:
+                feeding[key] = value
+        return replace(self, upper=upper, feeding=feeding)
 
 
 def _sigma_of(m_upper: HalfInt, m_lower: HalfInt) -> int | None:
@@ -572,8 +596,6 @@ def rates_fine(
     k_b: KMatrix,
     k_c: KMatrix,
     k_cross: KMatrix | None = None,
-    *,
-    kind: str = "spontaneous",
 ) -> RateSet:
     """Assemble the fine-structure rate tables from per-level helicity matrices.
 
@@ -586,7 +608,7 @@ def rates_fine(
     for matrix in (k_b, k_c) + (() if k_cross is None else (k_cross,)):
         matrix.validate()
     upper, feeding = _tables(scheme, k_b, k_c, k_cross)
-    return RateSet(kind=kind, scheme=scheme, hyperfine=False, upper=upper, feeding=feeding)
+    return RateSet(scheme=scheme, upper=upper, feeding=feeding)
 
 
 def _with_ground(rates: RateSet) -> RateSet:
@@ -613,7 +635,7 @@ def rates_stimulated(
 
     k_b = k_stimulated(distribution, modifier, scheme.omega_bd, quad_order=quad_order)
     k_c = k_stimulated(distribution, modifier, scheme.omega_cd, quad_order=quad_order)
-    return _with_ground(rates_fine(scheme, k_b, k_c, kind="stimulated"))
+    return _with_ground(rates_fine(scheme, k_b, k_c))
 
 
 def rates_injected(scheme: LevelScheme, k: KMatrix) -> RateSet:
@@ -625,7 +647,7 @@ def rates_injected(scheme: LevelScheme, k: KMatrix) -> RateSet:
     table is built from it as well, so the result can drive the full two-way
     superoperator just like a quadrature product.
     """
-    return _with_ground(rates_fine(scheme, k, k, kind="stimulated"))
+    return _with_ground(rates_fine(scheme, k, k))
 
 
 def rates_hyperfine(scheme: HyperfineScheme, k: KMatrix) -> RateSet:
@@ -638,7 +660,7 @@ def rates_hyperfine(scheme: HyperfineScheme, k: KMatrix) -> RateSet:
     """
     k.validate()
     upper, feeding = _tables(scheme, k, k, None)
-    return RateSet(kind="spontaneous", scheme=scheme, hyperfine=True, upper=upper, feeding=feeding)
+    return RateSet(scheme=scheme, upper=upper, feeding=feeding)
 
 
 # ---------------------------------------------------------------------------
@@ -837,28 +859,20 @@ def interference_report(rates: RateSet) -> InterferenceReport:
     the geometric mean of the two diagonal coefficients at the same
     projection.  Sublevels where both diagonals vanish report ``None``.
     """
-    points: list[InterferencePoint] = []
-    if rates.hyperfine:
-        halves = [sublevel for pair, _value in rates.entries("upper") for sublevel in pair]
-        b_keys = {sublevel[1:] for sublevel in halves if sublevel[0] == "b"}
-        c_keys = {sublevel[1:] for sublevel in halves if sublevel[0] == "c"}
-        for f, m in sorted(b_keys & c_keys):
-            g_bb = rates.gamma("b", f, m, "b", f, m)
-            g_cc = rates.gamma("c", f, m, "c", f, m)
-            g_bc = rates.gamma("b", f, m, "c", f, m)
-            points.append(InterferencePoint(m=m, f=f, value=_interference_value(g_bc, g_bb, g_cc)))
-    else:
-        scheme = rates.scheme
-        shared = [
-            m
-            for m in projections(scheme.j_b)
-            if abs(m.twice) <= scheme.j_c.twice and (m.twice - scheme.j_c.twice) % 2 == 0
-        ]
-        for m in shared:
-            g_bb = rates.gamma("b", m, "b", m)
-            g_cc = rates.gamma("c", m, "c", m)
-            g_bc = rates.gamma("b", m, "c", m)
-            points.append(InterferencePoint(m=m, f=None, value=_interference_value(g_bc, g_bb, g_cc)))
+    # the quantum numbers, (M,) or (F, M), of the sublevels b and c share,
+    # in basis order
+    sublevels = Basis.for_scheme(rates.scheme).sublevels
+    of_c = {sublevel[1:] for sublevel in sublevels if sublevel[0] == "c"}
+    shared = [
+        sublevel[1:] for sublevel in sublevels if sublevel[0] == "b" and sublevel[1:] in of_c
+    ]
+    points = []
+    for q in shared:
+        g_bb = rates.upper.get(("b", *q, "b", *q), 0.0 + 0.0j)
+        g_cc = rates.upper.get(("c", *q, "c", *q), 0.0 + 0.0j)
+        g_bc = rates.upper.get(("b", *q, "c", *q), 0.0 + 0.0j)
+        f = q[0] if len(q) == 2 else None
+        points.append(InterferencePoint(m=q[-1], f=f, value=_interference_value(g_bc, g_bb, g_cc)))
     off = [
         (key, complex(value))
         for key, value in rates.upper.items()

@@ -20,6 +20,7 @@ from vrelax.angular import (
     sixj_sum_rule_defect,
 )
 from vrelax.cli import main
+from vrelax.config import preset_config, serialize_config
 from vrelax.dynamics import build_hamiltonian, propagate
 from vrelax.environment import (
     AngularDistribution,
@@ -336,14 +337,13 @@ def test_criterion_09_photonic_crystal_asymmetry():
 
 def test_criterion_10_end_to_end_determinism(tmp_path):
     """The paper-K preset writes byte-identical CSV across two runs and
-    across one versus eight workers."""
+    when read back from its serialized INI file."""
     paths = [tmp_path / name for name in ("a.csv", "b.csv", "c.csv")]
     assert main(["rates", "--preset", "dline-paper-k", "--out", str(paths[0])]) == 0
     assert main(["rates", "--preset", "dline-paper-k", "--out", str(paths[1])]) == 0
-    assert main([
-        "rates", "--preset", "dline-paper-k",
-        "--out", str(paths[2]), "--workers", "8",
-    ]) == 0
+    ini = tmp_path / "paper-k.ini"
+    ini.write_text(serialize_config(preset_config("dline-paper-k")), encoding="utf-8")
+    assert main(["rates", "--config", str(ini), "--out", str(paths[2])]) == 0
     first = paths[0].read_bytes()
     assert first == paths[1].read_bytes()
     assert first == paths[2].read_bytes()

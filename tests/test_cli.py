@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from vrelax.cli import main
-from vrelax.config import preset_names
+from vrelax.config import preset_config, preset_names, serialize_config
 from vrelax.environment import ModeDensityModifier, k_spontaneous
 from vrelax.operators import Superoperator
 
@@ -158,6 +158,17 @@ class TestArgumentHandling:
         assert received == [plain.read_bytes()]
         assert stat.S_ISFIFO(os.stat(fifo).st_mode)
         assert sorted(p.name for p in tmp_path.iterdir()) == ["result.csv", "result.fifo"]
+
+    def test_workers_flag_is_unknown(self, capsys):
+        assert main(["rates", "--preset", "dline-cos2", "--workers", "8"]) == 2
+        assert "unrecognized arguments: --workers 8" in capsys.readouterr().err
+
+    def test_workers_key_is_an_unknown_key(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, "kind = vacuum", "command = rates\nworkers = 1")
+        assert main(["rates", "--config", cfg]) == 2
+        assert capsys.readouterr().err == (
+            "vrelax: config error: line 15: [run] workers: unknown key\n"
+        )
 
     def test_command_mismatch_with_config_is_allowed(self, tmp_path):
         # argv names the command; the [run] command key is advisory metadata.
@@ -301,14 +312,13 @@ class TestRatesCommand:
 
 
 class TestDeterminism:
-    def test_byte_identical_across_runs_and_workers(self, tmp_path):
+    def test_byte_identical_across_runs_and_config_sources(self, tmp_path):
         paths = [tmp_path / f"r{i}.csv" for i in range(3)]
         assert main(["rates", "--preset", "dline-paper-k", "--out", str(paths[0])]) == 0
         assert main(["rates", "--preset", "dline-paper-k", "--out", str(paths[1])]) == 0
-        assert main([
-            "rates", "--preset", "dline-paper-k",
-            "--out", str(paths[2]), "--workers", "8",
-        ]) == 0
+        ini = tmp_path / "paper-k.ini"
+        ini.write_text(serialize_config(preset_config("dline-paper-k")), encoding="utf-8")
+        assert main(["rates", "--config", str(ini), "--out", str(paths[2])]) == 0
         blobs = [p.read_bytes() for p in paths]
         assert blobs[0] == blobs[1] == blobs[2]
 
@@ -494,6 +504,14 @@ class TestDoctorCommand:
         assert captured.err == (
             "vrelax: config error: --jmax: cannot parse quantum number 'inf'\n"
         )
+
+    @pytest.mark.parametrize("argv, jmax", [(["--jmax", "-1"], "-1"), (["--jmax=-1/2"], "-1/2")])
+    def test_negative_jmax_is_a_config_error(self, argv, jmax, capsys):
+        # a negative cap would skip every identity check and still report ok
+        assert main(["doctor", *argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"vrelax: config error: --jmax must be >= 0, got {jmax}\n"
 
     def test_lowered_grid_reports_skip_not_pass(self, capsys):
         assert main(["doctor", "--jmax", "1/2"]) == 0

@@ -75,7 +75,6 @@ class TestParsing:
         assert cfg.system.dipole_mode == "alkali"
         assert cfg.environment.kind == "vacuum"
         assert cfg.run.command == "rates"
-        assert cfg.run.workers == 1
         assert cfg.run.quad_order == 16
 
     def test_fractional_values_parse_exactly(self):
@@ -142,7 +141,7 @@ class TestStrictRejection:
         self.check(dline(jb="j_b = fish"), "line 3", "cannot parse quantum number 'fish'")
 
     def test_bad_integer(self):
-        self.check(dline(run="command = rates\nworkers = maybe"), "'maybe' is not an integer")
+        self.check(dline(run="command = rates\nsample_every = maybe"), "'maybe' is not an integer")
 
     def test_bad_boolean(self):
         self.check(
@@ -383,12 +382,15 @@ class TestRho0Builder:
 class TestOverrides:
     def test_worker_and_quad_overrides(self):
         cfg = preset_config("dline-cos2")
-        out = with_overrides(cfg, workers=8, quad_order=24, out="x.csv")
-        assert out.run.workers == 8
+        out = with_overrides(cfg, quad_order=24, out="x.csv")
         assert out.run.quad_order == 24
         assert out.run.out == "x.csv"
         # the original is untouched
-        assert cfg.run.workers == 1
+        assert cfg.run.quad_order == 16 and cfg.run.out is None
+        # there is no worker count to override
+        with pytest.raises(TypeError, match="workers"):
+            with_overrides(cfg, workers=8)
+        assert not hasattr(cfg.run, "workers")
 
     def test_reflectivity_override_requires_cavity(self):
         with pytest.raises(ConfigError):
@@ -454,7 +456,7 @@ def _battery_outcome(lines) -> str:
 
 # sha256 of the outcome listing; a change here changes what some INI
 # file means or which defect it reports first
-BATTERY_SHA256 = "2e1a2782ed59f2288ca362e9d0343231a7b0d116fe6cb0d6de50ee900b98c43e"
+BATTERY_SHA256 = "37a080f7479ae375c3d96724defc1bf9aa4d48a430b786b90c3da7df2da96fd1"
 
 
 def test_parse_battery_outcomes_are_pinned():

@@ -11,7 +11,7 @@ kept here as the oracle.
 import math
 import tracemalloc
 from collections import Counter
-from typing import Sequence, Union
+from typing import Sequence
 
 import numpy as np
 import pytest
@@ -32,7 +32,6 @@ from vrelax.dynamics import (
     _block_svds,
     _generator,
     _hermitized,
-    _state_dimension,
 )
 from vrelax.environment import (
     AngularDistribution,
@@ -98,7 +97,29 @@ class TestBuildHamiltonian:
         sch = dline(omega_bd=1.3, omega_cd=1.0)
         h = build_hamiltonian(sch)
         assert h.diagonal.tolist() == [0.0, 0.0, 1.0, 1.0, 1.3, 1.3, 1.3, 1.3]
-        assert np.array_equal(h.matrix(), np.diag(h.diagonal).astype(complex))
+
+    @pytest.mark.parametrize("name", ["dline-cos2", "sodium-hyperfine"])
+    def test_commutator_matches_dense_kron(self, name):
+        # -i (kron(H, 1) - kron(1, H^T)) of the dense diagonal H, to the bit,
+        # with the same stored pattern: only the nonzero level splittings
+        scheme = build_scheme(preset_config(name))
+        h = build_hamiltonian(scheme)
+        n = len(h.basis)
+        hmat, eye = np.diag(h.diagonal).astype(complex), np.eye(n)
+        dense = -1j * (np.kron(hmat, eye) - np.kron(eye, hmat.T))
+        gen = _generator(h, [])
+        stored = dense != 0
+        assert gen.nnz == np.count_nonzero(stored)
+        assert np.array_equal(gen.toarray() != 0, stored)
+        assert np.array_equal(gen.toarray()[stored].view(np.uint64), dense[stored].view(np.uint64))
+
+    def test_array_hamiltonian_rejected(self):
+        rho0 = np.eye(8, dtype=complex) / 8
+        for array in (np.zeros(8), np.zeros((8, 8))):
+            with pytest.raises(SchemeError, match="AtomicHamiltonian"):
+                propagate(rho0, array, [], t_final=1.0, dt=0.1)
+            with pytest.raises(SchemeError, match="AtomicHamiltonian"):
+                steady_state(array, [])
 
     def test_hyperfine_offsets(self):
         hf = HyperfineScheme(
@@ -191,9 +212,7 @@ def keep_b_only(rates):
     (b, b) block is the honest way to realize an isolated J=1 -> J=0 line.
     """
     return RateSet(
-        kind=rates.kind,
         scheme=rates.scheme,
-        hyperfine=rates.hyperfine,
         upper={k: v for k, v in rates.upper.items() if k[0] == "b" and k[2] == "b"},
         feeding={k: v for k, v in rates.feeding.items() if k[0] == "b" and k[3] == "b"},
         ground=rates.ground,
@@ -328,8 +347,9 @@ class TestPropagateGuards:
         h, lop = relaxation_setup(sch)
         with pytest.raises(SchemeError, match="Hamiltonian shape"):
             propagate(np.eye(4) / 4, h, [], t_final=1.0, dt=0.1)
+        four = AtomicHamiltonian(np.zeros(4), Basis(lop.basis.states[:4]))
         with pytest.raises(SchemeError, match="superoperator"):
-            propagate(np.eye(4) / 4, np.zeros(4), [lop], t_final=1.0, dt=0.1)
+            propagate(np.eye(4) / 4, four, [lop], t_final=1.0, dt=0.1)
 
     def test_stiff_step_warns(self):
         sch = dline(omega_bd=1.3, omega_cd=1.0)
@@ -345,7 +365,7 @@ class TestPropagateGuards:
         gain = Superoperator(0.5 * np.eye(n * n, dtype=complex), basis, "uniform-gain")
         rho0 = np.eye(n, dtype=complex) / n
         with pytest.raises(NumericalAbortError, match="trace") as exc_info:
-            propagate(rho0, np.zeros(n), [gain], t_final=1.0, dt=0.01)
+            propagate(rho0, AtomicHamiltonian(np.zeros(n), basis), [gain], t_final=1.0, dt=0.01)
         assert exc_info.value.time == pytest.approx(0.01)
         assert exc_info.value.value > 1e-6
 
@@ -363,7 +383,9 @@ class TestPropagateGuards:
         rho0[0, 0] = rho0[1, 1] = 0.5
         rho0[0, 1] = rho0[1, 0] = 0.05
         with pytest.raises(NumericalAbortError, match="eigenvalue") as exc_info:
-            propagate(rho0, np.zeros(n), [growth], t_final=8.0, dt=0.02)
+            propagate(
+                rho0, AtomicHamiltonian(np.zeros(n), basis), [growth], t_final=8.0, dt=0.02
+            )
         assert exc_info.value.value < -1e-6
         assert 5.0 < exc_info.value.time < 7.0
 
@@ -427,8 +449,9 @@ class TestSteadyState:
         assert exc_info.value.dimension == 4
 
     def test_zero_generator_reports_full_degeneracy(self):
+        basis = Basis.for_fine(twolevel())
         with pytest.raises(DegenerateSteadyStateError) as exc_info:
-            steady_state(np.zeros(3), [])
+            steady_state(AtomicHamiltonian(np.zeros(3), Basis(basis.states[:3])), [])
         assert exc_info.value.dimension == 9
 
     @pytest.mark.parametrize(
@@ -445,7 +468,7 @@ class TestSteadyState:
         basis = Basis([BasisState("b", half(0)), BasisState("d", half(0))])
         op = Superoperator(np.diag(diagonal), basis, "marginal")
         with pytest.raises(ConvergenceError, match=reason):
-            steady_state(np.zeros(2), [op])
+            steady_state(AtomicHamiltonian(np.zeros(2), basis), [op])
 
     def pumped_dline(self, n_mean, distribution):
         # split excited levels; degenerate ones leave conserved quantities
@@ -525,9 +548,7 @@ class TestSteadyState:
             return key[0] == key[j2_pos]
 
         stripped = RateSet(
-            kind=s_rates.kind,
             scheme=s_rates.scheme,
-            hyperfine=s_rates.hyperfine,
             upper={k: v for k, v in s_rates.upper.items() if same_level(k, 2)},
             feeding={k: v for k, v in s_rates.feeding.items() if same_level(k, 3)},
             ground=s_rates.ground,
@@ -543,7 +564,7 @@ class TestSteadyState:
             5.0, AngularDistribution.axisymmetric_cos2
         )
         rho = steady_state(h, [l_r, l_s])
-        hmat = h.matrix()
+        hmat = np.diag(h.diagonal)
         deriv = -1j * (hmat @ rho - rho @ hmat) + l_r.apply(rho) + l_s.apply(rho)
         assert float(np.max(np.abs(deriv))) < 1e-10
         assert rho.trace().real == pytest.approx(1.0, abs=1e-12)
@@ -554,7 +575,7 @@ class TestSteadyState:
             5.0, AngularDistribution.axisymmetric_cos2
         )
         n = len(l_r.basis)
-        hmat, eye = h.matrix(), np.eye(n)
+        hmat, eye = np.diag(h.diagonal), np.eye(n)
         gen = -1j * (np.kron(hmat, eye) - np.kron(eye, hmat.T))
         gen = gen + l_r.matrix.toarray() + l_s.matrix.toarray()
         rho_svd = steady_state(h, [l_r, l_s])
@@ -605,16 +626,15 @@ def _relax_to_fixed_point(
 
 
 def dense_steady_state(
-    hamiltonian: Union[AtomicHamiltonian, np.ndarray, Sequence[float]],
-    superops: Sequence[Superoperator],
+    hamiltonian: AtomicHamiltonian, superops: Sequence[Superoperator]
 ) -> np.ndarray:
     """The dense-SVD solver that ``steady_state`` replaced, kept as its oracle.
 
     One SVD of the dense n^2 x n^2 generator; the same null rule (below
     1e-10 of the largest singular value), errors and residual check.
     """
-    n = _state_dimension(hamiltonian, superops)
-    gen = _generator(hamiltonian, superops, n).toarray()
+    n = len(hamiltonian.basis)
+    gen = _generator(hamiltonian, superops).toarray()
 
     scale = float(np.max(np.abs(gen)))
     if scale == 0.0:
@@ -716,9 +736,8 @@ def test_helicity_mixing_k_joins_coherence_orders_and_matches_oracle():
     )
     h = build_hamiltonian(sch)
     basis = l_r.basis
-    n = len(basis)
     largest_block = max(
-        positions.shape[1] for positions, _, _ in _block_svds(_generator(h, [l_r, l_s], n))
+        positions.shape[1] for positions, _, _ in _block_svds(_generator(h, [l_r, l_s]))
     )
     largest_q_block = max(Counter(a.m - b.m for a in basis for b in basis).values())
     assert largest_block > largest_q_block

@@ -7,6 +7,7 @@ constructed jump-operator (Lindblad) forms.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -19,7 +20,6 @@ from vrelax.environment import (
     k_spontaneous,
     k_stimulated,
 )
-from vrelax.config import build_rate_sets, preset_config, with_overrides
 from vrelax.errors import RateSetContractError, SchemeError
 from vrelax.halfint import HalfInt, projections, triangle_range
 from vrelax.operators import (
@@ -34,6 +34,7 @@ from vrelax.operators import (
     interference_report,
     rates_fine,
     rates_hyperfine,
+    rates_injected,
     rates_stimulated,
 )
 
@@ -201,7 +202,7 @@ class TestRatesFineClosedForms:
 
     def test_injected_anisotropic_regression(self):
         k = KMatrix.from_diagonal([4 / 75, 4 / 15, 4 / 75])
-        rs = rates_fine(dline(), k, k, kind="stimulated")
+        rs = rates_fine(dline(), k, k)
         assert rs.gamma("b", half("3/2"), "b", half("3/2")).real == pytest.approx(12 / 225, abs=1e-15)
         assert rs.gamma("b", half("1/2"), "b", half("1/2")).real == pytest.approx(44 / 225, abs=1e-15)
         assert rs.gamma("c", half("1/2"), "c", half("1/2")).real == pytest.approx(28 / 225, abs=1e-15)
@@ -417,18 +418,6 @@ class TestRatesStimulated:
         for key, value in fine_rs.upper.items():
             assert coarse.upper[key] == pytest.approx(value, abs=1e-12)
 
-    def test_workers_setting_leaves_tables_identical(self):
-        # the workers setting is accepted for compatibility and changes no table
-        cfg = preset_config("dline-cos2")
-        default = build_rate_sets(cfg)
-        eight = build_rate_sets(with_overrides(cfg, workers=8))
-        assert [label for label, _ in default] == [label for label, _ in eight]
-        assert any(rs.ground for _, rs in default)
-        for (_, one), (_, other) in zip(default, eight):
-            assert one.upper == other.upper
-            assert one.feeding == other.feeding
-            assert one.ground == other.ground
-
 
 def uncoupled_amplitude(j_level, j_d, spin, f, m_f, f_d, m_fd, sigma):
     """Brute-force hyperfine channel amplitude via nuclear-projection sums.
@@ -615,10 +604,7 @@ class TestHyperfineRates:
         ground = hyperfine_ground_table(rs)
 
         def with_ground(table):
-            return RateSet(
-                kind="stimulated", scheme=hf, hyperfine=True,
-                upper=rs.upper, feeding=rs.feeding, ground=table,
-            )
+            return RateSet(scheme=hf, upper=rs.upper, feeding=rs.feeding, ground=table)
 
         assert with_ground(ground).ground_identity_defect() == (0.0, None)
         with_ground(ground).validate()
@@ -795,16 +781,16 @@ class TestSuperoperators:
         rs = rates_fine(dline(), vacuum_k(), vacuum_k())
         with pytest.raises(RateSetContractError, match="stimulated"):
             build_stimulated_superop(rs)
-        broken = rates_fine(dline(), vacuum_k(), vacuum_k(), kind="stimulated")
-        with pytest.raises(RateSetContractError, match="ground"):
+        # a set without its ground table is a spontaneous set
+        broken = replace(rates_injected(dline(), vacuum_k()), ground=None)
+        with pytest.raises(RateSetContractError, match="needs a stimulated rate set"):
             build_stimulated_superop(broken)
 
     def test_hyperfine_stimulated_rejected(self):
         hf = HyperfineScheme(fine=dline(), nuclear_spin=half("3/2"))
         rs = rates_hyperfine(hf, vacuum_k())
         stimulated = RateSet(
-            kind="stimulated", scheme=hf, hyperfine=True,
-            upper=rs.upper, feeding=rs.feeding, ground=hyperfine_ground_table(rs),
+            scheme=hf, upper=rs.upper, feeding=rs.feeding, ground=hyperfine_ground_table(rs)
         )
         with pytest.raises(RateSetContractError, match="hyperfine"):
             build_stimulated_superop(stimulated)
@@ -815,9 +801,7 @@ class TestSuperoperators:
         upper = dict(good.upper)
         key = ("b", half("3/2"), "b", half("3/2"))
         upper[key] = upper[key] + 0.25
-        broken = RateSet(
-            kind="spontaneous", scheme=sch, hyperfine=False, upper=upper, feeding=good.feeding
-        )
+        broken = RateSet(scheme=sch, upper=upper, feeding=good.feeding)
         with pytest.raises(RateSetContractError, match="3/2"):
             build_relaxation_superop(broken)
 
@@ -846,7 +830,7 @@ class TestInterference:
 
     def test_injected_regression_value(self):
         k = KMatrix.from_diagonal([4 / 75, 4 / 15, 4 / 75])
-        rs = rates_fine(dline(), k, k, kind="stimulated")
+        rs = rates_fine(dline(), k, k)
         report = interference_report(rs)
         by_m = {pt.m: pt.value for pt in report.points}
         assert by_m[half("1/2")] == pytest.approx(0.6446583712203042, abs=1e-13)
@@ -909,6 +893,24 @@ class TestInterference:
         # shared manifolds of the sodium-like scheme are F = 1, 2
         assert {pt.f for pt in report.points} == {half(1), half(2)}
 
+    def test_zero_k_reports_every_shared_sublevel_undefined(self):
+        # an all-zero K leaves the two-index table empty; the shared
+        # sublevels still come from the basis, fine and hyperfine alike
+        zero = KMatrix.from_diagonal([0.0, 0.0, 0.0])
+        fine = interference_report(rates_fine(dline(), zero, zero))
+        assert [(pt.f, pt.m) for pt in fine.points] == [(None, half("-1/2")), (None, half("1/2"))]
+        hf = HyperfineScheme(fine=dline(), nuclear_spin=half("3/2"))
+        hyper = interference_report(rates_hyperfine(hf, zero))
+        assert [(pt.f, pt.m) for pt in hyper.points] == [
+            (half(f), half(m)) for f in (1, 2) for m in range(-f, f + 1)
+        ]
+        assert all(pt.value is None for pt in fine.points + hyper.points)
+        assert fine.off_diagonal == hyper.off_diagonal == ()
+        # the same sublevels as under a K that reaches every channel
+        cavity = k_spontaneous(ModeDensityModifier.planar_cavity(0.9), 1.0)
+        reached = interference_report(rates_hyperfine(hf, cavity))
+        assert [(pt.f, pt.m) for pt in reached.points] == [(pt.f, pt.m) for pt in hyper.points]
+
 
 class TestRateSetAccess:
     def test_two_index_key_sets(self):
@@ -931,10 +933,35 @@ class TestRateSetAccess:
         assert rs.gamma("b", 1.5, "b", 1.5) != 0.0
         assert rs.gamma("b", "3/2", "c", "1/2") == 0.0
 
-    def test_validate_rejects_unknown_kind(self):
-        rs = rates_fine(dline(), vacuum_k(), vacuum_k())
-        bad = RateSet(
-            kind="mystery", scheme=rs.scheme, hyperfine=False, upper=rs.upper, feeding=rs.feeding
-        )
-        with pytest.raises(RateSetContractError, match="kind"):
-            bad.validate()
+    def test_structure_is_derived_from_scheme_and_ground_table(self):
+        hf = HyperfineScheme(fine=dline(), nuclear_spin=half("3/2"))
+        vacuum = ModeDensityModifier.vacuum()
+        dark = AngularDistribution.isotropic(0.0)
+        zero = KMatrix.from_diagonal([0.0, 0.0, 0.0])
+        cases = [
+            (rates_fine(dline(), vacuum_k(), vacuum_k()), "spontaneous", False),
+            (rates_stimulated(dline(), AngularDistribution.isotropic(1.0), vacuum), "stimulated", False),
+            (rates_injected(dline(), vacuum_k()), "stimulated", False),
+            (rates_hyperfine(hf, vacuum_k()), "spontaneous", True),
+            # an empty ground table (no photons) still makes a stimulated set
+            (rates_stimulated(dline(), dark, vacuum), "stimulated", False),
+            (rates_injected(dline(), zero), "stimulated", False),
+        ]
+        for rs, kind, hyperfine in cases:
+            assert (rs.kind, rs.hyperfine) == (kind, hyperfine)
+        assert cases[-1][0].ground == {} and cases[-2][0].ground == {}
+
+    @pytest.mark.parametrize("hyperfine", [False, True])
+    def test_restricted_keeps_the_entries_of_one_excited_level(self, hyperfine):
+        scheme = HyperfineScheme(fine=dline(), nuclear_spin=half("3/2")) if hyperfine else dline()
+        k = random_psd_k(np.random.default_rng(5))
+        rs = rates_hyperfine(scheme, k) if hyperfine else rates_fine(scheme, k, k)
+        for level in ("b", "c"):
+            def only(key):
+                return all(part == level for part in key if isinstance(part, str))
+
+            kept = rs.restricted(level)
+            assert list(kept.upper) == [key for key in rs.upper if only(key)]
+            assert list(kept.feeding) == [key for key in rs.feeding if only(key)]
+            assert all(kept.feeding[key] == rs.feeding[key] for key in kept.feeding)
+            assert kept.upper and kept.feeding and kept.scheme is rs.scheme
