@@ -496,10 +496,26 @@ _DISPATCH = {
 }
 
 
+def _attached_jmax(argv: Sequence[str]) -> list[str]:
+    """``--jmax -1/2`` as ``--jmax=-1/2``.
+
+    argparse takes a token that starts with '-' for an option unless it reads
+    as a plain negative number, which a fraction does not, so ``-1/2`` would
+    stop in argparse instead of at the ``--jmax must be >= 0`` check.
+    """
+    tokens: list[str] = []
+    for token in argv:
+        if tokens and tokens[-1] == "--jmax" and token[:1] == "-" and token[1:2].isdigit():
+            tokens[-1] = f"--jmax={token}"
+        else:
+            tokens.append(token)
+    return tokens
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_attached_jmax(sys.argv[1:] if argv is None else argv))
     except SystemExit as exc:
         code = exc.code
         return code if isinstance(code, int) else 2

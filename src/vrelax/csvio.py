@@ -8,6 +8,11 @@ never depends on dict iteration history, and no timestamps or environment
 echoes.  Context that would break determinism has no place here; callers pass
 it as comment lines, which are written verbatim with a leading ``# ``.
 
+Trajectory and matrix rows are mostly exact zeros (98.6 % of the cells of a
+sodium trajectory), so each row starts from a template of ``"0.0"`` cells,
+the ``repr`` of +0.0, and only the other values are formatted; ``-0.0`` is
+told apart by its sign bit.  The bytes are those of a ``repr`` per cell.
+
 Rate-table rows come in basis order: sorted by the basis positions of the
 sublevels each key names, in key order (``RateSet.entries`` reads the keys;
 the layout is documented once, in ``operators``).  Their cells are formatted
@@ -40,6 +45,19 @@ RATE_COLUMNS = ("kind", "j1", "F1", "M1", "j2", "F2", "M2", "Md1", "Md2", "re", 
 
 def _num(value) -> str:
     return repr(float(value))
+
+
+def _float_cells(values: np.ndarray) -> list[str]:
+    """What ``_num`` writes for each float of the 1-D float64 ``values``.
+
+    Starts from a row of ``"0.0"`` cells and calls ``repr`` only where the
+    value is not +0.0, so ``-0.0`` is still written as ``-0.0``.
+    """
+    cells = ["0.0"] * values.size
+    written = np.flatnonzero((values != 0.0) | np.signbit(values))
+    for index, value in zip(written.tolist(), values[written].tolist()):
+        cells[index] = repr(value)
+    return cells
 
 
 def _write_comments(stream, comments: Iterable[str]) -> None:
@@ -150,8 +168,7 @@ def _write_matrix_rows(stream, header: tuple[str, str], matrix) -> None:
     arr = np.ascontiguousarray(matrix, dtype=complex)
     cells = [f",{col}," for col in range(arr.shape[1])]
     for row, values in enumerate(arr):
-        # re and im interleaved, as Python floats whose repr is what _num writes
-        parts = map(repr, values.view(np.float64).tolist())
+        parts = iter(_float_cells(values.view(np.float64)))  # re and im interleaved
         stream.write(
             "".join([f"{row}{cell}{re},{im}\n" for cell, re, im in zip(cells, parts, parts)])
         )
@@ -220,5 +237,5 @@ def write_trajectory(
             header.append(f"im_{i}_{j}")
     writer.writerow(header)
     for t, state in trajectory:
-        values = np.ascontiguousarray(state, dtype=complex).view(np.float64).ravel().tolist()
-        stream.write(",".join(map(repr, [float(t), *values])) + "\n")
+        values = np.ascontiguousarray(state, dtype=complex).view(np.float64).ravel()
+        stream.write(",".join([repr(float(t)), *_float_cells(values)]) + "\n")

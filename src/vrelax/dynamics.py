@@ -11,18 +11,23 @@ on the row-major vectorization of rho, so the full generator is the matrix
 
     G = -i diag(E_i - E_j) + sum_k L_k.matrix
 
-stored sparse (CSR), and propagation is classical fixed-step RK4 on
-dy/dt = G y, one sparse product per stage.  Fixed stepping (rather than
-adaptive) keeps trajectories bit-reproducible; the price is that the caller
-picks dt, so `propagate` warns when dt * max|G| looks stiff.
+stored sparse (CSR).  G splits exactly into the diagonal blocks of its
+weakly connected components: vec entries that no chain of nonzeros links
+never mix, so G is a direct sum of these blocks up to a permutation (for a
+helicity-diagonal K they refine the coherence orders q = M_i - M_j; helicity
+cross terms only make them larger).
 
-The steady state is the null vector of G, found block by block.  G splits
-exactly into the diagonal blocks of its weakly connected components: vec
-entries that no chain of nonzeros links never mix, so G is a direct sum of
-these blocks up to a permutation (for a helicity-diagonal K they refine the
-coherence orders q = M_i - M_j; helicity cross terms only make them larger).
-Each block is decomposed by a dense SVD, blocks of equal size in one batched
-call, and the n^2 x n^2 matrix is never formed.  A singular value counts as
+Propagation is classical fixed-step RK4 on dy/dt = G y, one sparse product
+per stage, over the blocks that hold a nonzero of rho_0 only: G is sliced to
+those vec entries once, and every other entry of rho stays exactly 0.0 (on
+sodium from one excited sublevel, 120 of 1024 entries).  The trace and
+positivity monitors still read the full n x n state.  Fixed stepping (rather
+than adaptive) keeps trajectories bit-reproducible; the price is that the
+caller picks dt, so `propagate` warns when dt * max|G| looks stiff.
+
+The steady state is the null vector of G, found block by block.  Each block
+is decomposed by a dense SVD, blocks of equal size in one batched call, and
+the n^2 x n^2 matrix is never formed.  A singular value counts as
 zero below 1e-10 of the largest one over all blocks -- the largest singular
 value of G itself -- so the test is relative to the fastest scale in G: a
 Hamiltonian far above the slowest relaxation rate makes slow relaxation
@@ -191,6 +196,23 @@ def _generator(
     return gen
 
 
+def _components(gen: csr_array) -> tuple[int, np.ndarray]:
+    """Weakly connected components of the nonzero pattern of ``gen``: their
+    count and the component label of every vec entry.
+
+    No chain of nonzeros links entries of different components, so ``gen``
+    is the direct sum of its diagonal blocks over them, up to a permutation.
+    """
+    from scipy.sparse import csr_array
+    from scipy.sparse.csgraph import connected_components
+
+    # an int8 pattern: csgraph casts its input to float, which complex refuses
+    pattern = csr_array(
+        (np.ones(gen.nnz, dtype=np.int8), gen.indices, gen.indptr), shape=gen.shape
+    )
+    return connected_components(pattern, directed=True, connection="weak")
+
+
 def _hermitized(rho: np.ndarray) -> np.ndarray:
     return 0.5 * (rho + rho.conj().T)
 
@@ -245,6 +267,27 @@ def step_count(t_final: float, dt: float) -> int:
     return steps
 
 
+def _reached(gen: csr_array, rho0: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The vec entries that propagation from ``rho0`` can make nonzero.
+
+    That is the union of the components of ``gen`` (see :func:`_components`)
+    holding a nonzero of ``rho0``, closed under transposition, since each step
+    writes rho[j, i] into rho[i, j] when it Hermitizes.  Returns those vec
+    indices in ascending order and, for each, the local index of its
+    transpose partner.  Every other entry of rho stays exactly 0.0.
+    """
+    n = rho0.shape[0]
+    count, labels = _components(gen)
+    kept = np.zeros(count, dtype=bool)
+    partners = np.flatnonzero(rho0.reshape(n * n))
+    while not kept[labels[partners]].all():
+        kept[labels[partners]] = True
+        positions = np.flatnonzero(kept[labels])
+        row, col = np.divmod(positions, n)
+        partners = col * n + row
+    return positions, np.searchsorted(positions, partners)
+
+
 def propagate(
     rho0: np.ndarray,
     hamiltonian: AtomicHamiltonian,
@@ -260,9 +303,17 @@ def propagate(
     the trajectory is sampled every ``sample_every`` steps and always includes
     the initial and final states.  Warns when dt * max|generator| exceeds 0.1.
 
+    Only the vec entries that ``rho0`` reaches are evolved: the union of the
+    generator's blocks holding a nonzero of ``rho0`` (closed under
+    transposition for the Hermitization), sliced out of the sparse generator
+    once.  Every step scatters them into an n x n state, the trajectory's
+    own sample where the step is sampled, whose other entries are exactly
+    0.0, as RK4 over all n^2 entries leaves them: no nonzero of the
+    generator links them to the reached ones.
+
     Aborts with :class:`NumericalAbortError` (carrying the time and the
-    monitor value) as soon as the trace drifts from its initial value by more
-    than 1e-6 or an eigenvalue falls below -1e-6.
+    monitor value) as soon as the trace of the full state drifts from its
+    initial value by more than 1e-6 or an eigenvalue of it falls below -1e-6.
     """
     rho = validate_density_matrix(rho0).copy()
     steps = step_count(t_final, dt)
@@ -285,17 +336,26 @@ def propagate(
         )
 
     trace0 = float(rho.trace().real)
-    times = [0.0]
-    states = [rho.copy()]
-    y = rho.reshape(n * n)
+    # samples: step 0, every sample_every-th step and the last one
+    samples = -(-steps // sample_every) + 1
+    states = np.zeros((samples, n, n), dtype=complex)
+    states[0] = rho
+    unsampled = np.zeros((n, n), dtype=complex)
+    positions, partner = _reached(gen, rho)
+    sub = gen[positions][:, positions]
+    x = rho.reshape(n * n)[positions]
     for step in range(1, steps + 1):
-        k1 = gen @ y
-        k2 = gen @ (y + (0.5 * dt) * k1)
-        k3 = gen @ (y + (0.5 * dt) * k2)
-        k4 = gen @ (y + dt * k3)
-        y = y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        rho = _hermitized(y.reshape(n, n))
-        y = rho.reshape(n * n)
+        k1 = sub @ x
+        k2 = sub @ (x + (0.5 * dt) * k1)
+        k3 = sub @ (x + (0.5 * dt) * k2)
+        k4 = sub @ (x + dt * k3)
+        x = x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        x = 0.5 * (x + x[partner].conj())
+        if step % sample_every == 0 or step == steps:
+            rho = states[-(-step // sample_every)]
+        else:
+            rho = unsampled
+        rho.reshape(n * n)[positions] = x
         t = step * dt
 
         drift = abs(float(rho.trace().real) - trace0)
@@ -315,11 +375,8 @@ def propagate(
                 value=smallest,
             )
 
-        if step % sample_every == 0 or step == steps:
-            times.append(t)
-            states.append(rho.copy())
-
-    return Trajectory(np.asarray(times, dtype=float), np.asarray(states))
+    times = np.minimum(np.arange(samples) * sample_every, steps) * dt
+    return Trajectory(times, states)
 
 
 # ---------------------------------------------------------------------------
@@ -392,15 +449,8 @@ def _block_svds(gen: csr_array) -> list[tuple[np.ndarray, np.ndarray, np.ndarray
     size: ``positions`` (k, s) holds each block's vec indices, in ascending
     order, and ``svals`` (k, s) and ``vh`` (k, s, s) its SVD factors.
     """
-    from scipy.sparse import csr_array
-    from scipy.sparse.csgraph import connected_components
-
     size = gen.shape[0]
-    # an int8 pattern: csgraph casts its input to float, which complex refuses
-    pattern = csr_array(
-        (np.ones(gen.nnz, dtype=np.int8), gen.indices, gen.indptr), shape=gen.shape
-    )
-    count, labels = connected_components(pattern, directed=True, connection="weak")
+    count, labels = _components(gen)
     # relabel components in ascending size, so that equal sizes sit side by side
     sizes = np.bincount(labels, minlength=count)
     by_size = np.argsort(sizes, kind="stable")

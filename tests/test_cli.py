@@ -505,9 +505,13 @@ class TestDoctorCommand:
             "vrelax: config error: --jmax: cannot parse quantum number 'inf'\n"
         )
 
-    @pytest.mark.parametrize("argv, jmax", [(["--jmax", "-1"], "-1"), (["--jmax=-1/2"], "-1/2")])
+    @pytest.mark.parametrize(
+        "argv, jmax",
+        [(["--jmax", "-1"], "-1"), (["--jmax=-1/2"], "-1/2"), (["--jmax", "-1/2"], "-1/2")],
+    )
     def test_negative_jmax_is_a_config_error(self, argv, jmax, capsys):
-        # a negative cap would skip every identity check and still report ok
+        # a negative cap would skip every identity check and still report ok;
+        # argparse reads a bare "-1/2" as an option unless it is attached
         assert main(["doctor", *argv]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""

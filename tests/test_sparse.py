@@ -2,8 +2,9 @@
 
 Each fast path is checked against the code it replaced, kept here as the
 oracle: the dense kron assembly of the superoperator builders (equal to the
-bit), a dense-gemv RK4 loop (to 1e-13), and the per-element ``repr(float(x))``
-CSV loops (byte for byte).
+bit), a dense-gemv RK4 loop (to 1e-13), the full-space sparse RK4 that
+propagation over the reached blocks replaced (equal to the bit), and the
+per-element ``repr(float(x))`` CSV loops (byte for byte).
 """
 
 import csv
@@ -12,6 +13,9 @@ import os
 import subprocess
 import sys
 import textwrap
+import warnings
+from dataclasses import replace
+from typing import Sequence
 
 import numpy as np
 import pytest
@@ -27,9 +31,22 @@ from vrelax.config import (
     preset_names,
 )
 from vrelax.csvio import write_rate_tables, write_superoperator, write_trajectory
-from vrelax.dynamics import Trajectory, build_hamiltonian, propagate
+from vrelax.dynamics import (
+    _NEGATIVITY_TOL,
+    _TRACE_DRIFT_TOL,
+    AtomicHamiltonian,
+    Trajectory,
+    _components,
+    _generator,
+    _hermitized,
+    _reached,
+    build_hamiltonian,
+    propagate,
+    step_count,
+    validate_density_matrix,
+)
 from vrelax.environment import KMatrix
-from vrelax.errors import SchemeError, VrelaxError
+from vrelax.errors import NumericalAbortError, SchemeError, VrelaxError
 from vrelax.halfint import HalfInt, half
 from vrelax.operators import (
     Basis,
@@ -148,6 +165,85 @@ def dense_rk4(rho0, h, superop_matrices, steps, dt):
         y = rho.reshape(n * n)
         states.append(rho)
     return np.asarray(states)
+
+
+def full_space_propagate(
+    rho0: np.ndarray,
+    hamiltonian: AtomicHamiltonian,
+    superops: Sequence[Superoperator],
+    t_final: float,
+    dt: float,
+    *,
+    sample_every: int = 1,
+) -> Trajectory:
+    """The full-space RK4 that ``propagate`` replaced, kept as its oracle.
+
+    Every step multiplies all n^2 vec entries by the whole sparse generator.
+
+    ``t_final`` must be a whole number of ``dt`` steps (see :func:`step_count`);
+    the trajectory is sampled every ``sample_every`` steps and always includes
+    the initial and final states.  Warns when dt * max|generator| exceeds 0.1.
+
+    Aborts with :class:`NumericalAbortError` (carrying the time and the
+    monitor value) as soon as the trace drifts from its initial value by more
+    than 1e-6 or an eigenvalue falls below -1e-6.
+    """
+    rho = validate_density_matrix(rho0).copy()
+    steps = step_count(t_final, dt)
+    if sample_every < 1:
+        raise ValueError(f"sample_every must be >= 1, got {sample_every}")
+
+    gen = _generator(hamiltonian, superops)
+    n = len(hamiltonian.basis)
+    if rho.shape != (n, n):
+        raise SchemeError(
+            f"Hamiltonian shape {(n, n)} does not match state dimension {rho.shape[0]}"
+        )
+    stiffness = dt * float(np.max(np.abs(gen.data))) if gen.nnz else 0.0
+    if stiffness > 0.1:
+        warnings.warn(
+            f"dt * max|generator| = {stiffness:.3g} exceeds 0.1; "
+            f"RK4 accuracy degrades, consider a smaller dt",
+            RuntimeWarning,
+            stacklevel=2,
+        )
+
+    trace0 = float(rho.trace().real)
+    times = [0.0]
+    states = [rho.copy()]
+    y = rho.reshape(n * n)
+    for step in range(1, steps + 1):
+        k1 = gen @ y
+        k2 = gen @ (y + (0.5 * dt) * k1)
+        k3 = gen @ (y + (0.5 * dt) * k2)
+        k4 = gen @ (y + dt * k3)
+        y = y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        rho = _hermitized(y.reshape(n, n))
+        y = rho.reshape(n * n)
+        t = step * dt
+
+        drift = abs(float(rho.trace().real) - trace0)
+        if drift > _TRACE_DRIFT_TOL:
+            raise NumericalAbortError(
+                f"trace drifted by {drift:.3e} (tolerance {_TRACE_DRIFT_TOL:.1e}) "
+                f"at t={t:.6g}",
+                time=t,
+                value=drift,
+            )
+        smallest = float(np.linalg.eigvalsh(rho)[0])
+        if smallest < -_NEGATIVITY_TOL:
+            raise NumericalAbortError(
+                f"eigenvalue {smallest:.3e} fell below -{_NEGATIVITY_TOL:.1e} "
+                f"at t={t:.6g}",
+                time=t,
+                value=smallest,
+            )
+
+        if step % sample_every == 0 or step == steps:
+            times.append(t)
+            states.append(rho.copy())
+
+    return Trajectory(np.asarray(times, dtype=float), np.asarray(states))
 
 
 def _build(rates, basis):
@@ -270,6 +366,116 @@ def test_sparse_rk4_matches_dense_gemv_rk4(name, steps):
     assert np.max(np.abs(traj.states - ref)) <= 1e-13
 
 
+def _preset_problem(name, rho0=None):
+    cfg = preset_config(name)
+    if rho0 is not None:
+        cfg = replace(cfg, run=replace(cfg.run, rho0=rho0))
+    scheme = build_scheme(cfg)
+    basis = Basis.for_scheme(scheme)
+    superops = [_build(rates, basis) for _label, rates in build_rate_sets(cfg)]
+    return cfg, build_hamiltonian(scheme, basis), superops, build_rho0(cfg, scheme, basis)
+
+
+def outcome(run, *args, **kwargs):
+    """A propagation's result as bits, or the type and message it raised."""
+    try:
+        traj = run(*args, **kwargs)
+    except NumericalAbortError as exc:
+        return type(exc).__name__, str(exc), exc.time, exc.value
+    return traj.times.tolist(), bits(traj.states).tobytes()
+
+
+def reached_blocks(hamiltonian, superops, rho0):
+    """Vec entries evolved from ``rho0`` and how many blocks hold them."""
+    gen = _generator(hamiltonian, superops)
+    positions, _partner = _reached(gen, rho0)
+    return positions, len(np.unique(_components(gen)[1][positions]))
+
+
+@pytest.mark.parametrize(
+    "name", [name for name in preset_names() if preset_config(name).run.dt is not None]
+)
+def test_reachable_propagation_bitwise_equals_full_space_oracle(name):
+    cfg, hamiltonian, superops, rho0 = _preset_problem(name)
+    args = (rho0, hamiltonian, superops, cfg.run.t_final, cfg.run.dt)
+    traj = propagate(*args)
+    ref = full_space_propagate(*args)
+    assert np.array_equal(traj.times, ref.times)
+    assert np.array_equal(bits(traj.states), bits(ref.states))
+
+
+@pytest.mark.parametrize("name", ["dline-vacuum", "sodium-hyperfine"])
+@pytest.mark.parametrize("rho0", ["thermal-ground", "uniform:b"])
+def test_initial_states_over_several_sublevels_match_full_space_oracle(name, rho0):
+    cfg, hamiltonian, superops, rho0 = _preset_problem(name, rho0)
+    positions, _blocks = reached_blocks(hamiltonian, superops, rho0)
+    n = rho0.shape[0]
+    assert np.count_nonzero(rho0) > 1 and positions.size < n * n
+    args = (rho0, hamiltonian, superops, 200 * cfg.run.dt, cfg.run.dt)
+    assert outcome(propagate, *args) == outcome(full_space_propagate, *args)
+
+
+def random_density_matrix(rng, n, support):
+    """A random Hermitian PSD trace-1 matrix, nonzero only on support x support."""
+    a = rng.normal(size=(len(support), len(support))) + 1j * rng.normal(
+        size=(len(support), len(support))
+    )
+    block = a @ a.conj().T
+    rho = np.zeros((n, n), dtype=complex)
+    rho[np.ix_(support, support)] = block / np.trace(block).real
+    return rho
+
+
+def test_random_state_spanning_several_blocks_under_helicity_mixing_k():
+    rng = np.random.default_rng(53)
+    scheme = dline(omega_bd=1.3, omega_cd=1.0)
+    basis = Basis.for_fine(scheme)
+    superops = [_build(rates_fine(scheme, random_psd_k(rng), random_psd_k(rng)), basis)]
+    hamiltonian = build_hamiltonian(scheme, basis)
+    # every b sublevel and one ground sublevel: the b-b, b-d and d-b blocks
+    support = [i for i, state in enumerate(basis) if state.level == "b"] + [0]
+    rho0 = random_density_matrix(rng, len(basis), support)
+    positions, blocks = reached_blocks(hamiltonian, superops, rho0)
+    assert blocks == 3 and positions.size < len(basis) ** 2
+    args = (rho0, hamiltonian, superops, 300 * 0.005, 0.005)
+    assert outcome(propagate, *args) == outcome(full_space_propagate, *args)
+
+
+def test_coherence_without_its_transpose_still_reaches_the_transposed_block():
+    # rho0 is Hermitian only to 1e-12: rho[0, 4] is set and rho[4, 0] is not,
+    # so the block of (4, 0) is reached through the Hermitization alone
+    rng = np.random.default_rng(59)
+    scheme = dline(omega_bd=1.3, omega_cd=1.0)
+    basis = Basis.for_fine(scheme)
+    superops = [_build(rates_fine(scheme, random_psd_k(rng), random_psd_k(rng)), basis)]
+    hamiltonian = build_hamiltonian(scheme, basis)
+    n = len(basis)
+    rho0 = np.diag(np.full(n, 1.0 / n)).astype(complex)
+    rho0[0, 4] = 1e-13
+    positions, blocks = reached_blocks(hamiltonian, superops, rho0)
+    assert {0 * n + 4, 4 * n + 0} <= set(positions.tolist()) and blocks == 3
+    args = (rho0, hamiltonian, superops, 300 * 0.005, 0.005)
+    assert outcome(propagate, *args) == outcome(full_space_propagate, *args)
+
+
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(random_rate_sets(), st.integers(0, 2**32 - 1), st.integers(1, 25))
+def test_reachable_propagation_equals_full_space_on_random_schemes(case, seed, sample_every):
+    rates, basis = case
+    rng = np.random.default_rng(seed)
+    n = len(basis)
+    support = sorted(rng.choice(n, size=rng.integers(1, n + 1), replace=False).tolist())
+    rho0 = random_density_matrix(rng, n, support)
+    hamiltonian = build_hamiltonian(rates.scheme, basis)
+    superops = [_build(rates, basis)]
+    scale = float(np.max(np.abs(_generator(hamiltonian, superops).data)))
+    dt = 0.05 / scale
+    args = (rho0, hamiltonian, superops, 20 * dt, dt)
+    assert outcome(propagate, *args, sample_every=sample_every) == outcome(
+        full_space_propagate, *args, sample_every=sample_every
+    )
+
+
 # ---------------------------------------------------------------------------
 # construction
 
@@ -373,6 +579,17 @@ def test_trajectory_csv_bytes_match_per_element_loop():
     times = np.array([0.0, 5e-324, 0.1 + 0.2, 1e22, 2.5, 3.0, -0.0])
     trajectory = Trajectory(times, states)
     labels = [f"s{i}" for i in range(n)]
+    for populations_only in (False, True):
+        out = io.StringIO()
+        write_trajectory(out, trajectory, labels, populations_only=populations_only)
+        assert out.getvalue() == loop_trajectory_csv(trajectory, labels, populations_only)
+
+
+def test_sodium_trajectory_csv_bytes_match_per_element_loop():
+    cfg, hamiltonian, superops, rho0 = _preset_problem("sodium-hyperfine")
+    trajectory = propagate(rho0, hamiltonian, superops, 20 * cfg.run.dt, cfg.run.dt)
+    assert np.count_nonzero(trajectory.states) < 0.2 * trajectory.states.size
+    labels = hamiltonian.basis.labels()
     for populations_only in (False, True):
         out = io.StringIO()
         write_trajectory(out, trajectory, labels, populations_only=populations_only)
