@@ -109,6 +109,8 @@ class AtomicHamiltonian:
                 f"Hamiltonian diagonal has {diag.size} entries for a basis of "
                 f"{len(self.basis)} states"
             )
+        if not np.all(np.isfinite(diag)):
+            raise SchemeError(f"Hamiltonian energies must be finite, got {diag.tolist()}")
         object.__setattr__(self, "diagonal", diag)
 
 

@@ -375,6 +375,8 @@ class KMatrix:
             raise DistributionDomainError(
                 f"K matrix must be 3x3, got shape {arr.shape}"
             )
+        if not np.all(np.isfinite(arr)):
+            raise DistributionDomainError(f"K matrix entries must be finite, got {arr.tolist()}")
         object.__setattr__(self, "entries", arr)
 
     @classmethod

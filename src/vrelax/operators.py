@@ -11,10 +11,11 @@ decay between the excited levels.  The four-index table ("feeding") resolves
 the ground sublevels the decay feeds into.  Every coefficient has one form,
 S * A1 * A2 * K(sigma1, sigma2): two dipole channel amplitudes times the
 helicity matrix, contracted once per level pair over a channel table
-(``_channels``).  The two-index table is then the ordered sum of the
+(``_channels``).  A ``RateSet`` stores only the feeding table and derives
+the others from it: the two-index table is the ordered sum of the
 diagonal-ground feeding entries, and the ground table of stimulated sets the
-ordered sum of the diagonal-excited ones, so both trace identities hold to
-the last bit, not merely to rounding.
+ordered sum of the diagonal-excited ones, so both trace identities hold by
+construction and nothing downstream re-checks them.
 
 Superoperators act on the row-major vectorisation of the density matrix:
 vec(A rho B) = kron(A, B.T) vec(rho).  They are stored sparse (scipy CSR):
@@ -33,6 +34,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from types import MappingProxyType
 from typing import TYPE_CHECKING, Iterable, Mapping
 
 import numpy as np
@@ -184,7 +186,12 @@ class HyperfineScheme:
                     f"f_offsets key ({level!r}, {f_value}) is not a hyperfine level of "
                     f"J={self.fine.j(level)}, I={spin}"
                 )
-            normalized[(level, f_value)] = float(offset)
+            value = float(offset)
+            if not math.isfinite(value):
+                raise SchemeError(
+                    f"f_offsets[({level!r}, {f_value})] must be finite, got {value!r}"
+                )
+            normalized[(level, f_value)] = value
         object.__setattr__(self, "f_offsets", normalized)
 
     def f_values(self, level: str) -> tuple[HalfInt, ...]:
@@ -341,9 +348,7 @@ def _partial_trace(
 ) -> dict[tuple, complex]:
     """Sums of feeding entries sharing their ``over`` sublevel ("ground" or "upper").
 
-    Entries are added in feeding-table order.  The builders make the
-    two-index and ground tables from these very sums, so both trace
-    identities hold to the last bit.
+    Entries are added in feeding-table order.
     """
     sums: dict[tuple, complex] = {}
     for key, value in feeding.items():
@@ -362,43 +367,54 @@ def _nonzero(table: Mapping[tuple, complex]) -> dict[tuple, complex]:
     return {key: value for key, value in table.items() if value != 0.0}
 
 
-def _max_defect(
-    sums: Mapping[tuple, complex], table: Mapping[tuple, complex]
-) -> tuple[float, tuple | None]:
-    worst, worst_key = 0.0, None
-    for key in set(sums) | set(table):
-        defect = abs(sums.get(key, 0.0 + 0.0j) - table.get(key, 0.0 + 0.0j))
-        if defect > worst:
-            worst, worst_key = defect, key
-    return worst, worst_key
-
-
 @dataclass(frozen=True, eq=False)
 class RateSet:
-    """Sparse rate tables plus enough context to build superoperators.
+    """A feeding table plus enough context to build superoperators.
+
+    ``RateSet(scheme, feeding, stimulated=False)``: the four-index feeding
+    table is the one stored input.  The two-index table ``upper`` (its
+    partial trace over the shared ground sublevel) and, for stimulated sets,
+    the ground absorption table ``ground`` (its partial trace over the shared
+    excited sublevel; None for spontaneous sets) are derived at construction
+    and cannot be passed in, so the trace identities hold by construction.
+    Fine-structure ``upper`` and every ``ground`` omit sums that cancel to
+    exactly 0.0; hyperfine ``upper`` keeps every sum a feeding entry reaches,
+    because whether one of its analytic cancellations lands on exactly 0.0
+    depends on the last bit of K, which would make the key set change with K.
+    All three tables are read-only views, and the feeding table is a copy of
+    the one given, so no later write can make them disagree.
 
     The tables are Hermitian (Γ(2,1) = conj Γ(1,2)) whenever one helicity
     matrix serves every level pair; per-frequency evaluation with detuned
     levels legitimately breaks that symmetry in the cross block, and the
     superoperator builders are written to preserve trace and Hermiticity of
-    the density matrix regardless.  Only the trace identities are therefore
-    load-bearing contracts; ``hermitian_defect`` stays available as a
-    structure diagnostic.
-
-    The structure is read off the inputs: ``hyperfine`` from the scheme, and
-    ``kind`` from the ground (absorption) table, which only stimulated sets
-    carry.
+    the density matrix regardless, so ``hermitian_defect`` is a structure
+    diagnostic, not a contract.
     """
 
     scheme: LevelScheme | HyperfineScheme
-    upper: Mapping[tuple, complex]
     feeding: Mapping[tuple, complex]
-    ground: Mapping[tuple, complex] | None = None
+    stimulated: bool = False
+    upper: Mapping[tuple, complex] = field(init=False)
+    ground: Mapping[tuple, complex] | None = field(init=False)
+
+    def __post_init__(self) -> None:
+        hyperfine = self.hyperfine
+        feeding = MappingProxyType(dict(self.feeding))
+        upper = _partial_trace(feeding, hyperfine, over="ground")
+        if not hyperfine:
+            upper = _nonzero(upper)
+        ground = None
+        if self.stimulated:
+            ground = MappingProxyType(_nonzero(_partial_trace(feeding, hyperfine, over="upper")))
+        object.__setattr__(self, "feeding", feeding)
+        object.__setattr__(self, "upper", MappingProxyType(upper))
+        object.__setattr__(self, "ground", ground)
 
     @property
     def kind(self) -> str:
-        """``"stimulated"`` with a ground table, even an empty one; else ``"spontaneous"``."""
-        return "spontaneous" if self.ground is None else "stimulated"
+        """``"stimulated"`` or ``"spontaneous"``."""
+        return "stimulated" if self.stimulated else "spontaneous"
 
     @property
     def hyperfine(self) -> bool:
@@ -449,11 +465,6 @@ class RateSet:
                     worst, worst_key = defect, key
         return worst, worst_key
 
-    def trace_identity_defect(self) -> tuple[float, tuple | None]:
-        """Max |upper - sum over shared ground sublevels of feeding|, with argmax key."""
-        sums = _partial_trace(self.feeding, self.hyperfine, over="ground")
-        return _max_defect(sums, self.upper)
-
     def selection_defect(self) -> tuple[float, tuple | None]:
         """Largest feeding entry whose two channels carry different helicity.
 
@@ -470,41 +481,15 @@ class RateSet:
                 worst, worst_key = abs(value), key
         return worst, worst_key
 
-    def ground_identity_defect(self) -> tuple[float, tuple | None]:
-        """Max |ground - sum over shared excited sublevels of feeding|."""
-        if self.ground is None:
-            return 0.0, None
-        sums = _partial_trace(self.feeding, self.hyperfine, over="upper")
-        return _max_defect(sums, self.ground)
-
-    def validate(self, tol: float = 1e-10) -> None:
-        defect, key = self.trace_identity_defect()
-        if defect > tol:
-            raise RateSetContractError(
-                f"feeding table does not sum back to the two-index table: "
-                f"defect {defect:.3e} at {key}"
-            )
-        defect, key = self.ground_identity_defect()
-        if defect > tol:
-            raise RateSetContractError(
-                f"feeding table does not sum back to the ground table: "
-                f"defect {defect:.3e} at {key}"
-            )
-
     def restricted(self, level: str) -> "RateSet":
         """Two-level reduction: drop every entry touching the other excited level."""
         hyperfine = self.hyperfine
-        upper = {
-            key: value
-            for key, value in self.upper.items()
-            if key[0] == level and key[len(key) // 2] == level
-        }
         feeding = {}
         for key, value in self.feeding.items():
             up1, _gr1, up2, _gr2 = _split_feeding(key, hyperfine)
             if up1[0] == level and up2[0] == level:
                 feeding[key] = value
-        return replace(self, upper=upper, feeding=feeding)
+        return replace(self, feeding=feeding)
 
 
 def _sigma_of(m_upper: HalfInt, m_lower: HalfInt) -> int | None:
@@ -560,8 +545,10 @@ def _tables(
     k_b: KMatrix,
     k_c: KMatrix,
     k_cross: KMatrix | None,
-) -> tuple[dict, dict]:
-    """Two-index and feeding tables: S * A1 * A2 * K(sigma1, sigma2) per channel pair."""
+) -> dict[tuple, complex]:
+    """Feeding table: S * A1 * A2 * K(sigma1, sigma2) per channel pair."""
+    for matrix in (k_b, k_c) + (() if k_cross is None else (k_cross,)):
+        matrix.validate()
     hyperfine = isinstance(scheme, HyperfineScheme)
     fine = scheme.fine if hyperfine else scheme
     channels = {level: _channels(scheme, level) for level in EXCITED_LEVELS}
@@ -581,14 +568,7 @@ def _tables(
             rows, cols = np.nonzero(values)
             for i, j, value in zip(rows.tolist(), cols.tolist(), values[rows, cols].tolist()):
                 feeding[up1[i] + gr1[i] + up2[j] + gr2[j]] = value
-    upper = _partial_trace(feeding, hyperfine, over="ground")
-    if not hyperfine:
-        # fine tables omit sums that cancel to exactly 0.0; hyperfine tables
-        # keep every sum a feeding entry reaches, because whether one of their
-        # analytic cancellations lands on exactly 0.0 depends on the last bit
-        # of K, which would make the key set change with K
-        upper = _nonzero(upper)
-    return upper, feeding
+    return feeding
 
 
 def rates_fine(
@@ -605,16 +585,7 @@ def rates_fine(
     right tool when the two transition frequencies are close enough to share
     one evaluation point.
     """
-    for matrix in (k_b, k_c) + (() if k_cross is None else (k_cross,)):
-        matrix.validate()
-    upper, feeding = _tables(scheme, k_b, k_c, k_cross)
-    return RateSet(scheme=scheme, upper=upper, feeding=feeding)
-
-
-def _with_ground(rates: RateSet) -> RateSet:
-    """The set plus its ground table: total absorption out of each ground sublevel pair."""
-    ground = _nonzero(_partial_trace(rates.feeding, rates.hyperfine, over="upper"))
-    return replace(rates, ground=ground)
+    return RateSet(scheme, _tables(scheme, k_b, k_c, k_cross))
 
 
 def rates_stimulated(
@@ -635,7 +606,7 @@ def rates_stimulated(
 
     k_b = k_stimulated(distribution, modifier, scheme.omega_bd, quad_order=quad_order)
     k_c = k_stimulated(distribution, modifier, scheme.omega_cd, quad_order=quad_order)
-    return _with_ground(rates_fine(scheme, k_b, k_c))
+    return RateSet(scheme, _tables(scheme, k_b, k_c, None), stimulated=True)
 
 
 def rates_injected(scheme: LevelScheme, k: KMatrix) -> RateSet:
@@ -647,7 +618,7 @@ def rates_injected(scheme: LevelScheme, k: KMatrix) -> RateSet:
     table is built from it as well, so the result can drive the full two-way
     superoperator just like a quadrature product.
     """
-    return _with_ground(rates_fine(scheme, k, k))
+    return RateSet(scheme, _tables(scheme, k, k, None), stimulated=True)
 
 
 def rates_hyperfine(scheme: HyperfineScheme, k: KMatrix) -> RateSet:
@@ -658,9 +629,7 @@ def rates_hyperfine(scheme: HyperfineScheme, k: KMatrix) -> RateSet:
     Only spontaneous tables are built here; resolving a photon distribution
     over hyperfine components is out of scope.
     """
-    k.validate()
-    upper, feeding = _tables(scheme, k, k, None)
-    return RateSet(scheme=scheme, upper=upper, feeding=feeding)
+    return RateSet(scheme, _tables(scheme, k, k, None))
 
 
 # ---------------------------------------------------------------------------
@@ -766,11 +735,9 @@ def build_relaxation_superop(rates: RateSet, basis: Basis | None = None) -> Supe
     """Spontaneous-decay superoperator: excited depopulation plus ground feeding.
 
     The feeding insertion places each four-index coefficient twice, once
-    conjugated, so the result preserves trace and Hermiticity whenever the
-    tables satisfy their contract; ``rates.validate()`` enforces exactly the
-    identities that proof needs, and runs first.
+    conjugated, and the depopulation table is the feeding table's partial
+    trace, so the result preserves trace and Hermiticity.
     """
-    rates.validate()
     if basis is None:
         basis = Basis.for_scheme(rates.scheme)
     n = len(basis)
@@ -797,7 +764,6 @@ def build_stimulated_superop(rates: RateSet, basis: Basis | None = None) -> Supe
             "stimulated superoperator does not support hyperfine rate sets "
             "(hyperfine=True with kind='stimulated')"
         )
-    rates.validate()
     if basis is None:
         basis = Basis.for_scheme(rates.scheme)
     n = len(basis)

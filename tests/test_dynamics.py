@@ -1,9 +1,11 @@
 """Propagation and steady-state tests.
 
 Closed-form anchors: free evolution of coherences, the single-channel
-exponential decay of an isolated excited sublevel, and a populations-only
+exponential decay of an isolated excited sublevel, a populations-only
 rate-equation solve that the full steady state must reproduce whenever no
-coherence couples into the populations (isotropic pumping).  The block-wise
+coherence couples into the populations (isotropic pumping), and the thermal
+balance n/(n+1) of every excited to every ground sublevel under isotropic
+light, a property over all fine schemes with 2J <= 7.  The block-wise
 steady-state solver is checked against the dense-SVD solver it replaced,
 kept here as the oracle.
 """
@@ -15,11 +17,11 @@ from typing import Sequence
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, settings, strategies as st
 
 from test_sparse import random_psd_k, random_rate_sets
 
-from vrelax import half
+from vrelax import HalfInt, half
 from vrelax.config import build_rate_sets, build_scheme, preset_config, preset_names
 from vrelax.dynamics import (
     _NULL_TOL,
@@ -145,6 +147,14 @@ class TestBuildHamiltonian:
         with pytest.raises(SchemeError, match="basis"):
             AtomicHamiltonian(np.zeros(3), basis)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_energy_rejected(self, bad):
+        basis = Basis.for_fine(dline())
+        energies = np.zeros(len(basis))
+        energies[-1] = bad
+        with pytest.raises(SchemeError, match="finite"):
+            AtomicHamiltonian(energies, basis)
+
 
 class TestValidateDensityMatrix:
     def test_accepts_valid(self):
@@ -213,9 +223,8 @@ def keep_b_only(rates):
     """
     return RateSet(
         scheme=rates.scheme,
-        upper={k: v for k, v in rates.upper.items() if k[0] == "b" and k[2] == "b"},
         feeding={k: v for k, v in rates.feeding.items() if k[0] == "b" and k[3] == "b"},
-        ground=rates.ground,
+        stimulated=rates.stimulated,
     )
 
 
@@ -544,14 +553,10 @@ class TestSteadyState:
         assert abs(rho[i_b, i_c]) > 1e-5
 
         # contrapositive: remove the cross tables and the coherence dies
-        def same_level(key, j2_pos):
-            return key[0] == key[j2_pos]
-
         stripped = RateSet(
             scheme=s_rates.scheme,
-            upper={k: v for k, v in s_rates.upper.items() if same_level(k, 2)},
-            feeding={k: v for k, v in s_rates.feeding.items() if same_level(k, 3)},
-            ground=s_rates.ground,
+            feeding={k: v for k, v in s_rates.feeding.items() if k[0] == k[3]},
+            stimulated=True,
         )
         l_s_stripped = build_stimulated_superop(stripped)
         rho0 = steady_state(h, [l_r, l_s_stripped])
@@ -774,6 +779,41 @@ def test_thermal_steady_state_stays_small_in_memory():
     ground = [i for i, st in enumerate(h.basis) if st.level == "d"]
     excited = [i for i, st in enumerate(h.basis) if st.level != "d"]
     assert np.max(np.abs(pops[excited] - 1.5 / 2.5 * pops[ground[0]])) < 1e-12
+
+
+@st.composite
+def thermal_fine_problems(draw):
+    """A dipole-allowed fine scheme with every 2J <= 7, split lines (omega_bd =
+    1.3, omega_cd = 1.0), vacuum decay and an isotropic field of mean n."""
+    jd = draw(st.integers(0, 7))  # all angular momenta twice their value
+    allowed = [j for j in range(abs(jd - 2), min(jd, 5) + 3, 2) if j + jd > 0]
+    sch = LevelScheme(
+        j_b=HalfInt(draw(st.sampled_from(allowed))), j_c=HalfInt(draw(st.sampled_from(allowed))),
+        j_d=HalfInt(jd), omega_bd=1.3, omega_cd=1.0,
+    )
+    n_mean = draw(st.floats(0.05, 3.0))
+    l_r = build_relaxation_superop(rates_fine(sch, vacuum_k(1.3), vacuum_k(1.0)))
+    l_s = build_stimulated_superop(
+        rates_stimulated(sch, AngularDistribution.isotropic(n_mean), ModeDensityModifier.vacuum())
+    )
+    return build_hamiltonian(sch), [l_r, l_s], n_mean
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(thermal_fine_problems())
+def test_isotropic_thermal_field_gives_boltzmann_ratio_on_every_sublevel(problem):
+    # one photon distribution drives both directions of every line, so each
+    # excited sublevel holds n/(n+1) of each ground one, with no coherence;
+    # distinct line frequencies keep the null space one-dimensional
+    h, superops, n_mean = problem
+    rho = steady_state(h, superops)
+    pops = np.diag(rho).real
+    ground = [i for i, state in enumerate(h.basis) if state.level == "d"]
+    excited = [i for i, state in enumerate(h.basis) if state.level != "d"]
+    ratio = n_mean / (n_mean + 1.0)
+    assert np.max(np.abs(pops[excited][:, None] - ratio * pops[ground][None, :])) < 1e-12
+    assert np.max(np.abs(pops[ground] - pops[ground[0]])) < 1e-12
+    assert np.max(np.abs(rho - np.diag(np.diag(rho)))) < 1e-12
 
 
 @pytest.mark.xfail(raises=DegenerateSteadyStateError, strict=True)

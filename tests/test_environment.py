@@ -342,6 +342,15 @@ class TestKMatrix:
         with pytest.raises(DistributionDomainError):
             KMatrix.from_diagonal([0.1, -0.2, 0.3])
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_entries_rejected(self, bad):
+        with pytest.raises(DistributionDomainError, match="finite"):
+            KMatrix.from_diagonal([0.1, bad, 0.3])
+        entries = np.eye(3, dtype=complex)
+        entries[0, 2] = complex(0.0, bad)
+        with pytest.raises(DistributionDomainError, match="finite"):
+            KMatrix(entries)
+
     def test_validate_catches_nonhermitian(self):
         bad = KMatrix(np.array([[1, 1j, 0], [1j, 1, 0], [0, 0, 1]], dtype=complex))
         with pytest.raises(DistributionDomainError):

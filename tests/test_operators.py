@@ -12,6 +12,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from test_sparse import assert_derived_tables_bitwise
+
 from vrelax import clebsch_gordan, half
 from vrelax.environment import (
     AngularDistribution,
@@ -132,6 +134,11 @@ class TestHyperfineScheme:
             HyperfineScheme(
                 fine=dline(), nuclear_spin=half("3/2"), f_offsets={("b", half(5)): 0.3}
             )
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(SchemeError, match="finite"):
+                HyperfineScheme(
+                    fine=dline(), nuclear_spin=half("3/2"), f_offsets={("b", half(2)): bad}
+                )
 
 
 class TestBasis:
@@ -217,8 +224,7 @@ class TestRatesFineClosedForms:
         rng = np.random.default_rng(5)
         for _ in range(5):
             rs = rates_fine(dline(), random_psd_k(rng), random_psd_k(rng))
-            defect, _key = rs.trace_identity_defect()
-            assert defect == 0.0
+            assert_derived_tables_bitwise(rs)
 
     def test_hermiticity_with_shared_k(self):
         # one helicity matrix for every block keeps the table Hermitian
@@ -234,7 +240,7 @@ class TestRatesFineClosedForms:
         # coefficients are independent numbers, not conjugates
         rng = np.random.default_rng(8)
         rs = rates_fine(dline(), random_psd_k(rng), random_psd_k(rng))
-        rs.validate(1e-12)
+        assert_derived_tables_bitwise(rs)
         defect, key = rs.hermitian_defect()
         assert defect > 1e-3
         assert key[0] != key[len(key) // 2]
@@ -264,7 +270,7 @@ class TestRatesFineClosedForms:
         )
         k = KMatrix(entries, evaluated_at=None, provenance="injected")
         rs = rates_fine(dline(), k, k)
-        rs.validate(1e-12)
+        assert_derived_tables_bitwise(rs)
         worst, key = rs.selection_defect()
         assert worst > 0.0 and key is not None
 
@@ -576,7 +582,7 @@ class TestHyperfineRates:
         hf = HyperfineScheme(fine=sch, nuclear_spin=half("3/2"))
         k = k_spontaneous(ModeDensityModifier.planar_cavity(0.9), 1.0)
         rs = rates_hyperfine(hf, k)
-        rs.validate(1e-12)
+        assert_derived_tables_bitwise(rs)
         assert_matches_oracle(rs, uncoupled_tables(hf, k))
         cross = [
             rs.gamma("b", f, m, "c", f, m)
@@ -602,21 +608,19 @@ class TestHyperfineRates:
         hf = HyperfineScheme(fine=dline(), nuclear_spin=half("3/2"))
         rs = rates_hyperfine(hf, random_psd_k(np.random.default_rng(12)))
         ground = hyperfine_ground_table(rs)
-
-        def with_ground(table):
-            return RateSet(scheme=hf, upper=rs.upper, feeding=rs.feeding, ground=table)
-
-        assert with_ground(ground).ground_identity_defect() == (0.0, None)
-        with_ground(ground).validate()
+        stimulated = RateSet(scheme=hf, feeding=rs.feeding, stimulated=True)
+        # sums that cancel to exactly 0.0 are left out of the ground table
+        assert stimulated.ground == {key: value for key, value in ground.items() if value != 0.0}
+        assert 0.0 in ground.values() and stimulated.upper == rs.upper
+        assert_derived_tables_bitwise(stimulated)
         key = next(iter(ground))
-        defect, where = with_ground({**ground, key: ground[key] + 0.25}).ground_identity_defect()
-        assert defect == pytest.approx(0.25) and where == key
+        with pytest.raises(ValueError, match="ground"):
+            replace(stimulated, ground={**ground, key: ground[key] + 0.25})
 
     def test_trace_identity_bitwise(self):
         hf = HyperfineScheme(fine=dline(), nuclear_spin=half(1))
         rs = rates_hyperfine(hf, k_spontaneous(ModeDensityModifier.planar_cavity(0.5), 1.0))
-        defect, _key = rs.trace_identity_defect()
-        assert defect == 0.0
+        assert_derived_tables_bitwise(rs)
 
     def test_offsets_do_not_touch_rates(self):
         base = HyperfineScheme(fine=dline(), nuclear_spin=half(1))
@@ -781,29 +785,38 @@ class TestSuperoperators:
         rs = rates_fine(dline(), vacuum_k(), vacuum_k())
         with pytest.raises(RateSetContractError, match="stimulated"):
             build_stimulated_superop(rs)
-        # a set without its ground table is a spontaneous set
-        broken = replace(rates_injected(dline(), vacuum_k()), ground=None)
+        # the same feeding table taken as spontaneous derives no ground table
+        broken = replace(rates_injected(dline(), vacuum_k()), stimulated=False)
         with pytest.raises(RateSetContractError, match="needs a stimulated rate set"):
             build_stimulated_superop(broken)
 
     def test_hyperfine_stimulated_rejected(self):
         hf = HyperfineScheme(fine=dline(), nuclear_spin=half("3/2"))
         rs = rates_hyperfine(hf, vacuum_k())
-        stimulated = RateSet(
-            scheme=hf, upper=rs.upper, feeding=rs.feeding, ground=hyperfine_ground_table(rs)
-        )
+        stimulated = RateSet(scheme=hf, feeding=rs.feeding, stimulated=True)
         with pytest.raises(RateSetContractError, match="hyperfine"):
             build_stimulated_superop(stimulated)
 
     def test_inconsistent_tables_named_in_error(self):
+        # the two-index table is derived from the feeding table, so a
+        # disagreeing one cannot be passed in or swapped in
         sch = dline()
         good = rates_fine(sch, vacuum_k(), vacuum_k())
         upper = dict(good.upper)
         key = ("b", half("3/2"), "b", half("3/2"))
         upper[key] = upper[key] + 0.25
-        broken = RateSet(scheme=sch, upper=upper, feeding=good.feeding)
-        with pytest.raises(RateSetContractError, match="3/2"):
-            build_relaxation_superop(broken)
+        with pytest.raises(TypeError, match="upper"):
+            RateSet(scheme=sch, upper=upper, feeding=good.feeding)
+        with pytest.raises(ValueError, match="upper"):
+            replace(good, upper=upper)
+        # nor written into afterwards, through the set or the dict it was given
+        feeding = dict(good.feeding)
+        rs = RateSet(scheme=sch, feeding=feeding)
+        for table in (rs.upper, rs.feeding, rates_injected(sch, vacuum_k()).ground):
+            with pytest.raises(TypeError):
+                table[next(iter(table))] = 0.25
+        feeding[next(iter(feeding))] = 0.25
+        assert rs.feeding == good.feeding
 
     def test_apply_shape_checked(self):
         rs = rates_fine(dline(), vacuum_k(), vacuum_k())
@@ -965,3 +978,17 @@ class TestRateSetAccess:
             assert list(kept.feeding) == [key for key in rs.feeding if only(key)]
             assert all(kept.feeding[key] == rs.feeding[key] for key in kept.feeding)
             assert kept.upper and kept.feeding and kept.scheme is rs.scheme
+
+    @pytest.mark.parametrize("level", ["b", "c"])
+    def test_restricted_stimulated_set_sums_its_own_ground_table(self, level):
+        # the ground table of the reduction absorbs into the kept level only
+        for k in (vacuum_k(), random_psd_k(np.random.default_rng(9))):
+            rs = rates_injected(dline(), k)
+            kept = rs.restricted(level)
+            assert kept.kind == "stimulated" and kept.ground != rs.ground
+            assert_derived_tables_bitwise(kept)
+            sup = build_stimulated_superop(kept)
+            n = len(sup.basis)
+            rng = np.random.default_rng(3)
+            for _ in range(10):
+                assert abs(np.trace(sup.apply(_random_density(rng, n)))) < 1e-13

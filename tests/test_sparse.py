@@ -4,7 +4,9 @@ Each fast path is checked against the code it replaced, kept here as the
 oracle: the dense kron assembly of the superoperator builders (equal to the
 bit), a dense-gemv RK4 loop (to 1e-13), the full-space sparse RK4 that
 propagation over the reached blocks replaced (equal to the bit), and the
-per-element ``repr(float(x))`` CSV loops (byte for byte).
+per-element ``repr(float(x))`` CSV loops (byte for byte).  The tables a
+``RateSet`` derives from its feeding table are checked against an ordered
+sum written here (equal to the bit).
 """
 
 import csv
@@ -74,6 +76,40 @@ def random_psd_k(rng):
 def bits(array):
     """The raw bit patterns of a complex array (tells -0.0 from 0.0)."""
     return np.ascontiguousarray(array, dtype=complex).view(np.uint64)
+
+
+def ordered_partial_traces(rates):
+    """(upper, ground) of a rate set, summed here from its feeding table.
+
+    The oracle of the tables ``RateSet`` derives: ``upper`` adds, in feeding
+    order, the entries whose two ground halves agree and ``ground`` those
+    whose two excited halves agree.  Fine ``upper`` and every ``ground`` drop
+    sums of exactly 0.0; ``ground`` is None for spontaneous sets.
+    """
+    cut = 3 if rates.hyperfine else 2
+    upper, ground = {}, {}
+    for key, value in rates.feeding.items():
+        mid = len(key) // 2
+        up1, gr1, up2, gr2 = key[:cut], key[cut:mid], key[mid : mid + cut], key[mid + cut :]
+        if gr1 == gr2:
+            upper[up1 + up2] = upper.get(up1 + up2, 0j) + value
+        if up1 == up2:
+            ground[gr1 + gr2] = ground.get(gr1 + gr2, 0j) + value
+    if not rates.hyperfine:
+        upper = {key: value for key, value in upper.items() if value != 0.0}
+    ground = {key: value for key, value in ground.items() if value != 0.0}
+    return upper, (ground if rates.kind == "stimulated" else None)
+
+
+def assert_derived_tables_bitwise(rates):
+    """The set's ``upper`` and ``ground`` equal the oracle's: keys, order and bits."""
+    upper, ground = ordered_partial_traces(rates)
+    for table, oracle in ((rates.upper, upper), (rates.ground, ground)):
+        if oracle is None:
+            assert table is None
+            continue
+        assert list(table) == list(oracle)
+        assert np.array_equal(bits(list(table.values())), bits(list(oracle.values())))
 
 
 # ---------------------------------------------------------------------------
@@ -306,6 +342,13 @@ def random_rate_sets(draw):
     spin = draw(st.integers(0, 32 // size - 1))  # (2I + 1) * size <= 32
     scheme = HyperfineScheme(fine=fine, nuclear_spin=HalfInt(spin))
     return rates_hyperfine(scheme, random_psd_k(rng)), Basis.for_hyperfine(scheme)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(random_rate_sets())
+def test_derived_tables_equal_ordered_partial_traces_on_random_schemes(case):
+    rates, _basis = case
+    assert_derived_tables_bitwise(rates)
 
 
 def _csv_row_key(row):
