@@ -525,10 +525,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         cfg = _resolve_config(args)
         with _output_stream(cfg) as stream:
             return _DISPATCH[args.command](cfg, stream)
-    except ConfigError as exc:
-        print(f"vrelax: config error: {exc}", file=sys.stderr)
-        return 2
     except (
+        ConfigError,
         SchemeError,
         DistributionDomainError,
         QuadratureOrderError,

@@ -74,6 +74,7 @@ from .environment import (
 from .errors import ConfigError, SchemeError
 from .halfint import HalfInt, half
 from .operators import (
+    LEVEL_ORDER,
     Basis,
     BasisState,
     HyperfineScheme,
@@ -429,7 +430,7 @@ def _parse_system(section: _SectionReader) -> SystemConfig:
         raise ConfigError("[system] kind = hyperfine requires nuclear_spin")
     if kind == "fine" and values["nuclear_spin"] is not None:
         raise section.error("nuclear_spin", "only meaningful for kind = hyperfine")
-    offsets.sort(key=lambda item: ({"d": 0, "c": 1, "b": 2}[item[0]], item[1].twice))
+    offsets.sort(key=lambda item: (LEVEL_ORDER.index(item[0]), item[1].twice))
     return SystemConfig(f_offsets=tuple(offsets), **_given(values))
 
 

@@ -27,15 +27,18 @@ caller picks dt, so `propagate` warns when dt * max|G| looks stiff.
 
 The steady state is the null vector of G, found block by block.  Each block
 is decomposed by a dense SVD, blocks of equal size in one batched call, and
-the n^2 x n^2 matrix is never formed.  A singular value counts as
-zero below 1e-10 of the largest one over all blocks -- the largest singular
-value of G itself -- so the test is relative to the fastest scale in G: a
-Hamiltonian far above the slowest relaxation rate makes slow relaxation
-modes read as null ones, and the state is reported degenerate.  The one
-null vector is normalized by its trace, Hermitized and checked for its
-fixed-point residual against the sparse G.  A degenerate report also counts
-the null vectors that live wholly on the ground-ground (d-d) entries, the
-dark ground manifold that nothing pumps out of.
+the n^2 x n^2 matrix is never formed.  A singular value counts as zero
+below n^2 * eps * sigma_max(G), the numerical-rank tolerance of an
+n^2 x n^2 matrix (that of ``np.linalg.matrix_rank``; Golub & Van Loan,
+Matrix Computations, section 5.4), with sigma_max(G) the largest singular
+value over all blocks.  So a slow relaxation mode reads as null only once
+it sinks to the roundoff of the fastest scale in G: on a D-line at optical
+frequencies ~1e6, weak isotropic pumping (n_mean = 1e-6) still gives a
+unique state, and n_mean = 1e-9 a degenerate one.  The one null vector is
+normalized by its trace, Hermitized and checked for its fixed-point
+residual against the sparse G.  A degenerate report also counts the null
+vectors that live wholly on the ground-ground (d-d) entries, the dark
+ground manifold that nothing pumps out of.
 
 Two hygiene rules, both disclosed rather than hidden:
 
@@ -71,7 +74,6 @@ _TRACE_TOL = 1e-9  # validate_density_matrix: |trace - 1|
 _EIG_FLOOR = -1e-9  # validate_density_matrix: smallest eigenvalue
 _TRACE_DRIFT_TOL = 1e-6  # propagate: trace drift that aborts the run
 _NEGATIVITY_TOL = 1e-6  # propagate: how far below zero an eigenvalue may fall
-_NULL_TOL = 1e-10  # steady_state: null singular values, relative to the largest
 
 __all__ = [
     "AtomicHamiltonian",
@@ -393,10 +395,10 @@ def steady_state(
 
     Splits the sparse generator G into its weakly connected components (see
     the module docstring), takes the SVD of each diagonal block and counts
-    singular values below 1e-10 of the largest one over all blocks as null.
-    That is the null test of the dense SVD of G, since G is a direct sum of
-    its blocks up to a permutation.  The one null vector is scattered back
-    into vec space, divided by its trace and Hermitized.
+    singular values below n^2 * eps times the largest one over all blocks
+    as null: the numerical-rank rule of the dense SVD of G, since G is a
+    direct sum of its blocks up to a permutation.  The one null vector is
+    scattered back into vec space, divided by its trace and Hermitized.
 
     A null space of dimension > 1 means the long-time state depends on the
     initial condition; that raises :class:`DegenerateSteadyStateError` with
@@ -417,7 +419,7 @@ def steady_state(
     blocks = _block_svds(gen)
     largest = max(float(svals[:, 0].max()) for _, svals, _ in blocks)
     smallest = min(float(svals[:, -1].min()) for _, svals, _ in blocks)
-    threshold = _NULL_TOL * largest
+    threshold = n * n * np.finfo(float).eps * largest
     null_dim = sum(int(np.sum(svals < threshold)) for _, svals, _ in blocks)
     if null_dim > 1:
         dark = _dark_ground_dimension(blocks, threshold, hamiltonian.basis)

@@ -4,8 +4,8 @@ Four families, matching how callers should react:
 
 * domain errors (bad quantum numbers, bad angles, bad table points) are
   ``ValueError`` subclasses and mean the inputs are malformed;
-* contract violations (a rate set or state a builder cannot take) mean a
-  caller combined objects the assembly functions never pair;
+* contract violations (a rate set a builder cannot take) mean a caller
+  combined objects the assembly functions never pair;
 * numerical aborts are raised mid-propagation when the state stops being a
   density matrix;
 * config errors cover everything wrong with an INI file or preset name and
@@ -36,9 +36,8 @@ class SchemeError(VrelaxError, ValueError):
 
 
 class RateSetContractError(VrelaxError):
-    """A rate set or density matrix does not fit the operation it was handed
-    to: a spontaneous or hyperfine set given to the stimulated builder, or a
-    state whose shape does not match the superoperator's basis."""
+    """A rate set does not fit the operation it was handed to: a spontaneous
+    or hyperfine set given to the stimulated builder."""
 
 
 class NumericalAbortError(VrelaxError):

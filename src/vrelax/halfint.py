@@ -109,10 +109,6 @@ class HalfInt:
 
     # -- views --------------------------------------------------------------
 
-    @property
-    def is_integer(self) -> bool:
-        return self.twice % 2 == 0
-
     def __float__(self) -> float:
         return self.twice / 2.0
 

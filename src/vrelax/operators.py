@@ -322,16 +322,6 @@ def _sublevel(state: BasisState) -> tuple:
 # basis positions of their key's sublevels, taken in key order.
 
 
-def _coerce_key(key: tuple) -> tuple:
-    out = []
-    for part in key:
-        if isinstance(part, str) and part in LEVEL_ORDER:
-            out.append(part)
-        else:
-            out.append(half(part))
-    return tuple(out)
-
-
 def _split_feeding(key: tuple, hyperfine: bool) -> tuple[tuple, tuple, tuple, tuple]:
     """(upper1, ground1, upper2, ground2) halves of a feeding key.
 
@@ -388,8 +378,7 @@ class RateSet:
     matrix serves every level pair; per-frequency evaluation with detuned
     levels legitimately breaks that symmetry in the cross block, and the
     superoperator builders are written to preserve trace and Hermiticity of
-    the density matrix regardless, so ``hermitian_defect`` is a structure
-    diagnostic, not a contract.
+    the density matrix regardless, so Hermiticity is not a contract.
     """
 
     scheme: LevelScheme | HyperfineScheme
@@ -420,17 +409,6 @@ class RateSet:
     def hyperfine(self) -> bool:
         return isinstance(self.scheme, HyperfineScheme)
 
-    def gamma(self, *key) -> complex:
-        return self.upper.get(_coerce_key(key), 0.0 + 0.0j)
-
-    def gamma_feeding(self, *key) -> complex:
-        return self.feeding.get(_coerce_key(key), 0.0 + 0.0j)
-
-    def gamma_ground(self, md1, md2) -> complex:
-        if self.ground is None:
-            return 0.0 + 0.0j
-        return self.ground.get((half(md1), half(md2)), 0.0 + 0.0j)
-
     def entries(self, table: str) -> list[tuple[tuple[tuple, ...], complex]]:
         """(sublevels, value) pairs of the "upper", "feeding" or "ground" table.
 
@@ -451,35 +429,6 @@ class RateSet:
             mid = len(key) // 2
             pairs.append(((prefix + key[:mid], prefix + key[mid:]), value))
         return pairs
-
-    def hermitian_defect(self) -> tuple[float, tuple | None]:
-        worst, worst_key = 0.0, None
-        for table in (self.upper, self.feeding, self.ground):
-            if table is None:
-                continue
-            for key, value in table.items():
-                mid = len(key) // 2
-                partner = table.get(key[mid:] + key[:mid], 0.0 + 0.0j)
-                defect = abs(complex(value).conjugate() - complex(partner))
-                if defect > worst:
-                    worst, worst_key = defect, key
-        return worst, worst_key
-
-    def selection_defect(self) -> tuple[float, tuple | None]:
-        """Largest feeding entry whose two channels carry different helicity.
-
-        Exactly zero for any environment whose helicity matrix is diagonal
-        (isotropic, axisymmetric, cavity, photonic crystal); a genuinely
-        helicity-mixing K populates such entries legitimately, so this is a
-        structure diagnostic rather than a validity gate.
-        """
-        worst, worst_key = 0.0, None
-        hyperfine = self.hyperfine
-        for key, value in self.feeding.items():
-            up1, gr1, up2, gr2 = _split_feeding(key, hyperfine)
-            if (up1[-1] - gr1[-1]).twice != (up2[-1] - gr2[-1]).twice and abs(value) > worst:
-                worst, worst_key = abs(value), key
-        return worst, worst_key
 
     def restricted(self, level: str) -> "RateSet":
         """Two-level reduction: drop every entry touching the other excited level."""
@@ -533,22 +482,12 @@ def _channels(
     return uppers, grounds, np.array(sigmas, dtype=int), np.array(amplitudes, dtype=float)
 
 
-def _k_for_pair(j1: str, j2: str, k_b: KMatrix, k_c: KMatrix, k_cross: KMatrix | None) -> KMatrix:
-    if j1 != j2 and k_cross is not None:
-        return k_cross
-    # the coefficient inherits the frequency of its second index
-    return k_b if j2 == "b" else k_c
-
-
 def _tables(
-    scheme: LevelScheme | HyperfineScheme,
-    k_b: KMatrix,
-    k_c: KMatrix,
-    k_cross: KMatrix | None,
+    scheme: LevelScheme | HyperfineScheme, k_b: KMatrix, k_c: KMatrix
 ) -> dict[tuple, complex]:
     """Feeding table: S * A1 * A2 * K(sigma1, sigma2) per channel pair."""
-    for matrix in (k_b, k_c) + (() if k_cross is None else (k_cross,)):
-        matrix.validate()
+    k_b.validate()
+    k_c.validate()
     hyperfine = isinstance(scheme, HyperfineScheme)
     fine = scheme.fine if hyperfine else scheme
     channels = {level: _channels(scheme, level) for level in EXCITED_LEVELS}
@@ -562,7 +501,8 @@ def _tables(
                 # the recoupling factors absorb 1/sqrt(2J+1) each, which this
                 # scale puts back so that I = 0 reproduces the fine tables
                 scale *= math.sqrt((fine.j(j1).twice + 1) * (fine.j(j2).twice + 1))
-            k = _k_for_pair(j1, j2, k_b, k_c, k_cross).entries
+            # the coefficient inherits the frequency of its second index
+            k = (k_b if j2 == "b" else k_c).entries
             # ((S A1) A2) K: one fixed product order keeps every value bit-stable
             values = (scale * a1)[:, None] * a2[None, :] * k[sig1[:, None] + 1, sig2[None, :] + 1]
             rows, cols = np.nonzero(values)
@@ -571,21 +511,14 @@ def _tables(
     return feeding
 
 
-def rates_fine(
-    scheme: LevelScheme,
-    k_b: KMatrix,
-    k_c: KMatrix,
-    k_cross: KMatrix | None = None,
-) -> RateSet:
+def rates_fine(scheme: LevelScheme, k_b: KMatrix, k_c: KMatrix) -> RateSet:
     """Assemble the fine-structure rate tables from per-level helicity matrices.
 
     ``k_b`` and ``k_c`` are the helicity matrices evaluated at omega_bd and
-    omega_cd.  The two cross coefficients default to the matrix of their
-    second index; passing ``k_cross`` overrides both of them, which is the
-    right tool when the two transition frequencies are close enough to share
-    one evaluation point.
+    omega_cd.  Each cross coefficient takes the matrix of its second index,
+    so passing one matrix twice makes both cross coefficients share it.
     """
-    return RateSet(scheme, _tables(scheme, k_b, k_c, k_cross))
+    return RateSet(scheme, _tables(scheme, k_b, k_c))
 
 
 def rates_stimulated(
@@ -606,7 +539,7 @@ def rates_stimulated(
 
     k_b = k_stimulated(distribution, modifier, scheme.omega_bd, quad_order=quad_order)
     k_c = k_stimulated(distribution, modifier, scheme.omega_cd, quad_order=quad_order)
-    return RateSet(scheme, _tables(scheme, k_b, k_c, None), stimulated=True)
+    return RateSet(scheme, _tables(scheme, k_b, k_c), stimulated=True)
 
 
 def rates_injected(scheme: LevelScheme, k: KMatrix) -> RateSet:
@@ -618,7 +551,7 @@ def rates_injected(scheme: LevelScheme, k: KMatrix) -> RateSet:
     table is built from it as well, so the result can drive the full two-way
     superoperator just like a quadrature product.
     """
-    return RateSet(scheme, _tables(scheme, k, k, None), stimulated=True)
+    return RateSet(scheme, _tables(scheme, k, k), stimulated=True)
 
 
 def rates_hyperfine(scheme: HyperfineScheme, k: KMatrix) -> RateSet:
@@ -629,7 +562,7 @@ def rates_hyperfine(scheme: HyperfineScheme, k: KMatrix) -> RateSet:
     Only spontaneous tables are built here; resolving a photon distribution
     over hyperfine components is out of scope.
     """
-    return RateSet(scheme, _tables(scheme, k, k, None))
+    return RateSet(scheme, _tables(scheme, k, k))
 
 
 # ---------------------------------------------------------------------------
@@ -659,15 +592,6 @@ class Superoperator:
                 f"{(size, size)} for a basis of {len(self.basis)} states"
             )
         object.__setattr__(self, "matrix", csr_array(self.matrix, dtype=complex))
-
-    def apply(self, rho: np.ndarray) -> np.ndarray:
-        n = len(self.basis)
-        rho = np.asarray(rho, dtype=complex)
-        if rho.shape != (n, n):
-            raise RateSetContractError(
-                f"density matrix shape {rho.shape} does not match basis size {n}"
-            )
-        return (self.matrix @ rho.reshape(n * n)).reshape(n, n)
 
 
 def _embed(pairs: list[tuple[tuple[tuple, ...], complex]], basis: Basis) -> np.ndarray:
@@ -794,19 +718,11 @@ class InterferencePoint:
     f: HalfInt | None
     value: float | None
 
-    @property
-    def defined(self) -> bool:
-        return self.value is not None
-
 
 @dataclass(frozen=True)
 class InterferenceReport:
     points: tuple[InterferencePoint, ...]
     off_diagonal: tuple[tuple[tuple, complex], ...]
-
-    def max_abs(self) -> float:
-        defined = [abs(p.value) for p in self.points if p.value is not None]
-        return max(defined, default=0.0)
 
 
 def _interference_value(g_bc: complex, g_bb: complex, g_cc: complex) -> float | None:

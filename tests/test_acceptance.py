@@ -128,9 +128,9 @@ def test_criterion_03_isotropic_stimulated_dline():
     expected = (2.0 / 3.0) * n_mean * s_scale
     for level, j in (("b", scheme.j_b), ("c", scheme.j_c)):
         for m in projections(j):
-            assert abs(rs.gamma(level, m, level, m) - expected) < 1e-12
+            assert abs(rs.upper.get((level, m, level, m), 0j) - expected) < 1e-12
     for m in projections(scheme.j_c):
-        assert abs(rs.gamma("b", m, "c", m)) < 1e-12
+        assert abs(rs.upper.get(("b", m, "c", m), 0j)) < 1e-12
     for (j1, m1, j2, m2), value in rs.upper.items():
         if (j1, m1) != (j2, m2):
             assert abs(value) < 1e-12
@@ -141,11 +141,11 @@ def test_criterion_04_injected_k_regression_and_p():
     rate table to 1e-12 and an interference degree within 5e-3 of 0.64."""
     k = KMatrix.from_diagonal([4 / 75, 4 / 15, 4 / 75])
     rs = rates_injected(dline(), k)
-    assert abs(rs.gamma("b", half("3/2"), "b", half("3/2")) - 12 / 225) < 1e-12
-    assert abs(rs.gamma("b", half("-3/2"), "b", half("-3/2")) - 12 / 225) < 1e-12
-    assert abs(rs.gamma("b", half("1/2"), "b", half("1/2")) - 44 / 225) < 1e-12
-    assert abs(rs.gamma("c", half("1/2"), "c", half("1/2")) - 28 / 225) < 1e-12
-    assert abs(rs.gamma("b", half("1/2"), "c", half("1/2")) - 16 * math.sqrt(2) / 225) < 1e-12
+    assert abs(rs.upper.get(("b", half("3/2"), "b", half("3/2")), 0j) - 12 / 225) < 1e-12
+    assert abs(rs.upper.get(("b", half("-3/2"), "b", half("-3/2")), 0j) - 12 / 225) < 1e-12
+    assert abs(rs.upper.get(("b", half("1/2"), "b", half("1/2")), 0j) - 44 / 225) < 1e-12
+    assert abs(rs.upper.get(("c", half("1/2"), "c", half("1/2")), 0j) - 28 / 225) < 1e-12
+    assert abs(rs.upper.get(("b", half("1/2"), "c", half("1/2")), 0j) - 16 * math.sqrt(2) / 225) < 1e-12
 
     report = interference_report(rs)
     by_m = {p.m: p.value for p in report.points}
@@ -252,11 +252,11 @@ def test_criterion_07_closed_form_assembly_random_diagonal_k():
             ("b", "-1/2", "c", "-1/2"): s * r2 / 3 * (km - k0),
         }
         for (j1, m1, j2, m2), want in expected.items():
-            got = rs.gamma(j1, half(m1), j2, half(m2))
+            got = rs.upper.get((j1, half(m1), j2, half(m2)), 0j)
             worst = max(worst, abs(got - want))
             worst = max(worst, abs(abs(got) - abs(want)))
             # the pair-exchange symmetry line of the table
-            worst = max(worst, abs(rs.gamma(j2, half(m2), j1, half(m1)) - got))
+            worst = max(worst, abs(rs.upper.get((j2, half(m2), j1, half(m1)), 0j) - got))
     assert worst < 1e-12
 
 
@@ -320,8 +320,8 @@ def test_criterion_09_photonic_crystal_asymmetry():
     k_c = k_spontaneous(modifier, scheme.omega_cd)
     rs = rates_fine(scheme, k_b, k_c)
 
-    bc = rs.gamma("b", half("-1/2"), "c", half("-1/2"))
-    cb = rs.gamma("c", half("-1/2"), "b", half("-1/2"))
+    bc = rs.upper.get(("b", half("-1/2"), "c", half("-1/2")), 0j)
+    cb = rs.upper.get(("c", half("-1/2"), "b", half("-1/2")), 0j)
     assert bc != 0.0 and cb != 0.0
     assert abs(bc - cb) > 1e-3
 
@@ -332,7 +332,7 @@ def test_criterion_09_photonic_crystal_asymmetry():
         if j2 == "c":
             assert (m2 - md2).twice != 0, f"gapped channel survived at {key}"
     for m in projections(scheme.j_c):
-        assert rs.gamma_feeding("c", m, m, "c", m, m) == 0.0
+        assert rs.feeding.get(("c", m, m, "c", m, m), 0j) == 0.0
 
 
 def test_criterion_10_end_to_end_determinism(tmp_path):

@@ -24,7 +24,6 @@ from test_sparse import random_psd_k, random_rate_sets
 from vrelax import HalfInt, half
 from vrelax.config import build_rate_sets, build_scheme, preset_config, preset_names
 from vrelax.dynamics import (
-    _NULL_TOL,
     AtomicHamiltonian,
     Trajectory,
     build_hamiltonian,
@@ -504,21 +503,21 @@ class TestSteadyState:
         ground = [(i, st) for i, st in enumerate(basis) if st.level == "d"]
         for i, st in excited:
             total = 2.0 * (
-                r_rates.gamma(st.level, st.m, st.level, st.m)
-                + s_rates.gamma(st.level, st.m, st.level, st.m)
+                r_rates.upper.get((st.level, st.m, st.level, st.m), 0j)
+                + s_rates.upper.get((st.level, st.m, st.level, st.m), 0j)
             ).real
             rate[i, i] -= total
             for gi, gst in ground:
                 feed = 2.0 * (
-                    r_rates.gamma_feeding(st.level, st.m, gst.m, st.level, st.m, gst.m)
-                    + s_rates.gamma_feeding(st.level, st.m, gst.m, st.level, st.m, gst.m)
+                    r_rates.feeding.get((st.level, st.m, gst.m, st.level, st.m, gst.m), 0j)
+                    + s_rates.feeding.get((st.level, st.m, gst.m, st.level, st.m, gst.m), 0j)
                 ).real
                 rate[gi, i] += feed
         for gi, gst in ground:
-            rate[gi, gi] -= 2.0 * s_rates.gamma_ground(gst.m, gst.m).real
+            rate[gi, gi] -= 2.0 * s_rates.ground.get((gst.m, gst.m), 0j).real
             for i, st in excited:
-                absorb = 2.0 * s_rates.gamma_feeding(
-                    st.level, st.m, gst.m, st.level, st.m, gst.m
+                absorb = 2.0 * s_rates.feeding.get(
+                    (st.level, st.m, gst.m, st.level, st.m, gst.m), 0j
                 ).real
                 rate[i, gi] += absorb
 
@@ -570,7 +569,12 @@ class TestSteadyState:
         )
         rho = steady_state(h, [l_r, l_s])
         hmat = np.diag(h.diagonal)
-        deriv = -1j * (hmat @ rho - rho @ hmat) + l_r.apply(rho) + l_s.apply(rho)
+        n = len(l_r.basis)
+        deriv = (
+            -1j * (hmat @ rho - rho @ hmat)
+            + (l_r.matrix @ rho.reshape(-1)).reshape(n, n)
+            + (l_s.matrix @ rho.reshape(-1)).reshape(n, n)
+        )
         assert float(np.max(np.abs(deriv))) < 1e-10
         assert rho.trace().real == pytest.approx(1.0, abs=1e-12)
         assert float(np.linalg.eigvalsh(rho)[0]) > -1e-12
@@ -636,7 +640,7 @@ def dense_steady_state(
     """The dense-SVD solver that ``steady_state`` replaced, kept as its oracle.
 
     One SVD of the dense n^2 x n^2 generator; the same null rule (below
-    1e-10 of the largest singular value), errors and residual check.
+    n^2 * eps of the largest singular value), errors and residual check.
     """
     n = len(hamiltonian.basis)
     gen = _generator(hamiltonian, superops).toarray()
@@ -647,7 +651,7 @@ def dense_steady_state(
         raise DegenerateSteadyStateError(n * n)
 
     _, svals, vh = np.linalg.svd(gen)
-    null_dim = int(np.sum(svals < _NULL_TOL * svals[0]))
+    null_dim = int(np.sum(svals < n * n * np.finfo(float).eps * svals[0]))
     if null_dim > 1:
         raise DegenerateSteadyStateError(null_dim)
     if null_dim == 0:
@@ -816,23 +820,28 @@ def test_isotropic_thermal_field_gives_boltzmann_ratio_on_every_sublevel(problem
     assert np.max(np.abs(rho - np.diag(np.diag(rho)))) < 1e-12
 
 
-@pytest.mark.xfail(raises=DegenerateSteadyStateError, strict=True)
-def test_weak_thermal_field_under_optical_frequencies_is_unique():
-    """Known limit of the null rule, pinned here until it is mended.
-
-    At omega ~ 1e6 and n_mean = 1e-6 the largest singular value is set by
-    the Hamiltonian, so 1e-10 of it lies above the slow population
-    relaxation: roundoff-level singular values of the rate block read as
-    null and the state is reported with null dimension 4, though weak
-    pumping makes it unique.  Comparing each block with its own
-    dissipative scale alone is too fragile a fix (the population block's
-    roundoff value sits only about 7x below such a threshold); the rule
-    needs a roundoff floor as well.
-    """
+def weak_thermal_dline(n_mean):
+    """D-line at optical frequencies (omega_bd = 1.3e6, omega_cd = 1e6): vacuum
+    decay plus an isotropic field of mean n."""
     sch = dline(omega_bd=1.3e6, omega_cd=1e6)
     l_r = build_relaxation_superop(rates_fine(sch, vacuum_k(1.3e6), vacuum_k(1e6)))
     l_s = build_stimulated_superop(
-        rates_stimulated(sch, AngularDistribution.isotropic(1e-6), ModeDensityModifier.vacuum())
+        rates_stimulated(sch, AngularDistribution.isotropic(n_mean), ModeDensityModifier.vacuum())
     )
-    rho = steady_state(build_hamiltonian(sch), [l_r, l_s])
+    return build_hamiltonian(sch), [l_r, l_s]
+
+
+def test_weak_thermal_field_under_optical_frequencies_is_unique():
+    """Weak pumping makes the state unique although the Hamiltonian sets the
+    largest singular value (~1.3e6): the slow population mode (~1.6e-6)
+    stands far above that scale's roundoff, n^2 * eps * 1.3e6 ~ 1.8e-8."""
+    rho = steady_state(*weak_thermal_dline(1e-6))
     validate_density_matrix(rho)
+
+
+@pytest.mark.parametrize("n_mean,dimension", [(1e-6, 1), (1e-9, 4), (1e-12, 4)])
+def test_null_rule_conditioning_limit_under_optical_frequencies(n_mean, dimension):
+    # the documented limit of the numerical-rank rule: once pumping slows the
+    # population mode below the roundoff of the Hamiltonian's scale, that
+    # mode reads as null and the state as degenerate
+    assert null_dimension(steady_state, *weak_thermal_dline(n_mean)) == dimension
