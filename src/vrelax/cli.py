@@ -531,6 +531,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         DistributionDomainError,
         QuadratureOrderError,
         AngularDomainError,
+        MemoryError,
     ) as exc:
         print(f"vrelax: config error: {exc}", file=sys.stderr)
         return 2

@@ -17,13 +17,16 @@ never mix, so G is a direct sum of these blocks up to a permutation (for a
 helicity-diagonal K they refine the coherence orders q = M_i - M_j; helicity
 cross terms only make them larger).
 
-Propagation is classical fixed-step RK4 on dy/dt = G y, one sparse product
-per stage, over the blocks that hold a nonzero of rho_0 only: G is sliced to
-those vec entries once, and every other entry of rho stays exactly 0.0 (on
-sodium from one excited sublevel, 120 of 1024 entries).  The trace and
-positivity monitors still read the full n x n state.  Fixed stepping (rather
-than adaptive) keeps trajectories bit-reproducible; the price is that the
-caller picks dt, so `propagate` warns when dt * max|G| looks stiff.
+Propagation is classical fixed-step RK4 on dy/dt = G y over the blocks that
+hold a nonzero of rho_0 only; every other entry of rho stays exactly 0.0 (on
+sodium from one excited sublevel, 120 of 1024 entries).  For a constant G
+one RK4 step is exactly y <- P(dt G) y, with P(z) = 1 + z + z^2/2 + z^3/6 +
+z^4/24 the RK4 stability function (Hairer, Norsett & Wanner, Solving ODEs I,
+section II.1), so a step is one batched product per block size with P(dt B)
+of each dense diagonal block B.  The trace and positivity monitors still
+read the full n x n state.  Fixed stepping (rather than adaptive) keeps
+trajectories bit-reproducible; the price is that the caller picks dt, so
+`propagate` warns when dt * max|G| looks stiff.
 
 The steady state is the null vector of G, found block by block.  Each block
 is decomposed by a dense SVD, blocks of equal size in one batched call, and
@@ -309,11 +312,11 @@ def propagate(
 
     Only the vec entries that ``rho0`` reaches are evolved: the union of the
     generator's blocks holding a nonzero of ``rho0`` (closed under
-    transposition for the Hermitization), sliced out of the sparse generator
-    once.  Every step scatters them into an n x n state, the trajectory's
-    own sample where the step is sampled, whose other entries are exactly
-    0.0, as RK4 over all n^2 entries leaves them: no nonzero of the
-    generator links them to the reached ones.
+    transposition for the Hermitization).  Each step multiplies every such
+    block B by its RK4 propagator P(dt B) and scatters the result into an
+    n x n state, the trajectory's own sample where the step is sampled, whose
+    other entries are exactly 0.0, as RK4 over all n^2 entries leaves them:
+    no nonzero of the generator links them to the reached ones.
 
     Aborts with :class:`NumericalAbortError` (carrying the time and the
     monitor value) as soon as the trace of the full state drifts from its
@@ -346,14 +349,16 @@ def propagate(
     states[0] = rho
     unsampled = np.zeros((n, n), dtype=complex)
     positions, partner = _reached(gen, rho)
-    sub = gen[positions][:, positions]
+    steppers = []
+    for local, stack in _blocks(gen[positions][:, positions]):
+        p = eye = np.eye(stack.shape[1])
+        for c in (4.0, 3.0, 2.0, 1.0):  # P(dt B) by Horner's rule
+            p = eye + (dt / c) * stack @ p
+        steppers.append((local, p))
     x = rho.reshape(n * n)[positions]
     for step in range(1, steps + 1):
-        k1 = sub @ x
-        k2 = sub @ (x + (0.5 * dt) * k1)
-        k3 = sub @ (x + (0.5 * dt) * k2)
-        k4 = sub @ (x + dt * k3)
-        x = x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        for local, p in steppers:
+            x[local] = np.matmul(p, x[local][..., None])[..., 0]
         x = 0.5 * (x + x[partner].conj())
         if step % sample_every == 0 or step == steps:
             rho = states[-(-step // sample_every)]
@@ -416,7 +421,7 @@ def steady_state(
         # the zero generator fixes everything; never a unique state for n > 0
         raise DegenerateSteadyStateError(n * n)
 
-    blocks = _block_svds(gen)
+    blocks = [(positions, *np.linalg.svd(stack)[1:]) for positions, stack in _blocks(gen)]
     largest = max(float(svals[:, 0].max()) for _, svals, _ in blocks)
     smallest = min(float(svals[:, -1].min()) for _, svals, _ in blocks)
     threshold = n * n * np.finfo(float).eps * largest
@@ -445,13 +450,13 @@ def steady_state(
     return rho
 
 
-def _block_svds(gen: csr_array) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """SVDs of the diagonal blocks of ``gen``, one per weakly connected component.
+def _blocks(gen: csr_array) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The dense diagonal blocks of ``gen``, one per weakly connected component.
 
-    Blocks of equal size are stacked and decomposed in one batched call.  One
-    ``(positions, svals, vh)`` triple per block size s, for k blocks of that
-    size: ``positions`` (k, s) holds each block's vec indices, in ascending
-    order, and ``svals`` (k, s) and ``vh`` (k, s, s) its SVD factors.
+    Blocks of equal size are stacked.  One ``(positions, stack)`` pair per
+    block size s, for k blocks of that size: ``positions`` (k, s) holds each
+    block's vec indices, in ascending order, and ``stack`` (k, s, s) the
+    blocks themselves.
     """
     size = gen.shape[0]
     count, labels = _components(gen)
@@ -467,7 +472,7 @@ def _block_svds(gen: csr_array) -> list[tuple[np.ndarray, np.ndarray, np.ndarray
     local[order] = np.arange(size) - np.repeat(starts, sizes)
 
     # scatter every nonzero into one flat buffer of all dense blocks; ``gen``
-    # is a sparse sum, so canonical CSR and each (row, col) is stored once
+    # is a sparse sum or a slice of one, so each (row, col) is stored once
     offsets = np.cumsum(sizes * sizes) - sizes * sizes
     rows = np.repeat(np.arange(size), np.diff(gen.indptr))
     row_labels = labels[rows]
@@ -481,8 +486,7 @@ def _block_svds(gen: csr_array) -> list[tuple[np.ndarray, np.ndarray, np.ndarray
         s, k = int(s), int(k)
         stack = buffer[offsets[first] : offsets[first] + k * s * s].reshape(k, s, s)
         positions = order[starts[first] : starts[first] + k * s].reshape(k, s)
-        _, svals, vh = np.linalg.svd(stack)
-        blocks.append((positions, svals, vh))
+        blocks.append((positions, stack))
         first += k
     return blocks
 

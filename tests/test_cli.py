@@ -11,6 +11,7 @@ import os
 import stat
 import threading
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -412,6 +413,17 @@ class TestEvolveCommand:
         err = capsys.readouterr().err
         assert err.startswith("vrelax: config error:")
         assert "t_final=1.0 is not a whole number of dt=0.003 steps" in err
+
+    def test_trajectory_too_large_to_allocate_is_a_config_error(self, tmp_path, capsys):
+        # 1e15 steps of a 4 x 4 state: more memory than any address space
+        cfg = preset_config("twolevel-decay")
+        ini = tmp_path / "huge.ini"
+        ini.write_text(
+            serialize_config(replace(cfg, run=replace(cfg.run, t_final=2e12))), encoding="utf-8"
+        )
+        assert main(["evolve", "--config", str(ini), "--out", str(tmp_path / "x.csv")]) == 2
+        assert capsys.readouterr().err.startswith("vrelax: config error: Unable to allocate")
+        assert os.listdir(tmp_path) == ["huge.ini"]
 
 
 class TestSteadyCommand:

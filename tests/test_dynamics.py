@@ -30,7 +30,7 @@ from vrelax.dynamics import (
     propagate,
     steady_state,
     validate_density_matrix,
-    _block_svds,
+    _blocks,
     _generator,
     _hermitized,
 )
@@ -746,7 +746,7 @@ def test_helicity_mixing_k_joins_coherence_orders_and_matches_oracle():
     h = build_hamiltonian(sch)
     basis = l_r.basis
     largest_block = max(
-        positions.shape[1] for positions, _, _ in _block_svds(_generator(h, [l_r, l_s]))
+        positions.shape[1] for positions, _ in _blocks(_generator(h, [l_r, l_s]))
     )
     largest_q_block = max(Counter(a.m - b.m for a in basis for b in basis).values())
     assert largest_block > largest_q_block
@@ -837,6 +837,20 @@ def test_weak_thermal_field_under_optical_frequencies_is_unique():
     stands far above that scale's roundoff, n^2 * eps * 1.3e6 ~ 1.8e-8."""
     rho = steady_state(*weak_thermal_dline(1e-6))
     validate_density_matrix(rho)
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="the unique state is accurate to ~1e-6 only: the population block also "
+    "holds the same-M b-c coherences, whose 3e5 splitting sets its roundoff",
+)
+def test_weak_thermal_field_under_optical_frequencies_keeps_ground_populations_equal():
+    # isotropy makes the ground populations equal; they differ by 1.6e-6
+    hamiltonian, superops = weak_thermal_dline(1e-6)
+    rho = steady_state(hamiltonian, superops)
+    ground = [i for i, state in enumerate(hamiltonian.basis) if state.level == "d"]
+    assert np.ptp(rho.diagonal().real[ground]) <= 1e-9
 
 
 @pytest.mark.parametrize("n_mean,dimension", [(1e-6, 1), (1e-9, 4), (1e-12, 4)])

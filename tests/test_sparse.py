@@ -3,8 +3,9 @@
 Each fast path is checked against the code it replaced, kept here as the
 oracle: the dense kron assembly of the superoperator builders (equal to the
 bit), a dense-gemv RK4 loop (to 1e-13), the full-space sparse RK4 that
-propagation over the reached blocks replaced (equal to the bit), and the
-per-element ``repr(float(x))`` CSV loops (byte for byte).  The tables a
+propagation over the reached blocks replaced (to 1e-13, with every entry
+outside the reached blocks exactly +0.0), and the per-element
+``repr(float(x))`` CSV loops (byte for byte).  The tables a
 ``RateSet`` derives from its feeding table are checked against an ordered
 sum written here (equal to the bit).
 """
@@ -351,6 +352,21 @@ def test_derived_tables_equal_ordered_partial_traces_on_random_schemes(case):
     assert_derived_tables_bitwise(rates)
 
 
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(random_rate_sets(), st.integers(0, 2**32 - 1))
+def test_generator_preserves_trace_and_hermiticity_on_random_schemes(case, seed):
+    rates, basis = case
+    gen = _generator(build_hamiltonian(rates.scheme, basis), [_build(rates, basis)])
+    rng = np.random.default_rng(seed)
+    n = len(basis)
+    a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    rho = a + a.conj().T
+    drho = (gen @ rho.reshape(n * n)).reshape(n, n)
+    bound = 1e-13 * np.max(np.abs(gen.data)) * np.max(np.abs(rho))
+    assert abs(np.trace(drho)) <= bound
+    assert np.max(np.abs(drho - drho.conj().T)) <= bound
+
+
 def _csv_row_key(row):
     """(table, key) of a rate CSV row, read back from its cells."""
     table = row[0].rsplit("-", 1)[1]
@@ -428,6 +444,32 @@ def outcome(run, *args, **kwargs):
     return traj.times.tolist(), bits(traj.states).tobytes()
 
 
+def assert_matches_full_space_oracle(rho0, hamiltonian, superops, t_final, dt, **kwargs):
+    """``propagate`` against ``full_space_propagate`` on the same inputs.
+
+    The times are equal; every vec entry outside the reached ones is +0.0,
+    bit for bit, in every sample; the states agree within 1e-13.  An abort
+    has the oracle's type and time and its value within 1e-9 relative.  Two
+    calls give the same bits.
+    """
+    args = (rho0, hamiltonian, superops, t_final, dt)
+    result = outcome(propagate, *args, **kwargs)
+    assert outcome(propagate, *args, **kwargs) == result
+    try:
+        ref = full_space_propagate(*args, **kwargs)
+    except NumericalAbortError as exc:
+        assert result[0] == type(exc).__name__ and result[2] == exc.time
+        assert result[3] == pytest.approx(exc.value, rel=1e-9, abs=0.0)
+        return
+    traj = propagate(*args, **kwargs)
+    assert np.array_equal(traj.times, ref.times)
+    n = rho0.shape[0]
+    outside = np.ones(n * n, dtype=bool)
+    outside[_reached(_generator(hamiltonian, superops), rho0)[0]] = False
+    assert not bits(traj.states.reshape(len(traj), n * n)[:, outside]).any()
+    assert np.max(np.abs(traj.states - ref.states)) <= 1e-13
+
+
 def reached_blocks(hamiltonian, superops, rho0):
     """Vec entries evolved from ``rho0`` and how many blocks hold them."""
     gen = _generator(hamiltonian, superops)
@@ -438,13 +480,9 @@ def reached_blocks(hamiltonian, superops, rho0):
 @pytest.mark.parametrize(
     "name", [name for name in preset_names() if preset_config(name).run.dt is not None]
 )
-def test_reachable_propagation_bitwise_equals_full_space_oracle(name):
+def test_reachable_propagation_matches_full_space_oracle(name):
     cfg, hamiltonian, superops, rho0 = _preset_problem(name)
-    args = (rho0, hamiltonian, superops, cfg.run.t_final, cfg.run.dt)
-    traj = propagate(*args)
-    ref = full_space_propagate(*args)
-    assert np.array_equal(traj.times, ref.times)
-    assert np.array_equal(bits(traj.states), bits(ref.states))
+    assert_matches_full_space_oracle(rho0, hamiltonian, superops, cfg.run.t_final, cfg.run.dt)
 
 
 @pytest.mark.parametrize("name", ["dline-vacuum", "sodium-hyperfine"])
@@ -454,8 +492,7 @@ def test_initial_states_over_several_sublevels_match_full_space_oracle(name, rho
     positions, _blocks = reached_blocks(hamiltonian, superops, rho0)
     n = rho0.shape[0]
     assert np.count_nonzero(rho0) > 1 and positions.size < n * n
-    args = (rho0, hamiltonian, superops, 200 * cfg.run.dt, cfg.run.dt)
-    assert outcome(propagate, *args) == outcome(full_space_propagate, *args)
+    assert_matches_full_space_oracle(rho0, hamiltonian, superops, 200 * cfg.run.dt, cfg.run.dt)
 
 
 def random_density_matrix(rng, n, support):
@@ -480,8 +517,7 @@ def test_random_state_spanning_several_blocks_under_helicity_mixing_k():
     rho0 = random_density_matrix(rng, len(basis), support)
     positions, blocks = reached_blocks(hamiltonian, superops, rho0)
     assert blocks == 3 and positions.size < len(basis) ** 2
-    args = (rho0, hamiltonian, superops, 300 * 0.005, 0.005)
-    assert outcome(propagate, *args) == outcome(full_space_propagate, *args)
+    assert_matches_full_space_oracle(rho0, hamiltonian, superops, 300 * 0.005, 0.005)
 
 
 def test_coherence_without_its_transpose_still_reaches_the_transposed_block():
@@ -497,8 +533,7 @@ def test_coherence_without_its_transpose_still_reaches_the_transposed_block():
     rho0[0, 4] = 1e-13
     positions, blocks = reached_blocks(hamiltonian, superops, rho0)
     assert {0 * n + 4, 4 * n + 0} <= set(positions.tolist()) and blocks == 3
-    args = (rho0, hamiltonian, superops, 300 * 0.005, 0.005)
-    assert outcome(propagate, *args) == outcome(full_space_propagate, *args)
+    assert_matches_full_space_oracle(rho0, hamiltonian, superops, 300 * 0.005, 0.005)
 
 
 @settings(max_examples=25, deadline=None, derandomize=True, database=None)
@@ -513,9 +548,8 @@ def test_reachable_propagation_equals_full_space_on_random_schemes(case, seed, s
     superops = [_build(rates, basis)]
     scale = float(np.max(np.abs(_generator(hamiltonian, superops).data)))
     dt = 0.05 / scale
-    args = (rho0, hamiltonian, superops, 20 * dt, dt)
-    assert outcome(propagate, *args, sample_every=sample_every) == outcome(
-        full_space_propagate, *args, sample_every=sample_every
+    assert_matches_full_space_oracle(
+        rho0, hamiltonian, superops, 20 * dt, dt, sample_every=sample_every
     )
 
 
