@@ -9,9 +9,12 @@ echoes.  Context that would break determinism has no place here; callers pass
 it as comment lines, which are written verbatim with a leading ``# ``.
 
 Trajectory and matrix rows are mostly exact zeros (98.6 % of the cells of a
-sodium trajectory), so each row starts from a template of ``"0.0"`` cells,
-the ``repr`` of +0.0, and only the other values are formatted; ``-0.0`` is
-told apart by its sign bit.  The bytes are those of a ``repr`` per cell.
+sodium trajectory), written as ``"0.0"``, the ``repr`` of +0.0; only the
+other values are formatted, ``-0.0`` told apart by its sign bit.  Trajectories
+format only their live columns, those not +0.0 in some sample; the runs of
+``"0.0"`` between them are built once, and 256 samples are formatted at a
+time.  The bytes are those of a ``repr`` per cell.  Density matrices and
+trajectories take one basis label per state, else ``ValueError``.
 
 Rate-table rows come in basis order: sorted by the basis positions of the
 sublevels each key names, in key order (``RateSet.entries`` reads the keys;
@@ -196,6 +199,8 @@ def write_density_matrix(
     comments: Sequence[str] = (),
 ) -> None:
     """Emit a density matrix as dense (i, j, re, im) rows with a basis legend."""
+    if np.shape(rho) != (len(labels),) * 2:
+        raise ValueError(f"{len(labels)} basis labels for a state of shape {np.shape(rho)}")
     _write_comments(stream, comments)
     _write_comments(stream, _basis_legend(labels))
     _write_matrix_rows(stream, ("i", "j"), rho)
@@ -220,22 +225,25 @@ def write_trajectory(
     the real diagonal, one column per sublevel.
     """
     n = len(labels)
+    if trajectory.states.shape[1:] != (n, n):
+        raise ValueError(f"{n} basis labels for states of shape {trajectory.states.shape[1:]}")
     _write_comments(stream, comments)
     _write_comments(stream, _basis_legend(labels))
-    writer = _writer(stream)
-    # one string per sample; repr of a Python float is what _num writes
     if populations_only:
-        writer.writerow(["t"] + [f"pop_{i}" for i in range(n)])
-        for t, state in trajectory:
-            values = np.real(np.diagonal(state)).astype(float).tolist()
-            stream.write(",".join(map(repr, [float(t), *values])) + "\n")
-        return
-    header = ["t"]
-    for i in range(n):
-        for j in range(n):
-            header.append(f"re_{i}_{j}")
-            header.append(f"im_{i}_{j}")
-    writer.writerow(header)
-    for t, state in trajectory:
-        values = np.ascontiguousarray(state, dtype=complex).view(np.float64).ravel()
-        stream.write(",".join([repr(float(t)), *_float_cells(values)]) + "\n")
+        header = [f"pop_{i}" for i in range(n)]
+        values = trajectory.populations()
+    else:
+        header = [f"{part}_{i}_{j}" for i in range(n) for j in range(n) for part in ("re", "im")]
+        states = np.ascontiguousarray(trajectory.states, dtype=complex)
+        values = states.view(np.float64).reshape(-1, 2 * n * n)
+    _writer(stream).writerow(["t", *header])
+    live = np.flatnonzero(np.bitwise_or.reduce(values.view(np.uint64), axis=0))
+    gaps = (np.diff(live, prepend=-1, append=values.shape[1]) - 1).tolist()
+    # even cells: t and the live values; odd cells: the runs of "0.0" between them
+    cells = [""] * (2 * live.size + 2)
+    cells[1::2] = [",0.0" * gap + "," for gap in gaps[:-1]] + [",0.0" * gaps[-1] + "\n"]
+    times = np.asarray(trajectory.times, dtype=float).tolist()
+    for start in range(0, len(times), 256):  # memory bounded by 256 samples
+        for t, row in zip(times[start : start + 256], values[start : start + 256, live].tolist()):
+            cells[0:-1:2] = map(repr, (t, *row))
+            stream.write("".join(cells))

@@ -7,10 +7,13 @@ coherence couples into the populations (isotropic pumping), and the thermal
 balance n/(n+1) of every excited to every ground sublevel under isotropic
 light, a property over all fine schemes with 2J <= 7.  The block-wise
 steady-state solver is checked against the dense-SVD solver it replaced,
-kept here as the oracle.
+kept here as the oracle.  The positivity monitor's Cholesky certificate is
+checked by counting ``np.linalg`` calls: the exact ``eigvalsh`` runs only
+where the certificate fails, and every abort keeps its pinned time and value.
 """
 
 import math
+import sys
 import tracemalloc
 from collections import Counter
 from typing import Sequence
@@ -19,7 +22,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from test_sparse import random_psd_k, random_rate_sets
+from test_sparse import _preset_problem, random_psd_k, random_rate_sets
 
 from vrelax import HalfInt, half
 from vrelax.config import build_rate_sets, build_scheme, preset_config, preset_names
@@ -29,6 +32,7 @@ from vrelax.dynamics import (
     build_hamiltonian,
     propagate,
     steady_state,
+    step_count,
     validate_density_matrix,
     _blocks,
     _generator,
@@ -58,6 +62,20 @@ from vrelax.operators import (
     rates_hyperfine,
     rates_stimulated,
 )
+
+
+@pytest.fixture
+def linalg_calls(monkeypatch):
+    """(function, caller) of every np.linalg.eigvalsh and cholesky call, in order."""
+    calls = []
+    for name in ("eigvalsh", "cholesky"):
+
+        def counted(*args, _name=name, _real=getattr(np.linalg, name), **kwargs):
+            calls.append((_name, sys._getframe(1).f_code.co_name))
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    return calls
 
 
 def dline(**kw):
@@ -396,6 +414,61 @@ class TestPropagateGuards:
             )
         assert exc_info.value.value < -1e-6
         assert 5.0 < exc_info.value.time < 7.0
+        # the exact abort of the eigvalsh monitor, to the bit
+        assert exc_info.value.time.hex() == "0x1.70a3d70a3d70ap+2"
+        assert exc_info.value.value.hex() == "-0x1.732c00c296c00p-11"
+
+    def test_sodium_steps_are_certified_without_eigvalsh(self, linalg_calls):
+        cfg, hamiltonian, superops, rho0 = _preset_problem("sodium-hyperfine")
+        assert step_count(cfg.run.t_final, cfg.run.dt) == 1500
+        propagate(rho0, hamiltonian, superops, cfg.run.t_final, cfg.run.dt)
+        # validate_density_matrix's check of rho0 is the one eigvalsh call
+        assert linalg_calls == [("eigvalsh", "validate_density_matrix")] + [
+            ("cholesky", "propagate")
+        ] * 1500
+
+    def test_eigenvalue_between_the_shift_and_the_tolerance_takes_the_exact_path(
+        self, linalg_calls
+    ):
+        sch = twolevel()
+        basis = Basis.for_fine(sch)
+        n = len(basis)
+        mat = np.zeros((n * n, n * n), dtype=complex)
+        mat[0 * n + 1, 0 * n + 1] = mat[1 * n + 0, 1 * n + 0] = 0.4
+        growth = Superoperator(mat, basis, "coherence-growth")
+        # ten RK4 steps of the growing coherence end at 0.5 + 7.5e-7, so the
+        # 2x2 block's smallest eigenvalue 0.5 - |c| ends at -7.5e-7: below the
+        # certificate's -5e-7 but above the -1e-6 that aborts
+        z = 0.4 * 0.02
+        rho0 = np.zeros((n, n), dtype=complex)
+        rho0[0, 0] = rho0[1, 1] = 0.5
+        rho0[0, 1] = rho0[1, 0] = (0.5 + 7.5e-7) / (1 + z + z**2 / 2 + z**3 / 6 + z**4 / 24) ** 10
+        traj = propagate(
+            rho0, AtomicHamiltonian(np.zeros(n), basis), [growth], t_final=0.2, dt=0.02
+        )
+        exact = [call for call in linalg_calls if call[0] == "eigvalsh"]
+        assert exact == [("eigvalsh", "validate_density_matrix"), ("eigvalsh", "propagate")]
+        assert -1e-6 < np.linalg.eigvalsh(traj.final())[0] < -5e-7
+        assert np.linalg.eigvalsh(traj.states[-2][:2, :2])[0] > 1e-3
+
+    @pytest.mark.parametrize("rate", [1e80, -1e200])
+    def test_non_finite_state_fails_in_the_exact_monitor(self, rate, linalg_calls):
+        sch = twolevel()
+        basis = Basis.for_fine(sch)
+        n = len(basis)
+        mat = np.zeros((n * n, n * n), dtype=complex)
+        mat[0 * n + 1, 0 * n + 1] = mat[1 * n + 0, 1 * n + 0] = rate
+        growth = Superoperator(mat, basis, "coherence-overflow")
+        rho0 = np.zeros((n, n), dtype=complex)
+        rho0[0, 0] = rho0[1, 1] = 0.5
+        rho0[0, 1] = rho0[1, 0] = 0.05
+        # one step overflows the coherence; eigvalsh refuses the state
+        with pytest.warns(RuntimeWarning) as warned, pytest.raises(
+            np.linalg.LinAlgError, match="Eigenvalues did not converge"
+        ):
+            propagate(rho0, AtomicHamiltonian(np.zeros(n), basis), [growth], t_final=0.04, dt=0.02)
+        assert any("exceeds 0.1" in str(w.message) for w in warned)
+        assert linalg_calls[-2:] == [("cholesky", "propagate"), ("eigvalsh", "propagate")]
 
 
 class TestHyperfinePropagation:

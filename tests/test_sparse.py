@@ -22,7 +22,7 @@ from typing import Sequence
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import vrelax
 from vrelax.config import (
@@ -33,7 +33,12 @@ from vrelax.config import (
     preset_config,
     preset_names,
 )
-from vrelax.csvio import write_rate_tables, write_superoperator, write_trajectory
+from vrelax.csvio import (
+    write_density_matrix,
+    write_rate_tables,
+    write_superoperator,
+    write_trajectory,
+)
 from vrelax.dynamics import (
     _NEGATIVITY_TOL,
     _TRACE_DRIFT_TOL,
@@ -660,6 +665,57 @@ def test_trajectory_csv_bytes_match_per_element_loop():
         out = io.StringIO()
         write_trajectory(out, trajectory, labels, populations_only=populations_only)
         assert out.getvalue() == loop_trajectory_csv(trajectory, labels, populations_only)
+
+
+# how a column of a random trajectory is filled; all but "zero" make it live
+COLUMN_KINDS = ("zero", "negative zero", "sparse", "dense", "non-finite")
+
+
+@st.composite
+def sparse_trajectories(draw):
+    """Trajectories whose re/im columns each take one of ``COLUMN_KINDS``,
+    over 1 to 600 samples (past the writer's 256-sample chunks)."""
+    n = draw(st.integers(1, 3))
+    samples = draw(st.sampled_from([1, 2, 7, 256, 257, 600]))
+    kinds = draw(st.lists(st.sampled_from(COLUMN_KINDS), min_size=2 * n * n, max_size=2 * n * n))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    values = np.zeros((samples, 2 * n * n))
+    for col, kind in enumerate(kinds):
+        if kind == "negative zero":
+            values[:, col] = -0.0
+        elif kind == "sparse":
+            rows = rng.random(samples) < 0.1
+            values[rows, col] = rng.normal(size=int(rows.sum()))
+        elif kind == "dense":
+            values[:, col] = rng.normal(size=samples) * 10.0 ** rng.integers(-300, 300, samples)
+        elif kind == "non-finite":
+            values[:, col] = rng.choice([np.nan, np.inf, -np.inf, -0.0, 0.0, 0.5], samples)
+    times = np.arange(samples) * draw(st.sampled_from([0.002, 0.1 + 0.2, 5e-324]))
+    return Trajectory(times, values.view(complex).reshape(samples, n, n))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(sparse_trajectories())
+@example(Trajectory(np.arange(300.0), np.zeros((300, 2, 2), dtype=complex)))  # none live
+@example(Trajectory(np.array([0.0]), np.full((1, 1, 1), complex(-0.0, np.nan))))
+def test_trajectory_csv_bytes_match_per_element_loop_on_random_trajectories(trajectory):
+    labels = [f"s{i}" for i in range(trajectory.states.shape[1])]
+    for populations_only in (False, True):
+        out = io.StringIO()
+        write_trajectory(out, trajectory, labels, populations_only=populations_only)
+        assert out.getvalue() == loop_trajectory_csv(trajectory, labels, populations_only)
+
+
+@pytest.mark.parametrize("populations_only", [False, True])
+def test_trajectory_csv_refuses_labels_of_the_wrong_length(populations_only):
+    trajectory = Trajectory(np.zeros(2), np.zeros((2, 2, 2), dtype=complex))
+    with pytest.raises(ValueError, match=r"3 basis labels for states of shape \(2, 2\)"):
+        write_trajectory(io.StringIO(), trajectory, list("abc"), populations_only=populations_only)
+
+
+def test_density_matrix_csv_refuses_labels_of_the_wrong_length():
+    with pytest.raises(ValueError, match=r"3 basis labels for a state of shape \(2, 2\)"):
+        write_density_matrix(io.StringIO(), np.eye(2) / 2, list("abc"))
 
 
 def test_sodium_trajectory_csv_bytes_match_per_element_loop():
