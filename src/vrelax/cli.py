@@ -76,6 +76,7 @@ from .operators import (
     build_stimulated_superop,
     interference_report,
     rates_fine,
+    sparse_sum,
 )
 
 __all__ = ["main"]
@@ -202,10 +203,8 @@ def _cmd_superop(cfg: ScenarioConfig, stream) -> int:
     parts = _superoperators(cfg, basis)
     if not parts:
         raise ConfigError("environment kind 'none' has no relaxation superoperator")
-    total = parts[0][1].matrix
-    for _label, op in parts[1:]:
-        total = total + op.matrix
-    combined = Superoperator(matrix=total, basis=basis, label="total-relaxation")
+    triplets = [(op.matrix.row, op.matrix.col, op.matrix.data) for _label, op in parts]
+    combined = Superoperator(sparse_sum(triplets, len(basis) ** 2), basis, "total-relaxation")
     comments = _common_comments(cfg, "superop")
     comments.append("parts: " + " + ".join(label for label, _op in parts))
     write_superoperator(stream, combined, comments=comments)

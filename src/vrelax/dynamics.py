@@ -11,11 +11,11 @@ on the row-major vectorization of rho, so the full generator is the matrix
 
     G = -i diag(E_i - E_j) + sum_k L_k.matrix
 
-stored sparse (CSR).  G splits exactly into the diagonal blocks of its
-weakly connected components: vec entries that no chain of nonzeros links
-never mix, so G is a direct sum of these blocks up to a permutation (for a
-helicity-diagonal K they refine the coherence orders q = M_i - M_j; helicity
-cross terms only make them larger).
+stored as its nonzeros, like each L_k.  G splits exactly into the diagonal
+blocks of its weakly connected components: vec entries that no chain of
+nonzeros links never mix, so G is a direct sum of these blocks up to a
+permutation (for a helicity-diagonal K they refine the coherence orders
+q = M_i - M_j; helicity cross terms only make them larger).
 
 Propagation is classical fixed-step RK4 on dy/dt = G y over the blocks that
 hold a nonzero of rho_0 only; every other entry of rho stays exactly 0.0 (on
@@ -51,7 +51,8 @@ Two hygiene rules, both disclosed rather than hidden:
   the run instead of being projected back.  A finite Cholesky factor of
   rho + (tau/2) I, backward stable (Higham, Accuracy and Stability of
   Numerical Algorithms, section 10.1), puts them all above -tau/2 - n^2 eps
-  |rho|: no abort.  Only a failed or non-finite factor lets eigvalsh decide.
+  |rho|: no abort.  Only a failed or non-finite factor lets eigvalsh decide,
+  and a state that is not finite aborts before it.
 """
 
 from __future__ import annotations
@@ -59,7 +60,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterator, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -69,10 +70,7 @@ from .errors import (
     NumericalAbortError,
     SchemeError,
 )
-from .operators import Basis, HyperfineScheme, LevelScheme, Superoperator
-
-if TYPE_CHECKING:
-    from scipy.sparse import csr_array
+from .operators import Basis, HyperfineScheme, LevelScheme, SparseMatrix, Superoperator, sparse_sum
 
 # every tolerance of this module; none is a caller's knob
 _HERM_TOL = 1e-12  # validate_density_matrix: max |rho - rho^dagger|
@@ -176,14 +174,12 @@ def validate_density_matrix(rho: np.ndarray) -> np.ndarray:
 
 def _generator(
     hamiltonian: AtomicHamiltonian, superops: Sequence[Superoperator]
-) -> csr_array:
+) -> SparseMatrix:
     """Sparse generator on the row-major vec basis.
 
     The commutator -i[H, rho] of the diagonal H is the diagonal
     -i (E_i - E_j) at vec position i n + j, stored where it is nonzero.
     """
-    from scipy.sparse import csr_array
-
     if not isinstance(hamiltonian, AtomicHamiltonian):
         raise SchemeError(
             f"hamiltonian must be an AtomicHamiltonian, got {type(hamiltonian).__name__}"
@@ -191,36 +187,37 @@ def _generator(
     energy = hamiltonian.diagonal
     n = energy.size
     split = (energy[:, None] - energy[None, :]).reshape(n * n)
-    stored = split != 0.0
-    indptr = np.concatenate(([0], np.cumsum(stored)))
-    gen = csr_array(
-        (-1j * split[stored], np.flatnonzero(stored), indptr), shape=(n * n, n * n)
-    )
+    stored = np.flatnonzero(split)
+    parts = [(stored, stored, -1j * split[stored])]
     for op in superops:
         if op.matrix.shape != (n * n, n * n):
             raise SchemeError(
                 f"superoperator '{op.label}' acts on {op.matrix.shape[0]}-dim vec space, "
                 f"expected {n * n}"
             )
-        gen = gen + op.matrix
-    return gen
+        parts.append((op.matrix.row, op.matrix.col, op.matrix.data))
+    return sparse_sum(parts, n * n)
 
 
-def _components(gen: csr_array) -> tuple[int, np.ndarray]:
+def _components(gen: SparseMatrix) -> tuple[int, np.ndarray]:
     """Weakly connected components of the nonzero pattern of ``gen``: their
-    count and the component label of every vec entry.
+    count and the component label of every vec entry, numbered in the order
+    of their smallest entries.
 
     No chain of nonzeros links entries of different components, so ``gen``
     is the direct sum of its diagonal blocks over them, up to a permutation.
+    Min-label propagation: each entry points at a smaller or equal entry of
+    its component, and the roots end as the smallest entries.
     """
-    from scipy.sparse import csr_array
-    from scipy.sparse.csgraph import connected_components
-
-    # an int8 pattern: csgraph casts its input to float, which complex refuses
-    pattern = csr_array(
-        (np.ones(gen.nnz, dtype=np.int8), gen.indices, gen.indptr), shape=gen.shape
-    )
-    return connected_components(pattern, directed=True, connection="weak")
+    parent = np.arange(gen.shape[0])
+    while not np.array_equal(parent[gen.row], parent[gen.col]):
+        low = np.minimum(parent[gen.row], parent[gen.col])
+        for end in (gen.row, gen.col):  # hook the root of each end onto the smaller one
+            np.minimum.at(parent, parent[end], low)
+        while not np.array_equal(parent[parent], parent):  # pointer jumping
+            parent = parent[parent]
+    roots, labels = np.unique(parent, return_inverse=True)
+    return roots.size, labels
 
 
 def _hermitized(rho: np.ndarray) -> np.ndarray:
@@ -277,7 +274,7 @@ def step_count(t_final: float, dt: float) -> int:
     return steps
 
 
-def _reached(gen: csr_array, rho0: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _reached(gen: SparseMatrix, rho0: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The vec entries that propagation from ``rho0`` can make nonzero.
 
     That is the union of the components of ``gen`` (see :func:`_components`)
@@ -322,8 +319,8 @@ def propagate(
     no nonzero of the generator links them to the reached ones.
 
     Aborts with :class:`NumericalAbortError` (carrying the time and the
-    monitor value) as soon as the trace of the full state drifts from its
-    initial value by more than 1e-6 or an eigenvalue of it falls below -1e-6
+    monitor value) as soon as the state is not finite, its trace drifts from
+    its initial value by more than 1e-6 or an eigenvalue falls below -1e-6
     (computed only where the Cholesky certificate of the module docstring fails).
     """
     rho = validate_density_matrix(rho0).copy()
@@ -354,8 +351,12 @@ def propagate(
     unsampled = np.zeros((n, n), dtype=complex)
     shift, work = (0.5 * _NEGATIVITY_TOL) * np.eye(n), np.empty((n, n), dtype=complex)
     positions, partner = _reached(gen, rho)
+    index = np.full(n * n, -1)
+    index[positions] = np.arange(positions.size)
+    kept = index[gen.row] >= 0  # whole components: no nonzero leaves ``positions``
+    reached = [(index[gen.row[kept]], index[gen.col[kept]], gen.data[kept])]
     steppers = []
-    for local, stack in _blocks(gen[positions][:, positions]):
+    for local, stack in _blocks(sparse_sum(reached, positions.size)):
         p = eye = np.eye(stack.shape[1])
         for c in (4.0, 3.0, 2.0, 1.0):  # P(dt B) by Horner's rule
             p = eye + (dt / c) * stack @ p
@@ -373,7 +374,7 @@ def propagate(
         t = step * dt
 
         drift = abs(float(rho.trace().real) - trace0)
-        if drift > _TRACE_DRIFT_TOL:
+        if not drift <= _TRACE_DRIFT_TOL:  # a NaN trace aborts too
             raise NumericalAbortError(
                 f"trace drifted by {drift:.3e} (tolerance {_TRACE_DRIFT_TOL:.1e}) "
                 f"at t={t:.6g}",
@@ -385,6 +386,8 @@ def propagate(
                 continue
         except np.linalg.LinAlgError:
             pass
+        if not np.isfinite(rho).all():
+            raise NumericalAbortError(f"state not finite at t={t:.6g}", time=t, value=math.nan)
         smallest = float(np.linalg.eigvalsh(rho)[0])
         if smallest < -_NEGATIVITY_TOL:
             raise NumericalAbortError(
@@ -453,14 +456,16 @@ def steady_state(
     if abs(trace) <= 1e-9:
         raise ConvergenceError(f"the null vector is traceless (|trace| = {abs(trace):.3e})")
     rho = _hermitized(raw / trace)
-    residual = float(np.max(np.abs(gen @ rho.reshape(n * n))))
+    image = np.zeros(n * n, dtype=complex)
+    np.add.at(image, gen.row, gen.data * rho.reshape(n * n)[gen.col])
+    residual = float(np.max(np.abs(image)))
     limit = 1e-10 * max(1.0, scale)
     if residual > limit:
         raise ConvergenceError(f"null vector residual {residual:.3e} exceeds {limit:.3e}")
     return rho
 
 
-def _blocks(gen: csr_array) -> list[tuple[np.ndarray, np.ndarray]]:
+def _blocks(gen: SparseMatrix) -> list[tuple[np.ndarray, np.ndarray]]:
     """The dense diagonal blocks of ``gen``, one per weakly connected component.
 
     Blocks of equal size are stacked.  One ``(positions, stack)`` pair per
@@ -481,13 +486,11 @@ def _blocks(gen: csr_array) -> list[tuple[np.ndarray, np.ndarray]]:
     local = np.empty(size, dtype=np.intp)
     local[order] = np.arange(size) - np.repeat(starts, sizes)
 
-    # scatter every nonzero into one flat buffer of all dense blocks; ``gen``
-    # is a sparse sum or a slice of one, so each (row, col) is stored once
+    # scatter every nonzero (each stored once) into one buffer of all blocks
     offsets = np.cumsum(sizes * sizes) - sizes * sizes
-    rows = np.repeat(np.arange(size), np.diff(gen.indptr))
-    row_labels = labels[rows]
+    row_labels = labels[gen.row]
     buffer = np.zeros(int(np.sum(sizes * sizes)), dtype=complex)
-    flat = offsets[row_labels] + local[rows] * sizes[row_labels] + local[gen.indices]
+    flat = offsets[row_labels] + local[gen.row] * sizes[row_labels] + local[gen.col]
     buffer[flat] = gen.data
 
     blocks = []

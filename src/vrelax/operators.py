@@ -18,16 +18,16 @@ ordered sum of the diagonal-excited ones, so both trace identities hold by
 construction and nothing downstream re-checks them.
 
 Superoperators act on the row-major vectorisation of the density matrix:
-vec(A rho B) = kron(A, B.T) vec(rho).  They are stored sparse (scipy CSR):
-every term links only sublevels joined by a dipole channel, so the builders
-emit (row, col, value) triplets straight from the rate tables -- the
-depopulation -(G (x) 1 + 1 (x) G*) over the nonzeros of the n x n table G,
-then the feeding pairs -- and never form the kron products.  Duplicate
+vec(A rho B) = kron(A, B.T) vec(rho).  They are stored as their nonzeros
+(:class:`SparseMatrix`): every term links only sublevels joined by a dipole
+channel, so the builders emit (row, col, value) triplets straight from the
+rate tables -- the depopulation -(G (x) 1 + 1 (x) G*) over the nonzeros of
+the n x n table G, then the feeding pairs -- and never form the kron products.  Duplicate
 triplets are summed in the order a dense ``+=`` assembly would add them, so
 every stored value equals that assembly's to the bit.  Feeding terms are
 inserted in conjugate pairs so that trace and Hermiticity are preserved for
-complex helicity matrices, not only for real ones.  scipy is imported only
-when a superoperator is built, never by rate assembly.
+complex helicity matrices, not only for real ones.  The generator of
+:mod:`vrelax.dynamics` is summed by the same function (:func:`sparse_sum`).
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from types import MappingProxyType
-from typing import TYPE_CHECKING, Iterable, Mapping
+from typing import Iterable, Mapping
 
 import numpy as np
 
@@ -43,9 +43,6 @@ from .angular import clebsch_gordan, wigner_6j
 from .environment import KMatrix
 from .errors import RateSetContractError, SchemeError
 from .halfint import HalfInt, half, projections, triangle_ok, triangle_range
-
-if TYPE_CHECKING:  # scipy is imported lazily, when a superoperator is built
-    from scipy.sparse import csr_array
 
 EXCITED_LEVELS = ("b", "c")
 GROUND_LEVEL = "d"
@@ -65,9 +62,11 @@ __all__ = [
     "rates_stimulated",
     "rates_injected",
     "rates_hyperfine",
+    "SparseMatrix",
     "Superoperator",
     "build_relaxation_superop",
     "build_stimulated_superop",
+    "sparse_sum",
     "InterferencePoint",
     "InterferenceReport",
     "interference_report",
@@ -570,28 +569,49 @@ def rates_hyperfine(scheme: HyperfineScheme, k: KMatrix) -> RateSet:
 
 
 @dataclass(frozen=True, eq=False)
+class SparseMatrix:
+    """A complex matrix as its nonzeros ``data`` at int64 (``row``, ``col``),
+    sorted by row then column, each stored once (:func:`sparse_sum`); the
+    names are those of ``scipy.sparse.coo_array``."""
+
+    row: np.ndarray
+    col: np.ndarray
+    data: np.ndarray
+    shape: tuple[int, int]
+
+    @property
+    def nnz(self) -> int:
+        return int(self.data.size)
+
+    def toarray(self) -> np.ndarray:
+        dense = np.zeros(self.shape, dtype=complex)
+        dense[self.row, self.col] = self.data
+        return dense
+
+
+@dataclass(frozen=True, eq=False)
 class Superoperator:
     """Linear map on density matrices, stored on the row-major vec basis.
 
-    ``matrix`` is a ``scipy.sparse.csr_array`` of shape n^2 x n^2; a dense or
-    other sparse input is converted to it at construction.
+    ``matrix`` is a :class:`SparseMatrix` of shape n^2 x n^2; a dense input
+    is converted to it at construction.
     """
 
-    matrix: csr_array
+    matrix: SparseMatrix
     basis: Basis
     label: str
 
     def __post_init__(self) -> None:
-        from scipy.sparse import csr_array, issparse
-
         size = len(self.basis) ** 2
-        shape = self.matrix.shape if issparse(self.matrix) else np.shape(self.matrix)
+        shape = np.shape(self.matrix)
         if shape != (size, size):
             raise SchemeError(
                 f"superoperator '{self.label}' has shape {shape}, expected "
                 f"{(size, size)} for a basis of {len(self.basis)} states"
             )
-        object.__setattr__(self, "matrix", csr_array(self.matrix, dtype=complex))
+        if not isinstance(self.matrix, SparseMatrix):
+            m = np.asarray(self.matrix, dtype=complex)
+            object.__setattr__(self, "matrix", sparse_sum([(*m.nonzero(), m[m != 0])], size))
 
 
 def _embed(pairs: list[tuple[tuple[tuple, ...], complex]], basis: Basis) -> np.ndarray:
@@ -637,22 +657,20 @@ def _feeding(rates: RateSet, basis: Basis) -> tuple[np.ndarray, np.ndarray, np.n
     )
 
 
-def _summed_csr(parts: list[tuple[np.ndarray, np.ndarray, np.ndarray]], size: int) -> csr_array:
-    """CSR matrix of (rows, cols, values) triplets with duplicates summed.
+def sparse_sum(parts: list[tuple[np.ndarray, ...]], size: int) -> SparseMatrix:
+    """The size x size matrix of (rows, cols, values) triplets, duplicates summed.
 
     Duplicates are summed from 0 in the order the triplets are given, which
     is the order of repeated ``+=`` into a zero dense matrix, so every value
     is bit-identical to that dense assembly.  Sums that cancel to exactly
     zero are not stored.
     """
-    from scipy.sparse import csr_array
-
     rows, cols, values = (np.concatenate(column) for column in zip(*parts))
     keys, group = np.unique(rows * size + cols, return_inverse=True)
     sums = np.zeros(keys.size, dtype=complex)
     np.add.at(sums, group, values)  # unbuffered, one triplet at a time, in order
     keep = sums != 0
-    return csr_array((sums[keep], np.divmod(keys[keep], size)), shape=(size, size))
+    return SparseMatrix(*np.divmod(keys[keep], size), sums[keep], (size, size))
 
 
 def build_relaxation_superop(rates: RateSet, basis: Basis | None = None) -> Superoperator:
@@ -665,7 +683,7 @@ def build_relaxation_superop(rates: RateSet, basis: Basis | None = None) -> Supe
     if basis is None:
         basis = Basis.for_scheme(rates.scheme)
     n = len(basis)
-    matrix = _summed_csr(
+    matrix = sparse_sum(
         [_depopulation(_embed(rates.entries("upper"), basis)), _feeding(rates, basis)], n * n
     )
     return Superoperator(matrix=matrix, basis=basis, label="relaxation")
@@ -696,7 +714,7 @@ def build_stimulated_superop(rates: RateSet, basis: Basis | None = None) -> Supe
     # absorption: ground depopulation + the emission feeding with the upper and
     # ground roles swapped (its triplets never share a position with an
     # emission triplet)
-    matrix = _summed_csr(
+    matrix = sparse_sum(
         [
             _depopulation(_embed(rates.entries("upper"), basis)),
             _depopulation(_embed(rates.entries("ground"), basis)),

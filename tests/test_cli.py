@@ -399,6 +399,21 @@ class TestEvolveCommand:
             assert main(["evolve", "--config", cfg, "--out", str(tmp_path / "x.csv")]) == 3
         assert "vrelax: numerical abort:" in capsys.readouterr().err
 
+    def test_overflowing_step_aborts_with_exit_three(self, tmp_path, capsys):
+        # one step of dt = 1e80 overflows the state: a typed abort, not a traceback
+        cfg = preset_config("twolevel-decay")
+        ini = tmp_path / "overflow.ini"
+        ini.write_text(
+            serialize_config(replace(cfg, run=replace(cfg.run, dt=1e80, t_final=1e80))),
+            encoding="utf-8",
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            assert main(["evolve", "--config", str(ini), "--out", str(tmp_path / "x.csv")]) == 3
+        assert capsys.readouterr().err == (
+            "vrelax: numerical abort: trace drifted by nan (tolerance 1.0e-06) at t=1e+80\n"
+        )
+
     def test_missing_dt_is_a_config_error(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, "kind = vacuum", "command = evolve\nrho0 = uniform:b")
         assert main(["evolve", "--config", cfg]) == 2

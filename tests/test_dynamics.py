@@ -462,13 +462,34 @@ class TestPropagateGuards:
         rho0 = np.zeros((n, n), dtype=complex)
         rho0[0, 0] = rho0[1, 1] = 0.5
         rho0[0, 1] = rho0[1, 0] = 0.05
-        # one step overflows the coherence; eigvalsh refuses the state
+        # one step overflows the coherence; the certificate fails and the
+        # state aborts typed, at that step, before eigvalsh would see it
         with pytest.warns(RuntimeWarning) as warned, pytest.raises(
-            np.linalg.LinAlgError, match="Eigenvalues did not converge"
-        ):
+            NumericalAbortError, match="not finite"
+        ) as exc_info:
             propagate(rho0, AtomicHamiltonian(np.zeros(n), basis), [growth], t_final=0.04, dt=0.02)
         assert any("exceeds 0.1" in str(w.message) for w in warned)
-        assert linalg_calls[-2:] == [("cholesky", "propagate"), ("eigvalsh", "propagate")]
+        assert exc_info.value.time == 0.02
+        assert linalg_calls[-1] == ("cholesky", "propagate")
+        assert ("eigvalsh", "propagate") not in linalg_calls
+
+
+    def test_nan_coherence_aborts_at_its_first_step(self):
+        # a NaN passes every comparison: the trace stays 1 and eigvalsh
+        # returns NaN without an error, so only the finiteness check stops it
+        basis = Basis.for_fine(twolevel())
+        n = len(basis)
+        mat = np.zeros((n * n, n * n), dtype=complex)
+        mat[0 * n + 1, 0 * n + 1] = mat[1 * n + 0, 1 * n + 0] = np.nan
+        rho0 = np.zeros((n, n), dtype=complex)
+        rho0[0, 0] = rho0[1, 1] = 0.5
+        rho0[0, 1] = rho0[1, 0] = 0.05
+        with pytest.raises(NumericalAbortError, match="not finite") as exc_info:
+            propagate(
+                rho0, AtomicHamiltonian(np.zeros(n), basis), [Superoperator(mat, basis, "nan")],
+                t_final=0.04, dt=0.02,
+            )
+        assert exc_info.value.time == 0.02 and math.isnan(exc_info.value.value)
 
 
 class TestHyperfinePropagation:
@@ -645,8 +666,8 @@ class TestSteadyState:
         n = len(l_r.basis)
         deriv = (
             -1j * (hmat @ rho - rho @ hmat)
-            + (l_r.matrix @ rho.reshape(-1)).reshape(n, n)
-            + (l_s.matrix @ rho.reshape(-1)).reshape(n, n)
+            + (l_r.matrix.toarray() @ rho.reshape(-1)).reshape(n, n)
+            + (l_s.matrix.toarray() @ rho.reshape(-1)).reshape(n, n)
         )
         assert float(np.max(np.abs(deriv))) < 1e-10
         assert rho.trace().real == pytest.approx(1.0, abs=1e-12)

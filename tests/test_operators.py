@@ -724,7 +724,7 @@ class TestSuperoperators:
                 np.kron(jump, jd.T)
                 - 0.5 * (np.kron(jd @ jump, eye) + np.kron(eye, (jd @ jump).T))
             )
-        assert np.max(np.abs(sup.matrix - oracle)) < 1e-13
+        assert np.max(np.abs(sup.matrix.toarray() - oracle)) < 1e-13
 
     def test_relaxation_matches_full_lindblad_for_shared_k(self):
         """With one K for every block the map is exactly a Lindblad form
@@ -763,7 +763,7 @@ class TestSuperoperators:
                     - 0.5 * (np.kron(jd @ jump, eye) + np.kron(eye, (jd @ jump).T))
                 )
             )
-        assert np.max(np.abs(oracle - sup.matrix)) < 1e-12
+        assert np.max(np.abs(oracle - sup.matrix.toarray())) < 1e-12
 
     def test_single_sublevel_decay_budget(self):
         sch = dline()
@@ -773,7 +773,7 @@ class TestSuperoperators:
         i_b = basis.index(BasisState("b", half("3/2")))
         rho = np.zeros((n, n), dtype=complex)
         rho[i_b, i_b] = 1.0
-        image = (sup.matrix @ rho.reshape(-1)).reshape(n, n)
+        image = (sup.matrix.toarray() @ rho.reshape(-1)).reshape(n, n)
         rate = rs.upper.get(("b", half("3/2"), "b", half("3/2")), 0j).real
         assert image[i_b, i_b].real == pytest.approx(-2.0 * rate, abs=1e-14)
         for m_d in projections(sch.j_d):
@@ -795,7 +795,7 @@ class TestSuperoperators:
         for _ in range(100):
             rho = _random_density(rng, n)
             for mapping in (sup, stim):
-                image = (mapping.matrix @ rho.reshape(-1)).reshape(n, n)
+                image = (mapping.matrix.toarray() @ rho.reshape(-1)).reshape(n, n)
                 assert abs(np.trace(image)) < 1e-12
                 assert np.max(np.abs(image - image.conj().T)) < 1e-12
 
@@ -820,7 +820,7 @@ class TestSuperoperators:
         n = len(sup.basis)
         for _ in range(25):
             rho = _random_density(rng, n)
-            image = (sup.matrix @ rho.reshape(-1)).reshape(n, n)
+            image = (sup.matrix.toarray() @ rho.reshape(-1)).reshape(n, n)
             assert abs(np.trace(image)) < 1e-13
             assert np.max(np.abs(image - image.conj().T)) < 1e-13
 
@@ -828,7 +828,8 @@ class TestSuperoperators:
         rs = rates_fine(dline(), vacuum_k(), vacuum_k())
         sup = build_relaxation_superop(rs)
         n = len(sup.basis)
-        assert abs(np.trace((sup.matrix @ (np.eye(n) / n).reshape(-1)).reshape(n, n))) < 1e-14
+        image = sup.matrix.toarray() @ (np.eye(n) / n).reshape(-1)
+        assert abs(np.trace(image.reshape(n, n))) < 1e-14
 
     def test_stimulated_cross_blocks_symmetric(self):
         """Emission and absorption share one coefficient table, which makes
@@ -837,7 +838,7 @@ class TestSuperoperators:
             dline(), AngularDistribution.axisymmetric_cos2(1.0), ModeDensityModifier.vacuum()
         )
         sup = build_stimulated_superop(rs)
-        basis, n = sup.basis, len(sup.basis)
+        basis, n, matrix = sup.basis, len(sup.basis), sup.matrix.toarray()
         ground = [i for i, st in enumerate(basis) if st.level == "d"]
         excited = [i for i, st in enumerate(basis) if st.level != "d"]
         for g1 in ground:
@@ -845,7 +846,7 @@ class TestSuperoperators:
                 for e1 in excited:
                     for e2 in excited:
                         x, y = g1 * n + g2, e1 * n + e2
-                        assert sup.matrix[x, y] == sup.matrix[y, x]
+                        assert matrix[x, y] == matrix[y, x]
 
     def test_wrong_kind_rejected(self):
         rs = rates_fine(dline(), vacuum_k(), vacuum_k())
@@ -1060,4 +1061,5 @@ class TestRateSetAccess:
             rng = np.random.default_rng(3)
             for _ in range(10):
                 rho = _random_density(rng, n)
-                assert abs(np.trace((sup.matrix @ rho.reshape(-1)).reshape(n, n))) < 1e-13
+                image = sup.matrix.toarray() @ rho.reshape(-1)
+                assert abs(np.trace(image.reshape(n, n))) < 1e-13

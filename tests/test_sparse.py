@@ -7,7 +7,8 @@ propagation over the reached blocks replaced (to 1e-13, with every entry
 outside the reached blocks exactly +0.0), and the per-element
 ``repr(float(x))`` CSV loops (byte for byte).  The tables a
 ``RateSet`` derives from its feeding table are checked against an ordered
-sum written here (equal to the bit).
+sum written here (equal to the bit), and the component labelling against
+scipy's weak ``connected_components`` (equal labels).
 """
 
 import csv
@@ -23,6 +24,8 @@ from typing import Sequence
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
+from scipy.sparse import csr_array
+from scipy.sparse.csgraph import connected_components
 
 import vrelax
 from vrelax.config import (
@@ -61,12 +64,14 @@ from vrelax.operators import (
     BasisState,
     HyperfineScheme,
     LevelScheme,
+    SparseMatrix,
     Superoperator,
     build_relaxation_superop,
     build_stimulated_superop,
     rates_fine,
     rates_hyperfine,
     rates_injected,
+    sparse_sum,
 )
 
 
@@ -82,6 +87,16 @@ def random_psd_k(rng):
 def bits(array):
     """The raw bit patterns of a complex array (tells -0.0 from 0.0)."""
     return np.ascontiguousarray(array, dtype=complex).view(np.uint64)
+
+
+def assert_sorted_coo(matrix):
+    """``matrix`` is a SparseMatrix: int64 (row, col) sorted by row then
+    column, each stored once, with a complex nonzero value each."""
+    assert isinstance(matrix, SparseMatrix)
+    assert matrix.row.dtype == matrix.col.dtype == np.int64
+    assert matrix.data.dtype == complex and np.all(matrix.data != 0)
+    keys = matrix.row * matrix.shape[1] + matrix.col
+    assert np.all(np.diff(keys) > 0) and matrix.nnz == keys.size
 
 
 def ordered_partial_traces(rates):
@@ -220,7 +235,8 @@ def full_space_propagate(
 ) -> Trajectory:
     """The full-space RK4 that ``propagate`` replaced, kept as its oracle.
 
-    Every step multiplies all n^2 vec entries by the whole sparse generator.
+    Every step multiplies all n^2 vec entries by the whole sparse generator
+    (as scipy CSR, the form it was stored in).
 
     ``t_final`` must be a whole number of ``dt`` steps (see :func:`step_count`);
     the trajectory is sampled every ``sample_every`` steps and always includes
@@ -236,6 +252,7 @@ def full_space_propagate(
         raise ValueError(f"sample_every must be >= 1, got {sample_every}")
 
     gen = _generator(hamiltonian, superops)
+    gen = csr_array((gen.data, (gen.row, gen.col)), shape=gen.shape)
     n = len(hamiltonian.basis)
     if rho.shape != (n, n):
         raise SchemeError(
@@ -306,7 +323,7 @@ def test_builders_bitwise_equal_dense_assembly_on_presets(name):
     assert sets
     for _label, rates in sets:
         sup = _build(rates, basis)
-        assert sup.matrix.format == "csr"
+        assert_sorted_coo(sup.matrix)
         assert np.array_equal(bits(sup.matrix.toarray()), bits(dense_superop(rates, basis)))
 
 
@@ -366,7 +383,7 @@ def test_generator_preserves_trace_and_hermiticity_on_random_schemes(case, seed)
     n = len(basis)
     a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
     rho = a + a.conj().T
-    drho = (gen @ rho.reshape(n * n)).reshape(n, n)
+    drho = (gen.toarray() @ rho.reshape(n * n)).reshape(n, n)
     bound = 1e-13 * np.max(np.abs(gen.data)) * np.max(np.abs(rho))
     assert abs(np.trace(drho)) <= bound
     assert np.max(np.abs(drho - drho.conj().T)) <= bound
@@ -475,6 +492,34 @@ def assert_matches_full_space_oracle(rho0, hamiltonian, superops, t_final, dt, *
     assert np.max(np.abs(traj.states - ref.states)) <= 1e-13
 
 
+@st.composite
+def random_patterns(draw):
+    """A nonzero pattern on 1..60 vec entries: random (row, col) pairs, so
+    one-way edges, self-loops and isolated entries all occur."""
+    size = draw(st.integers(1, 60))
+    index = st.integers(0, size - 1)
+    edges = draw(st.lists(st.tuples(index, index), max_size=2 * size))
+    return size, edges
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(random_patterns())
+@example((1, []))
+@example((5, [(3, 3)]))
+@example((40, [(i + 1, i) for i in range(39)]))  # a path down from the last entry
+@example((40, [((7 * i) % 40, (7 * i + 7) % 40) for i in range(39)]))  # a scrambled path
+def test_components_label_like_csgraph(case):
+    """Equal labels, not only equal partitions, to scipy's weak components."""
+    size, edges = case
+    rows, cols = np.array(edges, dtype=np.int64).reshape(-1, 2).T
+    pattern = sparse_sum([(rows, cols, np.ones(rows.size, dtype=complex))], size)
+    oracle = csr_array((np.ones(pattern.nnz), (pattern.row, pattern.col)), shape=pattern.shape)
+    count, labels = _components(pattern)
+    ref_count, ref_labels = connected_components(oracle, directed=True, connection="weak")
+    assert count == ref_count
+    assert np.array_equal(labels, ref_labels)
+
+
 def reached_blocks(hamiltonian, superops, rho0):
     """Vec entries evolved from ``rho0`` and how many blocks hold them."""
     gen = _generator(hamiltonian, superops)
@@ -579,15 +624,27 @@ def test_dense_input_round_trips():
     dense = rng.normal(size=(n * n, n * n)) + 1j * rng.normal(size=(n * n, n * n))
     dense[rng.random(dense.shape) < 0.9] = 0.0
     sup = Superoperator(dense, basis, "random")
-    assert sup.matrix.format == "csr"
+    assert_sorted_coo(sup.matrix)
     assert sup.matrix.nnz == np.count_nonzero(dense)
     assert np.array_equal(sup.matrix.toarray(), dense)
     real = Superoperator(dense.real, basis, "real")
-    assert real.matrix.dtype == complex
+    assert real.matrix.data.dtype == complex
     assert np.array_equal(real.matrix.toarray(), dense.real)
 
 
+CLI_RUNS = {
+    "kmatrix": ["--preset", "dline-cavity"],
+    "rates": ["--preset", "sodium-hyperfine"],
+    "superop": ["--preset", "dline-paper-k"],
+    "evolve": ["--preset", "dline-vacuum"],
+    "steady": ["--preset", "dline-isotropic"],
+    "doctor": [],
+}
+
+
 def test_import_and_rate_assembly_leave_scipy_unloaded(tmp_path):
+    """Neither rate assembly nor any CLI command, each in a fresh process,
+    imports scipy."""
     ini = tmp_path / "sodium.ini"
     ini.write_text(textwrap.dedent(PRESETS["sodium-hyperfine"]), encoding="utf-8")
     code = textwrap.dedent(
@@ -613,6 +670,28 @@ def test_import_and_rate_assembly_leave_scipy_unloaded(tmp_path):
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == ""
+
+    loaded = {}
+    for command, args in CLI_RUNS.items():
+        code = textwrap.dedent(
+            f"""
+            import contextlib, io, sys
+            from vrelax.cli import main
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert main({[command, *args]!r}) == 0
+            print(",".join(m for m in sorted(sys.modules) if m.split(".")[0] == "scipy"))
+            """
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True,
+            text=True,
+            timeout=120,
+            env={**os.environ, "PYTHONPATH": path},
+        )
+        assert done.returncode == 0, done.stderr
+        loaded[command] = done.stdout.strip()
+    assert loaded == dict.fromkeys(CLI_RUNS, "")
 
 
 # ---------------------------------------------------------------------------
