@@ -11,10 +11,12 @@ it as comment lines, which are written verbatim with a leading ``# ``.
 Trajectory and matrix rows are mostly exact zeros (98.6 % of the cells of a
 sodium trajectory), written as ``"0.0"``, the ``repr`` of +0.0; only the
 other values are formatted, ``-0.0`` told apart by its sign bit.  Trajectories
-format only their live columns, those not +0.0 in some sample; the runs of
-``"0.0"`` between them are built once, and 256 samples are formatted at a
-time.  The bytes are those of a ``repr`` per cell.  Density matrices and
-trajectories take one basis label per state, else ``ValueError``.
+format only their live columns, those not +0.0 in some sample, read straight
+from ``Trajectory.values`` (stored vec entry p is re/im columns 2p and 2p + 1),
+so no n x n state is formed.  The runs of ``"0.0"`` between them are built
+once, and 256 samples are formatted at a time.  The bytes are those of a
+``repr`` per cell.  Density matrices and trajectories take one basis label
+per state, else ``ValueError``.
 
 Rate-table rows come in basis order: sorted by the basis positions of the
 sublevels each key names, in key order (``RateSet.entries`` reads the keys;
@@ -225,20 +227,20 @@ def write_trajectory(
     the real diagonal, one column per sublevel.
     """
     n = len(labels)
-    if trajectory.states.shape[1:] != (n, n):
-        raise ValueError(f"{n} basis labels for states of shape {trajectory.states.shape[1:]}")
+    if trajectory.n != n:
+        raise ValueError(f"{n} basis labels for states of shape {(trajectory.n,) * 2}")
     _write_comments(stream, comments)
     _write_comments(stream, _basis_legend(labels))
     if populations_only:
         header = [f"pop_{i}" for i in range(n)]
-        values = trajectory.populations()
+        values, columns = trajectory.populations(), np.arange(n)
     else:
         header = [f"{part}_{i}_{j}" for i in range(n) for j in range(n) for part in ("re", "im")]
-        states = np.ascontiguousarray(trajectory.states, dtype=complex)
-        values = states.view(np.float64).reshape(-1, 2 * n * n)
+        values = np.ascontiguousarray(trajectory.values, dtype=complex).view(np.float64)
+        columns = (2 * trajectory.positions[:, None] + np.arange(2)).reshape(-1)  # re, im
     _writer(stream).writerow(["t", *header])
     live = np.flatnonzero(np.bitwise_or.reduce(values.view(np.uint64), axis=0))
-    gaps = (np.diff(live, prepend=-1, append=values.shape[1]) - 1).tolist()
+    gaps = (np.diff(columns[live], prepend=-1, append=len(header)) - 1).tolist()
     # even cells: t and the live values; odd cells: the runs of "0.0" between them
     cells = [""] * (2 * live.size + 2)
     cells[1::2] = [",0.0" * gap + "," for gap in gaps[:-1]] + [",0.0" * gaps[-1] + "\n"]

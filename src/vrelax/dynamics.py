@@ -23,10 +23,11 @@ sodium from one excited sublevel, 120 of 1024 entries).  For a constant G
 one RK4 step is exactly y <- P(dt G) y, with P(z) = 1 + z + z^2/2 + z^3/6 +
 z^4/24 the RK4 stability function (Hairer, Norsett & Wanner, Solving ODEs I,
 section II.1), so a step is one batched product per block size with P(dt B)
-of each dense diagonal block B.  The trace and positivity monitors still
-read the full n x n state.  Fixed stepping (rather than adaptive) keeps
-trajectories bit-reproducible; the price is that the caller picks dt, so
-`propagate` warns when dt * max|G| looks stiff.
+of each dense diagonal block B.  The trace and positivity monitors run in
+batched calls on 256 stored steps at a time, and step by step on the n x n
+state only where a batch fails them.  Fixed stepping (rather than adaptive)
+keeps trajectories bit-reproducible; the price is that the caller picks dt,
+so `propagate` warns when dt * max|G| looks stiff.
 
 The steady state is the null vector of G, found block by block.  Each block
 is decomposed by a dense SVD, blocks of equal size in one batched call, and
@@ -38,10 +39,12 @@ value over all blocks.  So a slow relaxation mode reads as null only once
 it sinks to the roundoff of the fastest scale in G: on a D-line at optical
 frequencies ~1e6, weak isotropic pumping (n_mean = 1e-6) still gives a
 unique state, and n_mean = 1e-9 a degenerate one.  The one null vector is
-normalized by its trace, Hermitized and checked for its fixed-point
-residual against the sparse G.  A degenerate report also counts the null
-vectors that live wholly on the ground-ground (d-d) entries, the dark
-ground manifold that nothing pumps out of.
+taken from its block with each row scaled to unit largest magnitude (row
+equilibration, Higham section 7.3, so the Hamiltonian's rows do not blur a
+slow mode), normalized by its trace, Hermitized and checked for its
+fixed-point residual against the sparse G.  A degenerate report also counts
+the null vectors that live wholly on the ground-ground (d-d) entries, the
+dark ground manifold that nothing pumps out of.
 
 Two hygiene rules, both disclosed rather than hidden:
 
@@ -51,8 +54,9 @@ Two hygiene rules, both disclosed rather than hidden:
   the run instead of being projected back.  A finite Cholesky factor of
   rho + (tau/2) I, backward stable (Higham, Accuracy and Stability of
   Numerical Algorithms, section 10.1), puts them all above -tau/2 - n^2 eps
-  |rho|: no abort.  Only a failed or non-finite factor lets eigvalsh decide,
-  and a state that is not finite aborts before it.
+  |rho|: no abort.  The batched certificate factors the blocks of rho
+  instead.  Only a failed or non-finite factor lets eigvalsh decide, and a
+  state that is not finite aborts before it.
 """
 
 from __future__ import annotations
@@ -78,6 +82,7 @@ _TRACE_TOL = 1e-9  # validate_density_matrix: |trace - 1|
 _EIG_FLOOR = -1e-9  # validate_density_matrix: smallest eigenvalue
 _TRACE_DRIFT_TOL = 1e-6  # propagate: trace drift that aborts the run
 _NEGATIVITY_TOL = 1e-6  # propagate: how far below zero an eigenvalue may fall
+_CHUNK = 256  # propagate: steps buffered between two runs of the monitors
 
 __all__ = [
     "AtomicHamiltonian",
@@ -233,25 +238,50 @@ def _hermitized(rho: np.ndarray) -> np.ndarray:
 class Trajectory:
     """Sampled solution of the master equation.
 
-    Iterating yields (time, density matrix) pairs; ``states`` is the stacked
-    (n_samples, n, n) complex array for vectorized post-processing.
+    ``values[k, c]`` is vec entry ``positions[c]`` (ascending) of the n x n
+    state at ``times[k]``; every other entry is exactly +0.0.  Iterating
+    yields (time, density matrix) pairs; they and ``states``, the stacked
+    (n_samples, n, n) complex array, are built on demand.
     """
 
     times: np.ndarray
-    states: np.ndarray
+    positions: np.ndarray
+    values: np.ndarray
+    n: int
+
+    def __post_init__(self) -> None:
+        gaps = np.diff(self.positions, prepend=-1, append=self.n**2)
+        if np.shape(self.values) != (len(self), len(self.positions)) or np.any(gaps < 1):
+            raise ValueError(
+                f"trajectory values of shape {np.shape(self.values)} are not (samples, "
+                f"positions) at ascending positions below n^2 = {self.n**2}"
+            )
 
     def __len__(self) -> int:
         return int(self.times.shape[0])
 
     def __iter__(self) -> Iterator[tuple[float, np.ndarray]]:
-        return zip((float(t) for t in self.times), iter(self.states))
+        return zip((float(t) for t in self.times), map(self._matrices, range(len(self))))
+
+    def _matrices(self, samples) -> np.ndarray:
+        values = self.values[samples]
+        flat = np.zeros((*values.shape[:-1], self.n * self.n), dtype=complex)
+        flat[..., self.positions] = values
+        return flat.reshape(*values.shape[:-1], self.n, self.n)
+
+    @property
+    def states(self) -> np.ndarray:
+        return self._matrices(slice(None))
 
     def final(self) -> np.ndarray:
-        return self.states[-1]
+        return self._matrices(-1)
 
     def populations(self) -> np.ndarray:
         """Real diagonal entries, shape (n_samples, n)."""
-        return self.states.diagonal(axis1=1, axis2=2).real
+        diagonal = self.positions % (self.n + 1) == 0  # vec index i n + i
+        populations = np.zeros((len(self), self.n))
+        populations[:, self.positions[diagonal] // (self.n + 1)] = self.values[:, diagonal].real
+        return populations
 
     def traces(self) -> np.ndarray:
         return self.populations().sum(axis=1)
@@ -313,15 +343,17 @@ def propagate(
     Only the vec entries that ``rho0`` reaches are evolved: the union of the
     generator's blocks holding a nonzero of ``rho0`` (closed under
     transposition for the Hermitization).  Each step multiplies every such
-    block B by its RK4 propagator P(dt B) and scatters the result into an
-    n x n state, the trajectory's own sample where the step is sampled, whose
-    other entries are exactly 0.0, as RK4 over all n^2 entries leaves them:
-    no nonzero of the generator links them to the reached ones.
+    block B by its RK4 propagator P(dt B); every other entry stays exactly
+    0.0, as RK4 over all n^2 entries leaves it: no nonzero of the generator
+    links it to the reached ones.  The trajectory stores the reached entries,
+    and any other entry of ``rho0`` that is not +0.0 (a -0.0, in sample 0).
 
     Aborts with :class:`NumericalAbortError` (carrying the time and the
-    monitor value) as soon as the state is not finite, its trace drifts from
-    its initial value by more than 1e-6 or an eigenvalue falls below -1e-6
-    (computed only where the Cholesky certificate of the module docstring fails).
+    monitor value) at the first step whose trace drifts from its initial
+    value by more than 1e-6 (checked first), whose state is not finite or
+    that has an eigenvalue below -1e-6 (computed only where the Cholesky
+    certificate of the module docstring fails).  The monitors check 256
+    steps at once, and step by step only where those fail.
     """
     rho = validate_density_matrix(rho0).copy()
     steps = step_count(t_final, dt)
@@ -344,61 +376,78 @@ def propagate(
         )
 
     trace0 = float(rho.trace().real)
+    flat = rho.reshape(n * n)
+    reached, partner = _reached(gen, rho)
+    signed = flat.view(np.uint64).reshape(n * n, 2).any(axis=1)  # not +0.0
+    positions = np.union1d(reached, np.flatnonzero(signed))
     # samples: step 0, every sample_every-th step and the last one
-    samples = -(-steps // sample_every) + 1
-    states = np.zeros((samples, n, n), dtype=complex)
-    states[0] = rho
-    unsampled = np.zeros((n, n), dtype=complex)
-    shift, work = (0.5 * _NEGATIVITY_TOL) * np.eye(n), np.empty((n, n), dtype=complex)
-    positions, partner = _reached(gen, rho)
-    index = np.full(n * n, -1)
-    index[positions] = np.arange(positions.size)
-    kept = index[gen.row] >= 0  # whole components: no nonzero leaves ``positions``
-    reached = [(index[gen.row[kept]], index[gen.col[kept]], gen.data[kept])]
-    steppers = []
-    for local, stack in _blocks(sparse_sum(reached, positions.size)):
-        p = eye = np.eye(stack.shape[1])
-        for c in (4.0, 3.0, 2.0, 1.0):  # P(dt B) by Horner's rule
-            p = eye + (dt / c) * stack @ p
-        steppers.append((local, p))
-    x = rho.reshape(n * n)[positions]
-    for step in range(1, steps + 1):
-        for local, p in steppers:
-            x[local] = np.matmul(p, x[local][..., None])[..., 0]
-        x = 0.5 * (x + x[partner].conj())
-        if step % sample_every == 0 or step == steps:
-            rho = states[-(-step // sample_every)]
-        else:
-            rho = unsampled
-        rho.reshape(n * n)[positions] = x
-        t = step * dt
+    values = np.zeros((-(-steps // sample_every) + 1, positions.size), dtype=complex)
+    values[0] = flat[positions]
+    columns = np.searchsorted(positions, reached)
+    index = np.full(n * n, reached.size)  # unreached entries read the buffer's +0j column
+    index[reached] = np.arange(reached.size)
+    kept = index[gen.row] < reached.size  # whole components: no nonzero leaves ``reached``
+    sub = sparse_sum([(index[gen.row[kept]], index[gen.col[kept]], gen.data[kept])], reached.size)
+    diagonal = index[np.arange(n) * (n + 1)]
+    # rho is the direct sum of its blocks over the components of the basis
+    # indices that the reached entries link, so it is PSD exactly when each is
+    pattern = SparseMatrix(*np.divmod(reached, n), np.ones(reached.size, dtype=complex), (n, n))
+    shift = (0.5 * _NEGATIVITY_TOL) * np.eye(n)
+    blocks = [(index[m[:, :, None] * n + m[:, None, :]], shift[: m.shape[1], : m.shape[1]])
+              for m, _stack in _blocks(pattern)]  # (buffer columns of each block, its shift)
+    buffer = np.zeros((_CHUNK, reached.size + 1), dtype=complex)
+    x = flat[reached]
+    # an overflowing P(dt B) or state aborts typed below, without numpy's warnings
+    with np.errstate(over="ignore", invalid="ignore"):
+        steppers = []
+        for local, stack in _blocks(sub):
+            p = eye = np.eye(stack.shape[1])
+            for c in (4.0, 3.0, 2.0, 1.0):  # P(dt B) by Horner's rule
+                p = eye + (dt / c) * stack @ p
+            steppers.append((local, p))
+        for first in range(1, steps + 1, _CHUNK):
+            stepped = np.arange(first, min(first + _CHUNK, steps + 1))
+            for row in range(stepped.size):
+                for local, p in steppers:
+                    x[local] = np.matmul(p, x[local][..., None])[..., 0]
+                x = 0.5 * (x + x[partner].conj())
+                buffer[row, :-1] = x
+            chunk = buffer[: stepped.size]
 
-        drift = abs(float(rho.trace().real) - trace0)
-        if not drift <= _TRACE_DRIFT_TOL:  # a NaN trace aborts too
-            raise NumericalAbortError(
-                f"trace drifted by {drift:.3e} (tolerance {_TRACE_DRIFT_TOL:.1e}) "
-                f"at t={t:.6g}",
-                time=t,
-                value=drift,
-            )
-        try:  # the certificate; see the module docstring
-            if np.isfinite(np.linalg.cholesky(np.add(rho, shift, out=work))).all():
-                continue
-        except np.linalg.LinAlgError:
-            pass
-        if not np.isfinite(rho).all():
-            raise NumericalAbortError(f"state not finite at t={t:.6g}", time=t, value=math.nan)
-        smallest = float(np.linalg.eigvalsh(rho)[0])
-        if smallest < -_NEGATIVITY_TOL:
-            raise NumericalAbortError(
-                f"eigenvalue {smallest:.3e} fell below -{_NEGATIVITY_TOL:.1e} "
-                f"at t={t:.6g}",
-                time=t,
-                value=smallest,
-            )
+            drift = np.abs(chunk[:, diagonal].sum(axis=1).real - trace0)
+            try:  # the certificate on the state's blocks; see the module docstring
+                passed = np.all(drift <= _TRACE_DRIFT_TOL) and all(
+                    np.isfinite(np.linalg.cholesky(chunk[:, entries] + block_shift)).all()
+                    for entries, block_shift in blocks
+                )
+            except np.linalg.LinAlgError:
+                passed = False
+            for row, step in enumerate(() if passed else stepped):  # the per-step monitor
+                rho = np.zeros((n, n), dtype=complex)
+                rho.reshape(n * n)[reached] = chunk[row, :-1]
+                t = step * dt
+                drift = abs(float(rho.trace().real) - trace0)
+                if not drift <= _TRACE_DRIFT_TOL:  # a NaN trace aborts too
+                    message = f"trace drifted by {drift:.3e} (tolerance {_TRACE_DRIFT_TOL:.1e})"
+                    raise NumericalAbortError(f"{message} at t={t:.6g}", time=t, value=drift)
+                try:
+                    if np.isfinite(np.linalg.cholesky(rho + shift)).all():
+                        continue
+                except np.linalg.LinAlgError:
+                    pass
+                if not np.isfinite(rho).all():
+                    message, smallest = "state not finite", math.nan
+                else:
+                    smallest = float(np.linalg.eigvalsh(rho)[0])
+                    message = f"eigenvalue {smallest:.3e} fell below -{_NEGATIVITY_TOL:.1e}"
+                if not smallest >= -_NEGATIVITY_TOL:  # NaN: not finite
+                    raise NumericalAbortError(f"{message} at t={t:.6g}", time=t, value=smallest)
 
-    times = np.minimum(np.arange(samples) * sample_every, steps) * dt
-    return Trajectory(times, states)
+            sampled = (stepped % sample_every == 0) | (stepped == steps)
+            values[-(-stepped[sampled] // sample_every)[:, None], columns] = chunk[sampled, :-1]
+
+    times = np.minimum(np.arange(values.shape[0]) * sample_every, steps) * dt
+    return Trajectory(times, positions, values, n)
 
 
 # ---------------------------------------------------------------------------
@@ -415,8 +464,9 @@ def steady_state(
     the module docstring), takes the SVD of each diagonal block and counts
     singular values below n^2 * eps times the largest one over all blocks
     as null: the numerical-rank rule of the dense SVD of G, since G is a
-    direct sum of its blocks up to a permutation.  The one null vector is
-    scattered back into vec space, divided by its trace and Hermitized.
+    direct sum of its blocks up to a permutation.  The one null vector, from
+    its row-scaled block, is scattered back into vec space, divided by its
+    trace and Hermitized.
 
     A null space of dimension > 1 means the long-time state depends on the
     initial condition; that raises :class:`DegenerateSteadyStateError` with
@@ -434,7 +484,8 @@ def steady_state(
         # the zero generator fixes everything; never a unique state for n > 0
         raise DegenerateSteadyStateError(n * n)
 
-    blocks = [(positions, *np.linalg.svd(stack)[1:]) for positions, stack in _blocks(gen)]
+    stacks = _blocks(gen)
+    blocks = [(positions, *np.linalg.svd(stack)[1:]) for positions, stack in stacks]
     largest = max(float(svals[:, 0].max()) for _, svals, _ in blocks)
     smallest = min(float(svals[:, -1].min()) for _, svals, _ in blocks)
     threshold = n * n * np.finfo(float).eps * largest
@@ -447,10 +498,15 @@ def steady_state(
             f"generator has no null vector (smallest singular value "
             f"{smallest / largest:.3e} of the largest)"
         )
-    positions, svals, vh = next(b for b in blocks if b[1][:, -1].min() < threshold)
+    i = next(i for i, (_, svals, _) in enumerate(blocks) if svals[:, -1].min() < threshold)
+    (positions, svals, _vh), (_, stack) = blocks[i], stacks[i]
     k = int(np.argmin(svals[:, -1]))
+    # rows scaled to unit largest magnitude (all-zero rows left alone): D B x = 0
+    # exactly when B x = 0, so the null vector is the same, resolved better
+    rows = np.abs(stack[k]).max(axis=1, keepdims=True)
+    vh = np.linalg.svd(stack[k] / np.where(rows > 0.0, rows, 1.0))[2]
     vec = np.zeros(n * n, dtype=complex)
-    vec[positions[k]] = vh[k, -1].conj()
+    vec[positions[k]] = vh[-1].conj()
     raw = vec.reshape(n, n)
     trace = complex(raw.trace())
     if abs(trace) <= 1e-9:

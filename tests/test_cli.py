@@ -400,16 +400,20 @@ class TestEvolveCommand:
         assert "vrelax: numerical abort:" in capsys.readouterr().err
 
     def test_overflowing_step_aborts_with_exit_three(self, tmp_path, capsys):
-        # one step of dt = 1e80 overflows the state: a typed abort, not a traceback
+        # one step of dt = 1e80 overflows the state: a typed abort, not a
+        # traceback, and no floating-point warning besides the stiffness one
         cfg = preset_config("twolevel-decay")
         ini = tmp_path / "overflow.ini"
         ini.write_text(
             serialize_config(replace(cfg, run=replace(cfg.run, dt=1e80, t_final=1e80))),
             encoding="utf-8",
         )
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
             assert main(["evolve", "--config", str(ini), "--out", str(tmp_path / "x.csv")]) == 3
+        assert [(w.category, "exceeds 0.1" in str(w.message)) for w in caught] == [
+            (RuntimeWarning, True)
+        ]
         assert capsys.readouterr().err == (
             "vrelax: numerical abort: trace drifted by nan (tolerance 1.0e-06) at t=1e+80\n"
         )

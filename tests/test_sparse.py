@@ -4,8 +4,9 @@ Each fast path is checked against the code it replaced, kept here as the
 oracle: the dense kron assembly of the superoperator builders (equal to the
 bit), a dense-gemv RK4 loop (to 1e-13), the full-space sparse RK4 that
 propagation over the reached blocks replaced (to 1e-13, with every entry
-outside the reached blocks exactly +0.0), and the per-element
-``repr(float(x))`` CSV loops (byte for byte).  The tables a
+outside the reached blocks exactly +0.0), the per-step trace and positivity
+monitors that the batched ones replaced (to the bit, aborts included), and
+the per-element ``repr(float(x))`` CSV loops (byte for byte).  The tables a
 ``RateSet`` derives from its feeding table are checked against an ordered
 sum written here (equal to the bit), and the component labelling against
 scipy's weak ``connected_components`` (equal labels).
@@ -13,6 +14,7 @@ scipy's weak ``connected_components`` (equal labels).
 
 import csv
 import io
+import math
 import os
 import subprocess
 import sys
@@ -47,6 +49,7 @@ from vrelax.dynamics import (
     _TRACE_DRIFT_TOL,
     AtomicHamiltonian,
     Trajectory,
+    _blocks,
     _components,
     _generator,
     _hermitized,
@@ -87,6 +90,13 @@ def random_psd_k(rng):
 def bits(array):
     """The raw bit patterns of a complex array (tells -0.0 from 0.0)."""
     return np.ascontiguousarray(array, dtype=complex).view(np.uint64)
+
+
+def full_trajectory(times, states):
+    """A Trajectory that stores every vec entry of its (samples, n, n) states."""
+    samples, n, _ = np.shape(states)
+    return Trajectory(np.asarray(times, dtype=float), np.arange(n * n),
+                      np.reshape(states, (samples, n * n)), n)
 
 
 def assert_sorted_coo(matrix):
@@ -302,7 +312,82 @@ def full_space_propagate(
             times.append(t)
             states.append(rho.copy())
 
-    return Trajectory(np.asarray(times, dtype=float), np.asarray(states))
+    return full_trajectory(times, np.asarray(states))
+
+
+def per_step_propagate(
+    rho0: np.ndarray,
+    hamiltonian: AtomicHamiltonian,
+    superops: Sequence[Superoperator],
+    t_final: float,
+    dt: float,
+    *,
+    sample_every: int = 1,
+) -> Trajectory:
+    """The per-step monitors that ``propagate``'s batched ones replaced, kept
+    as their oracle.
+
+    The same blocked RK4 step, then after every step the trace, the Cholesky
+    certificate, finiteness and ``eigvalsh`` on the scattered n x n state.
+    """
+    rho = validate_density_matrix(rho0).copy()
+    steps = step_count(t_final, dt)
+    gen = _generator(hamiltonian, superops)
+    n = len(hamiltonian.basis)
+    trace0 = float(rho.trace().real)
+    samples = -(-steps // sample_every) + 1
+    states = np.zeros((samples, n, n), dtype=complex)
+    states[0] = rho
+    unsampled = np.zeros((n, n), dtype=complex)
+    shift = (0.5 * _NEGATIVITY_TOL) * np.eye(n)
+    positions, partner = _reached(gen, rho)
+    index = np.full(n * n, -1)
+    index[positions] = np.arange(positions.size)
+    kept = index[gen.row] >= 0
+    reached = [(index[gen.row[kept]], index[gen.col[kept]], gen.data[kept])]
+    steppers = []
+    with np.errstate(over="ignore", invalid="ignore"):
+        for local, stack in _blocks(sparse_sum(reached, positions.size)):
+            p = eye = np.eye(stack.shape[1])
+            for c in (4.0, 3.0, 2.0, 1.0):
+                p = eye + (dt / c) * stack @ p
+            steppers.append((local, p))
+        x = rho.reshape(n * n)[positions]
+        for step in range(1, steps + 1):
+            for local, p in steppers:
+                x[local] = np.matmul(p, x[local][..., None])[..., 0]
+            x = 0.5 * (x + x[partner].conj())
+            if step % sample_every == 0 or step == steps:
+                rho = states[-(-step // sample_every)]
+            else:
+                rho = unsampled
+            rho.reshape(n * n)[positions] = x
+            t = step * dt
+            drift = abs(float(rho.trace().real) - trace0)
+            if not drift <= _TRACE_DRIFT_TOL:
+                raise NumericalAbortError(
+                    f"trace drifted by {drift:.3e} (tolerance {_TRACE_DRIFT_TOL:.1e}) "
+                    f"at t={t:.6g}",
+                    time=t,
+                    value=drift,
+                )
+            try:
+                if np.isfinite(np.linalg.cholesky(rho + shift)).all():
+                    continue
+            except np.linalg.LinAlgError:
+                pass
+            if not np.isfinite(rho).all():
+                raise NumericalAbortError(f"state not finite at t={t:.6g}", time=t, value=math.nan)
+            smallest = float(np.linalg.eigvalsh(rho)[0])
+            if smallest < -_NEGATIVITY_TOL:
+                raise NumericalAbortError(
+                    f"eigenvalue {smallest:.3e} fell below -{_NEGATIVITY_TOL:.1e} "
+                    f"at t={t:.6g}",
+                    time=t,
+                    value=smallest,
+                )
+    times = np.minimum(np.arange(samples) * sample_every, steps) * dt
+    return full_trajectory(times, states)
 
 
 def _build(rates, basis):
@@ -472,11 +557,12 @@ def assert_matches_full_space_oracle(rho0, hamiltonian, superops, t_final, dt, *
     The times are equal; every vec entry outside the reached ones is +0.0,
     bit for bit, in every sample; the states agree within 1e-13.  An abort
     has the oracle's type and time and its value within 1e-9 relative.  Two
-    calls give the same bits.
+    calls give the same bits, and so does ``per_step_propagate``.
     """
     args = (rho0, hamiltonian, superops, t_final, dt)
     result = outcome(propagate, *args, **kwargs)
     assert outcome(propagate, *args, **kwargs) == result
+    assert outcome(per_step_propagate, *args, **kwargs) == result
     try:
         ref = full_space_propagate(*args, **kwargs)
     except NumericalAbortError as exc:
@@ -601,6 +687,81 @@ def test_reachable_propagation_equals_full_space_on_random_schemes(case, seed, s
     assert_matches_full_space_oracle(
         rho0, hamiltonian, superops, 20 * dt, dt, sample_every=sample_every
     )
+
+
+def monitored_twolevel(coherence_step, trace_step, dt=0.02):
+    """A J=1, 1 over J=0 problem, starting from rho_00 = rho_11 = 1/2, whose
+    first step with an eigenvalue below -5e-6 is ``coherence_step`` and whose
+    first step with a trace drift above 1e-6 is ``trace_step`` (None: never).
+
+    The coherence rho_01 grows by P(0.4 dt) per step from where it reaches
+    1/2 + 5e-6 at ``coherence_step``; rho_00 grows by P(g dt) per step, with
+    g set so that the drift crosses 1e-6 half a step before ``trace_step``.
+    """
+    basis = Basis.for_fine(LevelScheme(j_b=half(1), j_c=half(1), j_d=half(0)))
+    n = len(basis)
+    mat = np.zeros((n * n, n * n), dtype=complex)
+    rho0 = np.zeros((n, n), dtype=complex)
+    rho0[0, 0] = rho0[1, 1] = 0.5
+    if coherence_step is not None:
+        z = 0.4 * dt
+        mat[0 * n + 1, 0 * n + 1] = mat[1 * n + 0, 1 * n + 0] = 0.4
+        rho0[0, 1] = rho0[1, 0] = (
+            (0.5 + 5e-6) / (1 + z + z**2 / 2 + z**3 / 6 + z**4 / 24) ** coherence_step
+        )
+    if trace_step is not None:
+        mat[0, 0] = math.log1p(2e-6) / (trace_step - 0.5) / dt
+    superops = [Superoperator(mat, basis, "growth")]
+    return rho0, AtomicHamiltonian(np.zeros(n), basis), superops
+
+
+@pytest.mark.parametrize(
+    "coherence_step, trace_step, sample_every, aborts_at, monitor",
+    [
+        (1, None, 1, 1, "eigenvalue"),
+        (256, None, 1, 256, "eigenvalue"),  # the last step of the first 256
+        (257, None, 1, 257, "eigenvalue"),  # the first step of the next 256
+        (None, 1, 1, 1, "trace"),
+        (None, 256, 1, 256, "trace"),
+        (None, 257, 1, 257, "trace"),
+        (10, None, 7, 10, "eigenvalue"),  # steps 7 and 14 are sampled, 10 is not
+        (None, 10, 7, 10, "trace"),
+        (100, 200, 1, 100, "eigenvalue"),  # positivity fails first in the same 256
+        (120, 120, 1, 120, "trace"),  # both fail at one step: the trace is checked first
+    ],
+)
+def test_batched_monitors_abort_like_the_per_step_ones(
+    coherence_step, trace_step, sample_every, aborts_at, monitor
+):
+    args = (*monitored_twolevel(coherence_step, trace_step), 300 * 0.02, 0.02)
+    result = outcome(propagate, *args, sample_every=sample_every)
+    assert result == outcome(per_step_propagate, *args, sample_every=sample_every)
+    name, message, time, _value = result
+    assert name == "NumericalAbortError" and message.startswith(monitor)
+    assert time == aborts_at * 0.02
+
+
+def test_negative_zero_outside_the_reached_entries_stays_in_the_first_sample():
+    cfg, hamiltonian, superops, rho0 = _preset_problem("dline-vacuum")
+    n = rho0.shape[0]
+    reached = _reached(_generator(hamiltonian, superops), rho0)[0]
+    outside = np.setdiff1d(np.arange(n * n), reached)[[0, -1]]  # two coherences
+    rho0.reshape(n * n)[outside] = complex(-0.0, -0.0)
+    args = (rho0, hamiltonian, superops, 20 * cfg.run.dt, cfg.run.dt)
+    trajectory = propagate(*args, sample_every=3)
+    assert outcome(propagate, *args, sample_every=3) == outcome(
+        per_step_propagate, *args, sample_every=3
+    )
+    assert np.signbit(trajectory.states[0].reshape(n * n)[outside].view(float)).all()
+    labels = hamiltonian.basis.labels()
+    oracle = per_step_propagate(*args, sample_every=3)
+    for populations_only in (True, False):
+        out = io.StringIO()
+        write_trajectory(out, trajectory, labels, populations_only=populations_only)
+        assert out.getvalue() == loop_trajectory_csv(oracle, labels, populations_only)
+    first_sample, second_sample = out.getvalue().splitlines()[n + 1 : n + 3]
+    assert first_sample.split(",").count("-0.0") == 4  # re and im of each
+    assert "-0.0" not in second_sample.split(",")
 
 
 # ---------------------------------------------------------------------------
@@ -738,7 +899,7 @@ def test_trajectory_csv_bytes_match_per_element_loop():
     states[3, 3, 3] = complex(0.1 + 0.2, -1.0 / 3.0)
     states[4] = 0.0
     times = np.array([0.0, 5e-324, 0.1 + 0.2, 1e22, 2.5, 3.0, -0.0])
-    trajectory = Trajectory(times, states)
+    trajectory = full_trajectory(times, states)
     labels = [f"s{i}" for i in range(n)]
     for populations_only in (False, True):
         out = io.StringIO()
@@ -770,13 +931,13 @@ def sparse_trajectories(draw):
         elif kind == "non-finite":
             values[:, col] = rng.choice([np.nan, np.inf, -np.inf, -0.0, 0.0, 0.5], samples)
     times = np.arange(samples) * draw(st.sampled_from([0.002, 0.1 + 0.2, 5e-324]))
-    return Trajectory(times, values.view(complex).reshape(samples, n, n))
+    return full_trajectory(times, values.view(complex).reshape(samples, n, n))
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(sparse_trajectories())
-@example(Trajectory(np.arange(300.0), np.zeros((300, 2, 2), dtype=complex)))  # none live
-@example(Trajectory(np.array([0.0]), np.full((1, 1, 1), complex(-0.0, np.nan))))
+@example(full_trajectory(np.arange(300.0), np.zeros((300, 2, 2), dtype=complex)))  # none live
+@example(full_trajectory(np.array([0.0]), np.full((1, 1, 1), complex(-0.0, np.nan))))
 def test_trajectory_csv_bytes_match_per_element_loop_on_random_trajectories(trajectory):
     labels = [f"s{i}" for i in range(trajectory.states.shape[1])]
     for populations_only in (False, True):
@@ -785,9 +946,20 @@ def test_trajectory_csv_bytes_match_per_element_loop_on_random_trajectories(traj
         assert out.getvalue() == loop_trajectory_csv(trajectory, labels, populations_only)
 
 
+@pytest.mark.parametrize(
+    "positions, shape", [([1, 0], (2, 2)), ([0, 0], (2, 2)), ([0, 4], (2, 2)),
+                         ([-1, 1], (2, 2)), ([0, 1], (3, 2))],
+)
+def test_trajectory_refuses_positions_out_of_order_or_range(positions, shape):
+    # the CSV writer lays the stored entries out by position, so a misordered
+    # position would shift every column after it
+    with pytest.raises(ValueError, match=r"ascending positions below n\^2 = 4"):
+        Trajectory(np.zeros(2), np.array(positions), np.zeros(shape, dtype=complex), 2)
+
+
 @pytest.mark.parametrize("populations_only", [False, True])
 def test_trajectory_csv_refuses_labels_of_the_wrong_length(populations_only):
-    trajectory = Trajectory(np.zeros(2), np.zeros((2, 2, 2), dtype=complex))
+    trajectory = full_trajectory(np.zeros(2), np.zeros((2, 2, 2), dtype=complex))
     with pytest.raises(ValueError, match=r"3 basis labels for states of shape \(2, 2\)"):
         write_trajectory(io.StringIO(), trajectory, list("abc"), populations_only=populations_only)
 
