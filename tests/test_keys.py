@@ -117,3 +117,78 @@ def test_rates_csv_bytes_pinned(name, tmp_path):
     out = tmp_path / "rates.csv"
     assert main(["rates", "--preset", name, "--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == RATES_SHA256[name]
+
+
+# SHA-256 of every preset's superoperators, each one's row, col and data bytes
+# in build order, taken before the builders read basis positions as arrays;
+# the triplets must keep their bits.
+SUPEROP_SHA256 = {
+    "dline-vacuum": "b927334b3427f8bb22a2c4f10bf9f55c1eebd17d70fa66dd920b97d838b096cb",
+    "dline-isotropic": "06bff33c51b2fa4726a4b631839a2f61aa653921a10cd1a954a4cb8d7f9c6913",
+    "dline-cos2": "4bf8d6cafdd4ee2e563e2817bb29ed73b53888ac4cee1638ca8f431b85f9efa0",
+    "dline-paper-k": "60dc329e58fdffddb9e491f96f39e42624383f21eb8c47a1df2bedac6b3fc329",
+    "dline-cavity": "423bc0b674e066619c4844ed1a497dae6c60b219ae8b50b522d8ba17147d5efe",
+    "dline-photonic": "2379de102316f79564b83405b81c721f867754b99d95e8872803e85d5d07fc7a",
+    "twolevel-decay": "df71460b2f52381d36bde4e298ee0b114a5163e6b0caa9ce26a02b9e03b3ccbd",
+    "sodium-hyperfine": "a827a95c696bf57c46446db71e99b5014bd9a9b445b68c59182e2298812e8675",
+}
+
+
+@pytest.mark.parametrize("name", preset_names())
+def test_superop_triplets_pinned(name):
+    cfg = preset_config(name)
+    basis = Basis.for_scheme(build_scheme(cfg))
+    digest = hashlib.sha256()
+    for _label, rates in build_rate_sets(cfg):
+        stimulated = rates.kind == "stimulated"
+        build = build_stimulated_superop if stimulated else build_relaxation_superop
+        matrix = build(rates, basis).matrix
+        for part in (matrix.row, matrix.col, matrix.data):
+            digest.update(part.tobytes())
+    assert digest.hexdigest() == SUPEROP_SHA256[name]
+
+
+# SHA-256 of the stdout of `vrelax steady --preset NAME` on the presets with a
+# unique steady state, and the exact stderr of the others (exit 1), taken at
+# the same point.  The steady values come from LAPACK's SVD, so their digests
+# pin the last bits of this numpy build.
+STEADY_SHA256 = {
+    "dline-isotropic": "03215559acd89534f010644e156ba7c97afcb89daebac3802d04001e83bc07bc",
+    "dline-cos2": "7c5b5b7d73ce101da873398bc732fa9ad9eb396c41e484cc1d54048c8a638079",
+    "dline-paper-k": "c00917c2afd6af9402e2ffb13090eb9a2cef98e8fe2fd44dcbb9c7195f8350f4",
+}
+
+
+def _not_unique(dimension, dark):
+    return (
+        f"vrelax: steady state is not unique: generator null space has dimension "
+        f"{dimension}, of which {dark} lie wholly in the dark ground manifold (d-d); "
+        "pick an initial state and propagate instead\n"
+    )
+
+
+STEADY_STDERR = {
+    "dline-vacuum": _not_unique(4, 4),
+    "dline-cavity": _not_unique(4, 4),
+    "dline-photonic": _not_unique(4, 4),
+    "twolevel-decay": _not_unique(10, 1),
+    "sodium-hyperfine": _not_unique(34, 34),
+}
+
+
+def test_steady_pins_cover_every_preset():
+    assert sorted([*STEADY_SHA256, *STEADY_STDERR]) == sorted(preset_names())
+
+
+@pytest.mark.parametrize("name", sorted(STEADY_SHA256))
+def test_steady_stdout_pinned(name, capsys):
+    assert main(["steady", "--preset", name]) == 0
+    out, err = capsys.readouterr()
+    assert hashlib.sha256(out.encode()).hexdigest() == STEADY_SHA256[name]
+    assert err == ""
+
+
+@pytest.mark.parametrize("name", sorted(STEADY_STDERR))
+def test_degenerate_steady_stderr_pinned(name, capsys):
+    assert main(["steady", "--preset", name]) == 1
+    assert capsys.readouterr() == ("", STEADY_STDERR[name])
