@@ -461,12 +461,12 @@ def steady_state(
     """Trace-1 fixed point of the full generator.
 
     Splits the sparse generator G into its weakly connected components (see
-    the module docstring), takes the SVD of each diagonal block and counts
-    singular values below n^2 * eps times the largest one over all blocks
-    as null: the numerical-rank rule of the dense SVD of G, since G is a
-    direct sum of its blocks up to a permutation.  The one null vector, from
-    its row-scaled block, is scattered back into vec space, divided by its
-    trace and Hermitized.
+    the module docstring), takes the singular values, without vectors, of
+    each diagonal block and counts those below n^2 * eps times the largest
+    over all blocks as null: the numerical-rank rule of the dense SVD of G,
+    a direct sum of its blocks up to a permutation.  The one null vector,
+    from a full SVD of its row-scaled block, is scattered back into vec
+    space, divided by its trace and Hermitized.
 
     A null space of dimension > 1 means the long-time state depends on the
     initial condition; that raises :class:`DegenerateSteadyStateError` with
@@ -485,22 +485,21 @@ def steady_state(
         raise DegenerateSteadyStateError(n * n)
 
     stacks = _blocks(gen)
-    blocks = [(positions, *np.linalg.svd(stack)[1:]) for positions, stack in stacks]
-    largest = max(float(svals[:, 0].max()) for _, svals, _ in blocks)
-    smallest = min(float(svals[:, -1].min()) for _, svals, _ in blocks)
+    svals = [np.linalg.svd(stack, compute_uv=False) for _, stack in stacks]
+    largest = max(float(values[:, 0].max()) for values in svals)
+    smallest = min(float(values[:, -1].min()) for values in svals)
     threshold = n * n * np.finfo(float).eps * largest
-    null_dim = sum(int(np.sum(svals < threshold)) for _, svals, _ in blocks)
+    null_dim = sum(int(np.sum(values < threshold)) for values in svals)
     if null_dim > 1:
-        dark = _dark_ground_dimension(blocks, threshold, hamiltonian.basis)
+        dark = _dark_ground_dimension(stacks, svals, threshold, hamiltonian.basis)
         raise DegenerateSteadyStateError(null_dim, dark_ground=dark)
     if null_dim == 0:
         raise ConvergenceError(
             f"generator has no null vector (smallest singular value "
             f"{smallest / largest:.3e} of the largest)"
         )
-    i = next(i for i, (_, svals, _) in enumerate(blocks) if svals[:, -1].min() < threshold)
-    (positions, svals, _vh), (_, stack) = blocks[i], stacks[i]
-    k = int(np.argmin(svals[:, -1]))
+    i = next(i for i, values in enumerate(svals) if values[:, -1].min() < threshold)
+    (positions, stack), k = stacks[i], int(np.argmin(svals[i][:, -1]))
     # rows scaled to unit largest magnitude (all-zero rows left alone): D B x = 0
     # exactly when B x = 0, so the null vector is the same, resolved better
     rows = np.abs(stack[k]).max(axis=1, keepdims=True)
@@ -560,19 +559,19 @@ def _blocks(gen: SparseMatrix) -> list[tuple[np.ndarray, np.ndarray]]:
     return blocks
 
 
-def _dark_ground_dimension(blocks, threshold: float, basis: Basis) -> int:
+def _dark_ground_dimension(stacks, svals, threshold: float, basis: Basis) -> int:
     """Dimension of the null space that lies wholly in the d-d sector.
 
-    Per block, that is its null count minus the rank of its null vectors
-    restricted to the entries outside d-d (rank at 1e-12 of their unit norm),
-    so it does not depend on which basis of the null space the SVD returned.
+    Per block, that is its null count minus the rank of its null vectors, from
+    a full SVD, restricted to the entries outside d-d (rank at 1e-12 of their
+    unit norm), so it does not depend on which null basis the SVD returned.
     """
     ground = np.array([state.level == "d" for state in basis])
     in_dd = np.outer(ground, ground).reshape(-1)
     dark = 0
-    for positions, svals, vh in blocks:
-        for k in np.nonzero(svals[:, -1] < threshold)[0]:
-            null = vh[k, svals[k] < threshold]
+    for (positions, stack), values in zip(stacks, svals):
+        for k in np.nonzero(values[:, -1] < threshold)[0]:
+            null = np.linalg.svd(stack[k])[2][values[k] < threshold]  # both descending
             outside = null[:, ~in_dd[positions[k]]]
             dark += null.shape[0] - int(np.linalg.matrix_rank(outside, tol=1e-12))
     return dark

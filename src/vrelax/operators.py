@@ -20,20 +20,22 @@ construction and nothing downstream re-checks them.
 Superoperators act on the row-major vectorisation of the density matrix:
 vec(A rho B) = kron(A, B.T) vec(rho).  They are stored as their nonzeros
 (:class:`SparseMatrix`): every term links only sublevels joined by a dipole
-channel, so the builders emit (row, col, value) triplets straight from the
-rate tables -- the depopulation -(G (x) 1 + 1 (x) G*) over the nonzeros of
-the n x n table G, then the feeding pairs -- and never form the kron products.  Duplicate
-triplets are summed in the order a dense ``+=`` assembly would add them, so
-every stored value equals that assembly's to the bit.  Feeding terms are
-inserted in conjugate pairs so that trace and Hermiticity are preserved for
-complex helicity matrices, not only for real ones.  The generator of
+channel, so the builders emit (row, col, value) triplets with numpy from the
+feeding entries' basis positions (``RateSet.sites``) -- the depopulation
+-(G (x) 1 + 1 (x) G*) over the nonzeros of the n x n table G, then the
+feeding pairs -- and never form the kron products.  Duplicate triplets are
+summed in the order a dense ``+=`` assembly would add them, so every stored
+value equals that assembly's to the bit.  Feeding terms are inserted in
+conjugate pairs so that trace and Hermiticity are preserved for complex
+helicity matrices, not only for real ones.  The generator of
 :mod:`vrelax.dynamics` is summed by the same function (:func:`sparse_sum`).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import InitVar, dataclass, field, replace
+from functools import cached_property
 from types import MappingProxyType
 from typing import Iterable, Mapping
 
@@ -315,10 +317,10 @@ def _sublevel(state: BasisState) -> tuple:
 #   ground        (Md1, Md2), or (Fd1, Md1, Fd2, Md2) with hyperfine structure
 # A key is a run of sublevels.  An excited half, (j, M) or (j, F, M), is
 # the sublevel tuple itself; a ground half, (Md,) or (Fd, Md), names the
-# sublevel ("d", Md) or ("d", Fd, Md).  Only this module parses keys;
-# ``RateSet.entries`` hands them to the superoperator builders and the CSV
-# writer as sublevel tuples, which ``Basis.position`` resolves.  CSV order is basis order: rows sort by the
-# basis positions of their key's sublevels, taken in key order.
+# sublevel ("d", Md) or ("d", Fd, Md).  Only this module parses keys: into
+# basis positions, once, for the superoperator builders (``RateSet.sites``), and
+# into sublevel tuples for the CSV writer (``RateSet.entries``).  CSV rows sort
+# by the basis positions of their key's sublevels, taken in key order.
 
 
 def _split_feeding(key: tuple, hyperfine: bool) -> tuple[tuple, tuple, tuple, tuple]:
@@ -383,12 +385,14 @@ class RateSet:
     scheme: LevelScheme | HyperfineScheme
     feeding: Mapping[tuple, complex]
     stimulated: bool = False
+    _channel_pairs: InitVar[tuple | None] = None  # see ``sites``; replace() drops it
     upper: Mapping[tuple, complex] = field(init=False)
     ground: Mapping[tuple, complex] | None = field(init=False)
 
-    def __post_init__(self) -> None:
+    def __post_init__(self, _channel_pairs: tuple | None) -> None:
         hyperfine = self.hyperfine
         feeding = MappingProxyType(dict(self.feeding))
+        object.__setattr__(self, "_pairs", _channel_pairs)
         upper = _partial_trace(feeding, hyperfine, over="ground")
         if not hyperfine:
             upper = _nonzero(upper)
@@ -398,6 +402,28 @@ class RateSet:
         object.__setattr__(self, "feeding", feeding)
         object.__setattr__(self, "upper", MappingProxyType(upper))
         object.__setattr__(self, "ground", ground)
+
+    @cached_property
+    def _basis(self) -> Basis:
+        return Basis.for_scheme(self.scheme)
+
+    @cached_property
+    def sites(self) -> np.ndarray:
+        """Positions (up1, gr1, up2, gr2) of each feeding entry's sublevels in the scheme's
+        basis: read-only int32 in feeding order, taken on first read, per channel of the
+        rate builders' channel tables, else per key."""
+        index = self._basis.position
+        if self._pairs is None:
+            sites = [[*map(index, s)] for s, _ in self.entries("feeding")]
+        else:  # each level's channel table, each level pair's nonzero channel pairs
+            channels, pairs = self._pairs
+            at = {j: np.array([[index(u), index((GROUND_LEVEL, *g))] for u, g in zip(*c[:2])])
+                  for j, c in channels.items()}
+            pairs = [(at[j1], *np.nonzero(nonzero), at[j2]) for j1, nonzero, j2 in pairs]
+            sites = np.concatenate([np.hstack([at1[i], at2[j]]) for at1, i, j, at2 in pairs])
+        sites = np.asarray(sites, dtype=np.int32).reshape(-1, 4)
+        sites.flags.writeable = False
+        return sites
 
     @property
     def kind(self) -> str:
@@ -482,15 +508,16 @@ def _channels(
 
 
 def _tables(
-    scheme: LevelScheme | HyperfineScheme, k_b: KMatrix, k_c: KMatrix
-) -> dict[tuple, complex]:
-    """Feeding table: S * A1 * A2 * K(sigma1, sigma2) per channel pair."""
+    scheme: LevelScheme | HyperfineScheme, k_b: KMatrix, k_c: KMatrix, stimulated: bool = False
+) -> RateSet:
+    """Rate set of S * A1 * A2 * K(sigma1, sigma2) per channel pair."""
     k_b.validate()
     k_c.validate()
     hyperfine = isinstance(scheme, HyperfineScheme)
     fine = scheme.fine if hyperfine else scheme
     channels = {level: _channels(scheme, level) for level in EXCITED_LEVELS}
     feeding: dict[tuple, complex] = {}
+    pairs = []
     for j1 in EXCITED_LEVELS:
         up1, gr1, sig1, a1 = channels[j1]
         for j2 in EXCITED_LEVELS:
@@ -504,10 +531,11 @@ def _tables(
             k = (k_b if j2 == "b" else k_c).entries
             # ((S A1) A2) K: one fixed product order keeps every value bit-stable
             values = (scale * a1)[:, None] * a2[None, :] * k[sig1[:, None] + 1, sig2[None, :] + 1]
-            rows, cols = np.nonzero(values)
+            rows, cols = np.nonzero(nonzero := values != 0)
             for i, j, value in zip(rows.tolist(), cols.tolist(), values[rows, cols].tolist()):
                 feeding[up1[i] + gr1[i] + up2[j] + gr2[j]] = value
-    return feeding
+            pairs.append((j1, nonzero, j2))
+    return RateSet(scheme, feeding, stimulated, _channel_pairs=(channels, pairs))
 
 
 def rates_fine(scheme: LevelScheme, k_b: KMatrix, k_c: KMatrix) -> RateSet:
@@ -517,7 +545,7 @@ def rates_fine(scheme: LevelScheme, k_b: KMatrix, k_c: KMatrix) -> RateSet:
     omega_cd.  Each cross coefficient takes the matrix of its second index,
     so passing one matrix twice makes both cross coefficients share it.
     """
-    return RateSet(scheme, _tables(scheme, k_b, k_c))
+    return _tables(scheme, k_b, k_c)
 
 
 def rates_stimulated(
@@ -538,7 +566,7 @@ def rates_stimulated(
 
     k_b = k_stimulated(distribution, modifier, scheme.omega_bd, quad_order=quad_order)
     k_c = k_stimulated(distribution, modifier, scheme.omega_cd, quad_order=quad_order)
-    return RateSet(scheme, _tables(scheme, k_b, k_c), stimulated=True)
+    return _tables(scheme, k_b, k_c, stimulated=True)
 
 
 def rates_injected(scheme: LevelScheme, k: KMatrix) -> RateSet:
@@ -550,7 +578,7 @@ def rates_injected(scheme: LevelScheme, k: KMatrix) -> RateSet:
     table is built from it as well, so the result can drive the full two-way
     superoperator just like a quadrature product.
     """
-    return RateSet(scheme, _tables(scheme, k, k), stimulated=True)
+    return _tables(scheme, k, k, stimulated=True)
 
 
 def rates_hyperfine(scheme: HyperfineScheme, k: KMatrix) -> RateSet:
@@ -561,7 +589,7 @@ def rates_hyperfine(scheme: HyperfineScheme, k: KMatrix) -> RateSet:
     Only spontaneous tables are built here; resolving a photon distribution
     over hyperfine components is out of scope.
     """
-    return RateSet(scheme, _tables(scheme, k, k))
+    return _tables(scheme, k, k)
 
 
 # ---------------------------------------------------------------------------
@@ -614,23 +642,33 @@ class Superoperator:
             object.__setattr__(self, "matrix", sparse_sum([(*m.nonzero(), m[m != 0])], size))
 
 
-def _embed(pairs: list[tuple[tuple[tuple, ...], complex]], basis: Basis) -> np.ndarray:
-    """A two-sublevel table ("upper" or "ground" entries) as an n x n matrix."""
-    n = len(basis)
-    g = np.zeros((n, n), dtype=complex)
-    for (s1, s2), value in pairs:
-        g[basis.position(s1), basis.position(s2)] += value
-    return g
+def _placed(rates: RateSet, basis: Basis | None, tables: tuple[str, ...]) -> tuple:
+    """(basis, sites, values) of the feeding entries, ``sites`` remapped to ``basis``
+    by one n-entry lookup; a missing sublevel raises in ``tables`` key order."""
+    basis = rates._basis if basis is None else basis
+    sites = np.array([basis._position.get(s, -1) for s in rates._basis.sublevels])[rates.sites]
+    values = np.fromiter(rates.feeding.values(), dtype=complex, count=len(rates.feeding))
+    if np.any(sites < 0):
+        for table in tables:
+            for sublevels, _value in rates.entries(table):
+                for sublevel in sublevels:
+                    basis.position(sublevel)  # raises at the first one missing
+    return basis, sites, values
 
 
-def _depopulation(g: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _depopulation(sites: np.ndarray, values: np.ndarray, n: int, over: str) -> tuple:
     """Triplets of -(G (x) 1) followed by those of -(1 (x) G*), over G's nonzeros.
 
+    G is ``_partial_trace(over=...)`` as an n x n matrix, summed in the same
+    order, so it holds the ``upper`` ("ground") or ``ground`` table to the bit.
     -(G rho + rho G^dagger): the conjugate on the right factor is what keeps
     Hermiticity preservation exact when per-frequency evaluation leaves the
     embedded table non-Hermitian.
     """
-    n = g.shape[0]
+    up1, gr1, up2, gr2 = sites.T
+    left, right, keep = (up1, up2, gr1 == gr2) if over == "ground" else (gr1, gr2, up1 == up2)
+    g = np.zeros((n, n), dtype=complex)
+    np.add.at(g, (left[keep], right[keep]), values[keep])
     i, j = np.nonzero(g)
     k = np.arange(n)
     value = np.repeat(g[i, j], n)
@@ -639,22 +677,12 @@ def _depopulation(g: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return rows, cols, np.concatenate([-value, -value.conj()])
 
 
-def _feeding(rates: RateSet, basis: Basis) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _feeding(sites: np.ndarray, values: np.ndarray, n: int) -> tuple[np.ndarray, ...]:
     """Triplets of the feeding terms, entry by entry in table order:
     conj(G) |d1><1| rho |2><d2|  +  G |d2><2| rho |1><d1|."""
-    n = len(basis)
-    position = basis.position
-    rows, cols = [], []
-    for sublevels, _value in rates.entries("feeding"):
-        up1, gr1, up2, gr2 = map(position, sublevels)
-        rows += (gr1 * n + gr2, gr2 * n + gr1)
-        cols += (up1 * n + up2, up2 * n + up1)
-    values = np.fromiter(rates.feeding.values(), dtype=complex, count=len(rates.feeding))
-    return (
-        np.array(rows, dtype=np.int64),
-        np.array(cols, dtype=np.int64),
-        np.stack([values.conj(), values], axis=1).ravel(),
-    )
+    up1, gr1, up2, gr2 = sites.T.astype(np.int64)
+    pairs = (gr1 * n + gr2, gr2 * n + gr1), (up1 * n + up2, up2 * n + up1), (values.conj(), values)
+    return tuple(np.stack(pair, axis=1).ravel() for pair in pairs)
 
 
 def sparse_sum(parts: list[tuple[np.ndarray, ...]], size: int) -> SparseMatrix:
@@ -680,11 +708,10 @@ def build_relaxation_superop(rates: RateSet, basis: Basis | None = None) -> Supe
     conjugated, and the depopulation table is the feeding table's partial
     trace, so the result preserves trace and Hermiticity.
     """
-    if basis is None:
-        basis = Basis.for_scheme(rates.scheme)
+    basis, sites, values = _placed(rates, basis, ("upper", "feeding"))
     n = len(basis)
     matrix = sparse_sum(
-        [_depopulation(_embed(rates.entries("upper"), basis)), _feeding(rates, basis)], n * n
+        [_depopulation(sites, values, n, "ground"), _feeding(sites, values, n)], n * n
     )
     return Superoperator(matrix=matrix, basis=basis, label="relaxation")
 
@@ -706,20 +733,19 @@ def build_stimulated_superop(rates: RateSet, basis: Basis | None = None) -> Supe
             "stimulated superoperator does not support hyperfine rate sets "
             "(hyperfine=True with kind='stimulated')"
         )
-    if basis is None:
-        basis = Basis.for_scheme(rates.scheme)
+    basis, sites, values = _placed(rates, basis, ("feeding",))
     n = len(basis)
-    rows, cols, values = _feeding(rates, basis)
+    rows, cols, doubled = _feeding(sites, values, n)
     # emission: excited depopulation + feeding down into the ground manifold;
     # absorption: ground depopulation + the emission feeding with the upper and
     # ground roles swapped (its triplets never share a position with an
     # emission triplet)
     matrix = sparse_sum(
         [
-            _depopulation(_embed(rates.entries("upper"), basis)),
-            _depopulation(_embed(rates.entries("ground"), basis)),
-            (rows, cols, values),
-            (cols, rows, values),
+            _depopulation(sites, values, n, "ground"),
+            _depopulation(sites, values, n, "upper"),
+            (rows, cols, doubled),
+            (cols, rows, doubled),
         ],
         n * n,
     )

@@ -960,3 +960,42 @@ def test_null_rule_conditioning_limit_under_optical_frequencies(n_mean, dimensio
     # population mode below the roundoff of the Hamiltonian's scale, that
     # mode reads as null and the state as degenerate
     assert null_dimension(steady_state, *weak_thermal_dline(n_mean)) == dimension
+
+
+@pytest.fixture
+def svd_calls(monkeypatch):
+    """(compute_uv, caller) of every np.linalg.svd call, in order."""
+    calls = []
+    real = np.linalg.svd
+
+    def counted(a, *args, compute_uv=True, **kwargs):
+        calls.append((compute_uv, sys._getframe(1).f_code.co_name))
+        return real(a, *args, compute_uv=compute_uv, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    return calls
+
+
+@pytest.mark.parametrize("name", ["weak-thermal", "dline-isotropic", "dline-paper-k"])
+def test_unique_steady_state_takes_singular_vectors_once(name, svd_calls):
+    # the null count needs singular values only; vectors are taken once, of
+    # the row-scaled block that holds the null vector
+    h, superops = weak_thermal_dline(1e-6) if name == "weak-thermal" else preset_problem(name)
+    sizes = len(_blocks(_generator(h, superops)))
+    assert sizes > 1
+    steady_state(h, superops)
+    assert [uv for uv, _caller in svd_calls] == [False] * sizes + [True]
+    assert svd_calls[-1] == (True, "steady_state")
+
+
+@pytest.mark.parametrize("name", sorted(DEGENERATE_PRESETS))
+def test_degenerate_steady_state_takes_vectors_of_null_blocks_only(name, svd_calls):
+    h, superops = preset_problem(name)
+    stacks = _blocks(_generator(h, superops))
+    with pytest.raises(DegenerateSteadyStateError) as info:
+        steady_state(h, superops)
+    assert (info.value.dimension, info.value.dark_ground) == DEGENERATE_PRESETS[name]
+    with_vectors = [caller for uv, caller in svd_calls if uv]
+    assert set(with_vectors) == {"_dark_ground_dimension"}
+    # one full SVD per block that holds a null singular value, at most
+    assert len(with_vectors) <= sum(stack.shape[0] for _positions, stack in stacks)

@@ -1,24 +1,32 @@
-"""Rate-table keys as sublevels: resolution, missing sublevels, pinned CSV bytes.
+"""Rate-table keys as sublevels: resolution, missing sublevels, pinned bytes.
 
-``RateSet.entries`` is the one reader of the key layout; everything that
-places a rate in the basis (superoperator builders, rate CSV) goes through
-it and ``Basis.position``.
+``RateSet.entries`` is the one reader of the key layout, and ``Basis.position``
+the one map from a sublevel to its position.  The rate CSV places rows
+through both; the superoperator builders read ``RateSet.sites``, the
+positions the rate builders take from their channel tables, which must equal
+the keys resolved through ``Basis.position`` (the reference kept here).
 """
 
 import hashlib
 import re
+from dataclasses import replace
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+
+from test_sparse import bits, dense_superop
 
 from vrelax.cli import main
 from vrelax.config import build_rate_sets, build_scheme, preset_config, preset_names
 from vrelax.environment import KMatrix, ModeDensityModifier, k_spontaneous
 from vrelax.errors import SchemeError, VrelaxError
-from vrelax.halfint import half
+from vrelax.halfint import HalfInt, half
 from vrelax.operators import (
     Basis,
     HyperfineScheme,
     LevelScheme,
+    RateSet,
     build_relaxation_superop,
     build_stimulated_superop,
     rates_fine,
@@ -92,6 +100,149 @@ def test_missing_hyperfine_sublevel_named(label):
     basis = _without(Basis.for_hyperfine(scheme), label)
     with pytest.raises(SchemeError, match=re.escape(f"state {label} is not in the basis")):
         build_relaxation_superop(rates_hyperfine(scheme, cavity_k()), basis)
+
+
+@pytest.mark.parametrize(
+    "drop, relaxation, stimulated",
+    [
+        (("b:M=3/2", "d:M=1/2"), "b:M=3/2", "d:M=1/2"),
+        (("c:M=-1/2", "d:M=-1/2"), "c:M=-1/2", "d:M=-1/2"),
+        (("b:M=1/2", "c:M=1/2"), "b:M=1/2", "b:M=1/2"),
+    ],
+)
+def test_first_missing_sublevel_in_build_order_is_named(drop, relaxation, stimulated):
+    # the relaxation builder looked up the upper table before the feeding
+    # table, the stimulated one the feeding table first
+    scheme = dline()
+    basis = Basis([state for state in Basis.for_fine(scheme).states if state.label() not in drop])
+    injected = KMatrix.from_diagonal([0.3, 0.2, 0.1])
+    for build, rates, label in (
+        (build_relaxation_superop, rates_fine(scheme, cavity_k(), cavity_k()), relaxation),
+        (build_stimulated_superop, rates_injected(scheme, injected), stimulated),
+    ):
+        with pytest.raises(SchemeError, match=re.escape(f"state {label} is not in the basis")):
+            build(rates, basis)
+
+
+def test_unreferenced_missing_sublevel_is_not_an_error():
+    # K with no sigma = 0 weight prunes every pi channel, so no entry names the
+    # M = 0 excited sublevels, which decay by pi light alone; a basis without
+    # them still builds
+    scheme = LevelScheme(j_b=half(1), j_c=half(1), j_d=half(0))
+    rates = rates_fine(scheme, *[KMatrix.from_diagonal([1.0, 0.0, 1.0])] * 2)
+    positions = {int(p) for p in rates.sites.ravel()}
+    own = Basis.for_fine(scheme)
+    unused = [state for i, state in enumerate(own.states) if i not in positions]
+    assert [state.label() for state in unused] == ["c:M=0", "b:M=0"]
+    basis = Basis([state for state in own.states if state not in unused])
+    assert np.array_equal(
+        bits(build_relaxation_superop(rates, basis).matrix.toarray()),
+        bits(dense_superop(rates, basis)),
+    )
+
+
+# ---------------------------------------------------------------------------
+# basis positions of the feeding entries
+
+
+def key_sites(rates):
+    """The reference for ``rates.sites``: every feeding key's sublevels
+    resolved through ``Basis.position``, entry by entry."""
+    basis = Basis.for_scheme(rates.scheme)
+    rows = [[basis.position(s) for s in sublevels] for sublevels, _ in rates.entries("feeding")]
+    return np.array(rows, dtype=np.int64).reshape(-1, 4)
+
+
+def assert_sites_from_keys(rates):
+    sites = rates.sites
+    assert sites.dtype == np.int32 and sites.shape == (len(rates.feeding), 4)
+    assert not sites.flags.writeable
+    assert np.array_equal(sites, key_sites(rates))
+
+
+def assert_restricted_sites(rates):
+    """A reduction resolves its own keys; its positions are its parent's rows."""
+    for level in ("b", "c"):
+        kept = rates.restricted(level)
+        assert_sites_from_keys(kept)
+        rows = np.array([key in kept.feeding for key in rates.feeding], dtype=bool)
+        assert np.array_equal(kept.sites, rates.sites[rows])
+
+
+@pytest.mark.parametrize("name", preset_names())
+def test_sites_equal_key_positions_on_every_preset(name):
+    for _label, rates in build_rate_sets(preset_config(name)):
+        assert_sites_from_keys(rates)
+        assert_restricted_sites(rates)
+
+
+def test_sites_are_taken_on_first_read_only():
+    # reading rate tables (a scan over K) never pays for the positions
+    rates = rates_hyperfine(HyperfineScheme(fine=dline(), nuclear_spin=half(1)), cavity_k())
+    assert "sites" not in vars(rates)
+    build_relaxation_superop(rates)
+    assert vars(rates)["sites"] is rates.sites
+
+
+def test_hand_made_and_replaced_sets_take_sites_from_their_keys():
+    rates = rates_injected(dline(), KMatrix.from_diagonal([0.3, 0.2, 0.1]))
+    again = RateSet(rates.scheme, rates.feeding, stimulated=True)
+    assert np.array_equal(again.sites, rates.sites)
+    # replace() never carries the old set's positions over to new keys
+    first = dict(list(rates.feeding.items())[1::2])
+    assert_sites_from_keys(replace(rates, feeding=first))
+    with pytest.raises(TypeError, match="sites"):
+        replace(rates, sites=rates.sites)
+
+
+def sparse_k(draw, rng):
+    """A PSD helicity matrix m m^dagger whose m has drawn zero entries, so
+    some of its diagonal and off-diagonal entries are exactly zero."""
+    zero = np.array(draw(st.lists(st.booleans(), min_size=9, max_size=9))).reshape(3, 3)
+    m = np.where(zero, 0.0, rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)))
+    if not m.any():
+        m[1, 1] = 1.0
+    return KMatrix(m @ m.conj().T, evaluated_at=None, provenance="injected")
+
+
+@st.composite
+def sparse_k_rate_sets(draw):
+    """A rate set from rates_fine, rates_injected or rates_hyperfine on a
+    random scheme with n <= 32, under K with zero entries."""
+    jd = draw(st.integers(0, 5))  # all angular momenta twice their value
+    allowed = list(range(abs(jd - 2), jd + 3, 2))  # dipole partners of J_d
+    fine = LevelScheme(
+        j_b=HalfInt(draw(st.sampled_from(allowed))),
+        j_c=HalfInt(draw(st.sampled_from(allowed))),
+        j_d=HalfInt(jd),
+        omega_bd=draw(st.sampled_from([1.0, 1.3])),
+    )
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["fine", "injected", "hyperfine"]))
+    if kind == "fine":
+        return rates_fine(fine, sparse_k(draw, rng), sparse_k(draw, rng))
+    if kind == "injected":
+        return rates_injected(fine, sparse_k(draw, rng))
+    size = len(Basis.for_fine(fine))
+    spin = HalfInt(draw(st.integers(0, 32 // size - 1)))  # (2I + 1) * size <= 32
+    return rates_hyperfine(HyperfineScheme(fine=fine, nuclear_spin=spin), sparse_k(draw, rng))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(sparse_k_rate_sets(), st.integers(0, 2**32 - 1))
+def test_sites_and_permuted_basis_on_random_schemes_under_sparse_k(rates, seed):
+    assert_sites_from_keys(rates)
+    assert_restricted_sites(rates)
+    own = Basis.for_scheme(rates.scheme)
+    n = len(own)
+    perm = np.random.default_rng(seed).permutation(n)
+    permuted = Basis([own.states[i] for i in perm])
+    build = build_stimulated_superop if rates.stimulated else build_relaxation_superop
+    built = build(rates, permuted).matrix.toarray()
+    assert np.array_equal(bits(built), bits(dense_superop(rates, permuted)))
+    # the same matrix as on the scheme's own basis, rows and columns permuted
+    vec = (perm[:, None] * n + perm[None, :]).ravel()
+    assert np.array_equal(bits(built), bits(build(rates).matrix.toarray()[np.ix_(vec, vec)]))
 
 
 # SHA-256 of `vrelax rates --preset NAME`, taken before the CSV writer read
