@@ -299,6 +299,45 @@ def test_superop_triplets_pinned(name):
     assert digest.hexdigest() == SUPEROP_SHA256[name]
 
 
+# SHA-256 of every preset set's tables, then those of its restricted("b") and
+# restricted("c") sets: each table's name and size, then its items in
+# iteration order as key repr and value bytes.  Taken while ``upper`` and
+# ``ground`` were summed from the keys themselves; the derived tables must keep
+# their keys, order and bits.
+TABLES_SHA256 = {
+    "dline-vacuum": "0f97b0c86e0d7f72bb73a0bc8a5656d66072e2983943041e0973d18653974834",
+    "dline-isotropic": "24099eb4dbfbc5e5bee66c5411253503f78fbdfee58d5234e97542df87dc4b1c",
+    "dline-cos2": "c014fc1b4d09fea496fa89cd043a57041660501327abf66ea2fc36a2a09cba1a",
+    "dline-paper-k": "b0b0f3b095d33e537a5f3e45a3924bd4e563d1229c7cb5c8e774df8e94dfc02f",
+    "dline-cavity": "1af00c54a90d4cadfb4d5a744d84d8fd272fb9c3103a3bc3295cdef8fbf2442f",
+    "dline-photonic": "0d78366fc426513d275f966a12a8362811d88a5abe5083762931ccd31dc5eae1",
+    "twolevel-decay": "abd8fbbe31a51cce23c8069f3282fcdb114ea1814ff180f0e8509cad0825e80c",
+    "sodium-hyperfine": "b44f44564ea811058cbfea2a8a8bf2b999c761b4323275a22eee6949fb0b7a9f",
+}
+
+
+def table_digest(sets):
+    digest = hashlib.sha256()
+    for rates in sets:
+        for table in ("upper", "feeding", "ground"):
+            items = getattr(rates, table)
+            digest.update(f"{table}:{None if items is None else len(items)}".encode())
+            for key, value in (items or {}).items():
+                digest.update(repr(key).encode())
+                digest.update(np.complex128(value).tobytes())
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize("name", preset_names())
+def test_derived_tables_pinned(name):
+    sets = [
+        s
+        for _label, rates in build_rate_sets(preset_config(name))
+        for s in (rates, rates.restricted("b"), rates.restricted("c"))
+    ]
+    assert table_digest(sets) == TABLES_SHA256[name]
+
+
 # SHA-256 of the stdout of `vrelax steady --preset NAME` on the presets with a
 # unique steady state, and the exact stderr of the others (exit 1), taken at
 # the same point.  The steady values come from LAPACK's SVD, so their digests
