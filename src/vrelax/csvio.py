@@ -96,21 +96,17 @@ def _sublevel_cells(basis: Basis) -> dict[tuple, tuple[int, str, str, str, str]]
     return cells
 
 
-def _table_rows(label: str, rates: RateSet, table: str, basis: Basis) -> list[tuple]:
+def _table_rows(label: str, rates: RateSet, table: str, cells: dict) -> list[tuple]:
     """Rows of one table, in basis order of the sublevels each key names.
 
-    Each half of a key fills j, F and M from its first sublevel and Md from
-    its last: (upper, ground) for feeding keys, one sublevel otherwise.
+    ``cells`` is ``_sublevel_cells`` of the set's own basis.  Each half of a
+    key fills j, F and M from its first sublevel and Md from its last:
+    (upper, ground) for feeding keys, one sublevel otherwise.
     """
-    cells = _sublevel_cells(basis)
-    try:
-        entries = sorted(
-            ([cells[sublevel] for sublevel in sublevels], value)
-            for sublevels, value in rates.entries(table)
-        )
-    except KeyError as missing:
-        basis.position(missing.args[0])  # raises the SchemeError naming the sublevel
-        raise
+    entries = sorted(
+        ([cells[sublevel] for sublevel in sublevels], value)
+        for sublevels, value in rates.entries(table)
+    )
     rows = []
     for named, value in entries:
         half = len(named) // 2
@@ -142,9 +138,9 @@ def write_rate_tables(
     writer = _writer(stream)
     writer.writerow(RATE_COLUMNS)
     for label, rates in labeled_sets:
-        basis = Basis.for_scheme(rates.scheme)
+        cells = _sublevel_cells(Basis.for_scheme(rates.scheme))
         for table in ("upper", "feeding", "ground"):
-            writer.writerows(_table_rows(label, rates, table, basis))
+            writer.writerows(_table_rows(label, rates, table, cells))
 
 
 # ---------------------------------------------------------------------------

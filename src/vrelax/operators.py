@@ -11,11 +11,11 @@ decay between the excited levels.  The four-index table ("feeding") resolves
 the ground sublevels the decay feeds into.  Every coefficient has one form,
 S * A1 * A2 * K(sigma1, sigma2): two dipole channel amplitudes times the
 helicity matrix, contracted once per level pair over a channel table
-(``_channels``).  A ``RateSet`` stores only the feeding table and derives
-the others from it: the two-index table is the ordered sum of the
-diagonal-ground feeding entries, and the ground table of stimulated sets the
-ordered sum of the diagonal-excited ones, so both trace identities hold by
-construction and nothing downstream re-checks them.
+(``_channels``).  A ``RateSet`` stores only the feeding table and the basis
+positions of its entries' sublevels, and sums the others from them: the
+two-index table adds the diagonal-ground feeding entries in order, and the
+ground table of stimulated sets the diagonal-excited ones, so both trace
+identities hold by construction and nothing downstream re-checks them.
 
 Superoperators act on the row-major vectorisation of the density matrix:
 vec(A rho B) = kron(A, B.T) vec(rho).  They are stored as their nonzeros
@@ -159,6 +159,11 @@ class LevelScheme:
         norm = math.sqrt((self.j(j1).twice + 1) * (self.j(j2).twice + 1))
         return self.rate_scale * 2.0 * mu[j1] * mu[j2] * om[j2] ** 3 / norm
 
+    @cached_property
+    def basis(self) -> "Basis":
+        """The sublevel basis, built once per scheme (``Basis.for_scheme``)."""
+        return Basis.for_fine(self)
+
 
 @dataclass(frozen=True)
 class HyperfineScheme:
@@ -200,6 +205,11 @@ class HyperfineScheme:
 
     def f_offset(self, level: str, f: HalfInt) -> float:
         return self.f_offsets.get((level, half(f)), 0.0)
+
+    @cached_property
+    def basis(self) -> "Basis":
+        """The sublevel basis, built once per scheme (``Basis.for_scheme``)."""
+        return Basis.for_hyperfine(self)
 
 
 def hyperfine_mixing(scheme: HyperfineScheme, level: str, f: HalfInt, f_d: HalfInt) -> float:
@@ -272,9 +282,8 @@ class Basis:
 
     @classmethod
     def for_scheme(cls, scheme: LevelScheme | HyperfineScheme) -> "Basis":
-        if isinstance(scheme, HyperfineScheme):
-            return cls.for_hyperfine(scheme)
-        return cls.for_fine(scheme)
+        """The scheme's own basis, built on its first request and shared after."""
+        return scheme.basis
 
     @property
     def sublevels(self) -> tuple[tuple, ...]:
@@ -317,45 +326,38 @@ def _sublevel(state: BasisState) -> tuple:
 #   ground        (Md1, Md2), or (Fd1, Md1, Fd2, Md2) with hyperfine structure
 # A key is a run of sublevels.  An excited half, (j, M) or (j, F, M), is
 # the sublevel tuple itself; a ground half, (Md,) or (Fd, Md), names the
-# sublevel ("d", Md) or ("d", Fd, Md).  Only this module parses keys: into
-# basis positions, once, for the superoperator builders (``RateSet.sites``), and
-# into sublevel tuples for the CSV writer (``RateSet.entries``).  CSV rows sort
-# by the basis positions of their key's sublevels, taken in key order.
+# sublevel ("d", Md) or ("d", Fd, Md).  The rate builders take each feeding
+# entry's positions from their channel tables; feeding keys are split into
+# sublevels only to resolve a mapping made by hand (``_resolved``).  CSV rows
+# sort by the basis positions of their key's sublevels, taken in key order.
 
 
-def _split_feeding(key: tuple, hyperfine: bool) -> tuple[tuple, tuple, tuple, tuple]:
-    """(upper1, ground1, upper2, ground2) halves of a feeding key.
+def _resolved(feeding: Mapping[tuple, complex], basis: Basis, hyperfine: bool) -> list:
+    """Positions (up1, gr1, up2, gr2) of every feeding key's sublevels, key by key.
 
     The halves are (level, M) + (Md,) for fine structure and
     (level, F, M) + (Fd, Md) for hyperfine structure.
     """
-    mid = len(key) // 2
-    cut = 3 if hyperfine else 2
-    return key[:cut], key[cut:mid], key[mid : mid + cut], key[mid + cut :]
+    cut, d = (3 if hyperfine else 2), (GROUND_LEVEL,)
+    sites = []
+    for key in feeding:
+        mid = len(key) // 2
+        halves = key[:cut], d + key[cut:mid], key[mid : mid + cut], d + key[mid + cut :]
+        sites.append([*map(basis.position, halves)])
+    return sites
 
 
-def _partial_trace(
-    feeding: Mapping[tuple, complex], hyperfine: bool, over: str
-) -> dict[tuple, complex]:
-    """Sums of feeding entries sharing their ``over`` sublevel ("ground" or "upper").
-
-    Entries are added in feeding-table order.
-    """
-    sums: dict[tuple, complex] = {}
-    for key, value in feeding.items():
-        up1, gr1, up2, gr2 = _split_feeding(key, hyperfine)
-        if over == "ground" and gr1 == gr2:
-            out = up1 + up2
-        elif over == "upper" and up1 == up2:
-            out = gr1 + gr2
-        else:
-            continue
-        sums[out] = sums.get(out, 0.0 + 0.0j) + value
-    return sums
-
-
-def _nonzero(table: Mapping[tuple, complex]) -> dict[tuple, complex]:
-    return {key: value for key, value in table.items() if value != 0.0}
+def _partial_sums(sites: np.ndarray, values: np.ndarray, n: int, over: str) -> tuple:
+    """(G, i, j): the n x n sums, from 0 in feeding order, of the entries sharing their
+    ``over`` sublevel ("ground": G[up1, up2]; "upper": G[gr1, gr2]), and the positions
+    they reach, in order of first appearance, exact-zero sums included."""
+    up1, gr1, up2, gr2 = sites.T
+    left, right, keep = (up1, up2, gr1 == gr2) if over == "ground" else (gr1, gr2, up1 == up2)
+    flat = left[keep].astype(np.int64) * n + right[keep]
+    g = np.zeros(n * n, dtype=complex)
+    np.add.at(g, flat, values[keep])  # unbuffered, one entry at a time, in order
+    reached, first = np.unique(flat, return_index=True)
+    return g.reshape(n, n), *np.divmod(reached[np.argsort(first)], n)
 
 
 @dataclass(frozen=True, eq=False)
@@ -363,17 +365,20 @@ class RateSet:
     """A feeding table plus enough context to build superoperators.
 
     ``RateSet(scheme, feeding, stimulated=False)``: the four-index feeding
-    table is the one stored input.  The two-index table ``upper`` (its
-    partial trace over the shared ground sublevel) and, for stimulated sets,
-    the ground absorption table ``ground`` (its partial trace over the shared
-    excited sublevel; None for spontaneous sets) are derived at construction
-    and cannot be passed in, so the trace identities hold by construction.
-    Fine-structure ``upper`` and every ``ground`` omit sums that cancel to
-    exactly 0.0; hyperfine ``upper`` keeps every sum a feeding entry reaches,
-    because whether one of its analytic cancellations lands on exactly 0.0
-    depends on the last bit of K, which would make the key set change with K.
-    All three tables are read-only views, and the feeding table is a copy of
-    the one given, so no later write can make them disagree.
+    table is the one stored input.  ``sites``, set at construction, holds the
+    basis positions (up1, gr1, up2, gr2) of each entry's sublevels (read-only
+    int32, feeding order): the rate builders pass them from their channel
+    tables, and a mapping made by hand has its keys resolved.  The two-index
+    table ``upper`` (the partial trace over the shared ground sublevel) and,
+    for stimulated sets, the ground absorption table ``ground`` (over the
+    shared excited sublevel; None for spontaneous sets) are summed from
+    ``sites`` and cannot be passed in, so the trace identities hold by
+    construction.  Fine-structure ``upper`` and every ``ground`` omit sums
+    that cancel to exactly 0.0; hyperfine ``upper`` keeps every sum a feeding
+    entry reaches, because whether one of its analytic cancellations lands on
+    exactly 0.0 depends on the last bit of K, which would make the key set
+    change with K.  All three tables are read-only views, and the feeding
+    table is a copy of the one given, so no later write can make them disagree.
 
     The tables are Hermitian (Γ(2,1) = conj Γ(1,2)) whenever one helicity
     matrix serves every level pair; per-frequency evaluation with detuned
@@ -385,45 +390,30 @@ class RateSet:
     scheme: LevelScheme | HyperfineScheme
     feeding: Mapping[tuple, complex]
     stimulated: bool = False
-    _channel_pairs: InitVar[tuple | None] = None  # see ``sites``; replace() drops it
+    _sites: InitVar[np.ndarray | None] = None  # the builders' positions; replace() drops them
     upper: Mapping[tuple, complex] = field(init=False)
     ground: Mapping[tuple, complex] | None = field(init=False)
 
-    def __post_init__(self, _channel_pairs: tuple | None) -> None:
-        hyperfine = self.hyperfine
+    def __post_init__(self, _sites: np.ndarray | None) -> None:
+        basis = Basis.for_scheme(self.scheme)
         feeding = MappingProxyType(dict(self.feeding))
-        object.__setattr__(self, "_pairs", _channel_pairs)
-        upper = _partial_trace(feeding, hyperfine, over="ground")
-        if not hyperfine:
-            upper = _nonzero(upper)
-        ground = None
-        if self.stimulated:
-            ground = MappingProxyType(_nonzero(_partial_trace(feeding, hyperfine, over="upper")))
-        object.__setattr__(self, "feeding", feeding)
-        object.__setattr__(self, "upper", MappingProxyType(upper))
-        object.__setattr__(self, "ground", ground)
-
-    @cached_property
-    def _basis(self) -> Basis:
-        return Basis.for_scheme(self.scheme)
-
-    @cached_property
-    def sites(self) -> np.ndarray:
-        """Positions (up1, gr1, up2, gr2) of each feeding entry's sublevels in the scheme's
-        basis: read-only int32 in feeding order, taken on first read, per channel of the
-        rate builders' channel tables, else per key."""
-        index = self._basis.position
-        if self._pairs is None:
-            sites = [[*map(index, s)] for s, _ in self.entries("feeding")]
-        else:  # each level's channel table, each level pair's nonzero channel pairs
-            channels, pairs = self._pairs
-            at = {j: np.array([[index(u), index((GROUND_LEVEL, *g))] for u, g in zip(*c[:2])])
-                  for j, c in channels.items()}
-            pairs = [(at[j1], *np.nonzero(nonzero), at[j2]) for j1, nonzero, j2 in pairs]
-            sites = np.concatenate([np.hstack([at1[i], at2[j]]) for at1, i, j, at2 in pairs])
-        sites = np.asarray(sites, dtype=np.int32).reshape(-1, 4)
+        resolved = _resolved(feeding, basis, self.hyperfine) if _sites is None else _sites
+        sites = np.asarray(resolved, dtype=np.int32).reshape(-1, 4)
         sites.flags.writeable = False
-        return sites
+        values = np.fromiter(feeding.values(), dtype=complex, count=len(feeding))
+        sub = basis.sublevels
+
+        def summed(over: str, key, drop_zeros: bool) -> MappingProxyType:
+            g, i, j = _partial_sums(sites, values, len(sub), over)
+            keys = (key(sub[a], sub[b]) for a, b in zip(i.tolist(), j.tolist()))
+            sums = zip(keys, g[i, j].tolist())
+            return MappingProxyType({k: v for k, v in sums if v != 0.0 or not drop_zeros})
+
+        object.__setattr__(self, "feeding", feeding)
+        object.__setattr__(self, "sites", sites)
+        object.__setattr__(self, "upper", summed("ground", tuple.__add__, not self.hyperfine))
+        ground = summed("upper", lambda s, t: s[1:] + t[1:], True) if self.stimulated else None
+        object.__setattr__(self, "ground", ground)
 
     @property
     def kind(self) -> str:
@@ -441,29 +431,20 @@ class RateSet:
         key order: (upper1, upper2), (upper1, ground1, upper2, ground2) or
         (ground1, ground2).
         """
-        d = (GROUND_LEVEL,)
-        pairs = []
         if table == "feeding":
-            hyperfine = self.hyperfine
-            for key, value in self.feeding.items():
-                up1, gr1, up2, gr2 = _split_feeding(key, hyperfine)
-                pairs.append(((up1, d + gr1, up2, d + gr2), value))
-            return pairs
-        prefix = d if table == "ground" else ()
-        for key, value in (getattr(self, table) or {}).items():
-            mid = len(key) // 2
-            pairs.append(((prefix + key[:mid], prefix + key[mid:]), value))
-        return pairs
+            sub = Basis.for_scheme(self.scheme).sublevels
+            rows = self.sites.tolist()
+            return [(tuple(sub[p] for p in at), v) for at, v in zip(rows, self.feeding.values())]
+        d = (GROUND_LEVEL,) if table == "ground" else ()
+        items = (getattr(self, table) or {}).items()
+        return [((d + key[: len(key) // 2], d + key[len(key) // 2 :]), v) for key, v in items]
 
     def restricted(self, level: str) -> "RateSet":
         """Two-level reduction: drop every entry touching the other excited level."""
-        hyperfine = self.hyperfine
-        feeding = {}
-        for key, value in self.feeding.items():
-            up1, _gr1, up2, _gr2 = _split_feeding(key, hyperfine)
-            if up1[0] == level and up2[0] == level:
-                feeding[key] = value
-        return replace(self, feeding=feeding)
+        of_level = np.array([s[0] == level for s in Basis.for_scheme(self.scheme).sublevels])
+        keep = of_level[self.sites[:, 0]] & of_level[self.sites[:, 2]]
+        kept = [item for item, flag in zip(self.feeding.items(), keep.tolist()) if flag]
+        return replace(self, feeding=dict(kept), _sites=self.sites[keep])
 
 
 def _sigma_of(m_upper: HalfInt, m_lower: HalfInt) -> int | None:
@@ -516,8 +497,13 @@ def _tables(
     hyperfine = isinstance(scheme, HyperfineScheme)
     fine = scheme.fine if hyperfine else scheme
     channels = {level: _channels(scheme, level) for level in EXCITED_LEVELS}
+    index = Basis.for_scheme(scheme).position
+    at = {  # basis positions (upper, ground) of each channel: two lookups per channel
+        j: np.array([[index(u), index((GROUND_LEVEL, *g))] for u, g in zip(*c[:2])], np.int32)
+        for j, c in channels.items()
+    }
     feeding: dict[tuple, complex] = {}
-    pairs = []
+    sites = []
     for j1 in EXCITED_LEVELS:
         up1, gr1, sig1, a1 = channels[j1]
         for j2 in EXCITED_LEVELS:
@@ -531,11 +517,11 @@ def _tables(
             k = (k_b if j2 == "b" else k_c).entries
             # ((S A1) A2) K: one fixed product order keeps every value bit-stable
             values = (scale * a1)[:, None] * a2[None, :] * k[sig1[:, None] + 1, sig2[None, :] + 1]
-            rows, cols = np.nonzero(nonzero := values != 0)
+            rows, cols = np.nonzero(values)
             for i, j, value in zip(rows.tolist(), cols.tolist(), values[rows, cols].tolist()):
                 feeding[up1[i] + gr1[i] + up2[j] + gr2[j]] = value
-            pairs.append((j1, nonzero, j2))
-    return RateSet(scheme, feeding, stimulated, _channel_pairs=(channels, pairs))
+            sites.append(np.hstack([at[j1][rows], at[j2][cols]]))
+    return RateSet(scheme, feeding, stimulated, _sites=np.concatenate(sites))
 
 
 def rates_fine(scheme: LevelScheme, k_b: KMatrix, k_c: KMatrix) -> RateSet:
@@ -645,8 +631,9 @@ class Superoperator:
 def _placed(rates: RateSet, basis: Basis | None, tables: tuple[str, ...]) -> tuple:
     """(basis, sites, values) of the feeding entries, ``sites`` remapped to ``basis``
     by one n-entry lookup; a missing sublevel raises in ``tables`` key order."""
-    basis = rates._basis if basis is None else basis
-    sites = np.array([basis._position.get(s, -1) for s in rates._basis.sublevels])[rates.sites]
+    own = Basis.for_scheme(rates.scheme)
+    basis = own if basis is None else basis
+    sites = np.array([basis._position.get(s, -1) for s in own.sublevels])[rates.sites]
     values = np.fromiter(rates.feeding.values(), dtype=complex, count=len(rates.feeding))
     if np.any(sites < 0):
         for table in tables:
@@ -659,16 +646,13 @@ def _placed(rates: RateSet, basis: Basis | None, tables: tuple[str, ...]) -> tup
 def _depopulation(sites: np.ndarray, values: np.ndarray, n: int, over: str) -> tuple:
     """Triplets of -(G (x) 1) followed by those of -(1 (x) G*), over G's nonzeros.
 
-    G is ``_partial_trace(over=...)`` as an n x n matrix, summed in the same
-    order, so it holds the ``upper`` ("ground") or ``ground`` table to the bit.
-    -(G rho + rho G^dagger): the conjugate on the right factor is what keeps
-    Hermiticity preservation exact when per-frequency evaluation leaves the
-    embedded table non-Hermitian.
+    G is ``_partial_sums(over=...)`` over the remapped sites, the sums that
+    ``RateSet`` writes its ``upper`` ("ground") or ``ground`` ("upper") table
+    from, so it holds that table to the bit.  -(G rho + rho G^dagger): the
+    conjugate on the right factor is what keeps Hermiticity preservation exact
+    when per-frequency evaluation leaves the embedded table non-Hermitian.
     """
-    up1, gr1, up2, gr2 = sites.T
-    left, right, keep = (up1, up2, gr1 == gr2) if over == "ground" else (gr1, gr2, up1 == up2)
-    g = np.zeros((n, n), dtype=complex)
-    np.add.at(g, (left[keep], right[keep]), values[keep])
+    g = _partial_sums(sites, values, n, over)[0]
     i, j = np.nonzero(g)
     k = np.arange(n)
     value = np.repeat(g[i, j], n)

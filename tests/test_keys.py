@@ -8,14 +8,15 @@ the keys resolved through ``Basis.position`` (the reference kept here).
 """
 
 import hashlib
+import random
 import re
 from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from test_sparse import bits, dense_superop
+from test_sparse import assert_derived_tables_bitwise, bits, dense_superop
 
 from vrelax.cli import main
 from vrelax.config import build_rate_sets, build_scheme, preset_config, preset_names
@@ -27,6 +28,7 @@ from vrelax.operators import (
     HyperfineScheme,
     LevelScheme,
     RateSet,
+    _channels,
     build_relaxation_superop,
     build_stimulated_superop,
     rates_fine,
@@ -161,7 +163,7 @@ def assert_sites_from_keys(rates):
 
 
 def assert_restricted_sites(rates):
-    """A reduction resolves its own keys; its positions are its parent's rows."""
+    """A reduction keeps its parent's rows of ``sites``, which are its keys' positions."""
     for level in ("b", "c"):
         kept = rates.restricted(level)
         assert_sites_from_keys(kept)
@@ -176,12 +178,23 @@ def test_sites_equal_key_positions_on_every_preset(name):
         assert_restricted_sites(rates)
 
 
-def test_sites_are_taken_on_first_read_only():
-    # reading rate tables (a scan over K) never pays for the positions
-    rates = rates_hyperfine(HyperfineScheme(fine=dline(), nuclear_spin=half(1)), cavity_k())
-    assert "sites" not in vars(rates)
-    build_relaxation_superop(rates)
-    assert vars(rates)["sites"] is rates.sites
+def test_sites_cost_two_lookups_per_channel_or_four_per_hand_made_key(monkeypatch):
+    # the builders look up each channel's (upper, ground) sublevels once; a
+    # mapping made by hand has every sublevel of every key looked up
+    calls = []
+    position = Basis.position
+    monkeypatch.setattr(Basis, "position", lambda self, s: calls.append(s) or position(self, s))
+    k = cavity_k()
+    hyperfine = HyperfineScheme(fine=dline(), nuclear_spin=half(1))
+    for scheme in (dline(), hyperfine):
+        channels = sum(len(_channels(scheme, level)[0]) for level in ("b", "c"))
+        calls.clear()
+        rates = rates_hyperfine(scheme, k) if scheme is hyperfine else rates_fine(scheme, k, k)
+        assert len(calls) == 2 * channels and len(rates.feeding) > 2 * channels
+        calls.clear()
+        again = RateSet(scheme, rates.feeding)
+        assert len(calls) == 4 * len(rates.feeding)
+        assert np.array_equal(again.sites, rates.sites)
 
 
 def test_hand_made_and_replaced_sets_take_sites_from_their_keys():
@@ -243,6 +256,24 @@ def test_sites_and_permuted_basis_on_random_schemes_under_sparse_k(rates, seed):
     # the same matrix as on the scheme's own basis, rows and columns permuted
     vec = (perm[:, None] * n + perm[None, :]).ravel()
     assert np.array_equal(bits(built), bits(build(rates).matrix.toarray()[np.ix_(vec, vec)]))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(sparse_k_rate_sets(), st.randoms(use_true_random=False))
+# a hyperfine upper table with exact-zero sums (16 of its 104)
+@example(build_rate_sets(preset_config("sodium-hyperfine"))[0][1], random.Random(0))
+def test_derived_tables_equal_dict_path_on_sparse_k(rates, rnd):
+    # the builders' sets, hand-made sets from the same entries shuffled or
+    # filtered, and the two-level reductions of both kinds
+    items = list(rates.feeding.items())
+    rnd.shuffle(items)
+    shuffled = RateSet(rates.scheme, dict(items), rates.stimulated)
+    filtered = RateSet(rates.scheme, dict(i for i in items if rnd.random() < 0.6), rates.stimulated)
+    for made in (rates, shuffled, filtered):
+        assert_sites_from_keys(made)
+        assert_restricted_sites(made)
+        for reduced in (made, made.restricted("b"), made.restricted("c")):
+            assert_derived_tables_bitwise(reduced)
 
 
 # SHA-256 of `vrelax rates --preset NAME`, taken before the CSV writer read

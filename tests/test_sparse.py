@@ -7,8 +7,9 @@ propagation over the reached blocks replaced (to 1e-13, with every entry
 outside the reached blocks exactly +0.0), the per-step trace and positivity
 monitors that the batched ones replaced (to the bit, aborts included), and
 the per-element ``repr(float(x))`` CSV loops (byte for byte).  The tables a
-``RateSet`` derives from its feeding table are checked against an ordered
-sum written here (equal to the bit), and the component labelling against
+``RateSet`` derives from its feeding table are checked against the dict
+path that summed them from the keys before (equal to the bit), and the
+component labelling against
 scipy's weak ``connected_components`` (equal labels).
 """
 
@@ -21,7 +22,7 @@ import sys
 import textwrap
 import warnings
 from dataclasses import replace
-from typing import Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 import pytest
@@ -109,6 +110,46 @@ def assert_sorted_coo(matrix):
     assert np.all(np.diff(keys) > 0) and matrix.nnz == keys.size
 
 
+# The dict path that summed ``RateSet``'s derived tables from the feeding
+# keys themselves, before they were summed from basis positions, kept as
+# their oracle: every key is split into its halves in Python.
+
+
+def _split_feeding(key: tuple, hyperfine: bool) -> tuple[tuple, tuple, tuple, tuple]:
+    """(upper1, ground1, upper2, ground2) halves of a feeding key.
+
+    The halves are (level, M) + (Md,) for fine structure and
+    (level, F, M) + (Fd, Md) for hyperfine structure.
+    """
+    mid = len(key) // 2
+    cut = 3 if hyperfine else 2
+    return key[:cut], key[cut:mid], key[mid : mid + cut], key[mid + cut :]
+
+
+def _partial_trace(
+    feeding: Mapping[tuple, complex], hyperfine: bool, over: str
+) -> dict[tuple, complex]:
+    """Sums of feeding entries sharing their ``over`` sublevel ("ground" or "upper").
+
+    Entries are added in feeding-table order.
+    """
+    sums: dict[tuple, complex] = {}
+    for key, value in feeding.items():
+        up1, gr1, up2, gr2 = _split_feeding(key, hyperfine)
+        if over == "ground" and gr1 == gr2:
+            out = up1 + up2
+        elif over == "upper" and up1 == up2:
+            out = gr1 + gr2
+        else:
+            continue
+        sums[out] = sums.get(out, 0.0 + 0.0j) + value
+    return sums
+
+
+def _nonzero(table: Mapping[tuple, complex]) -> dict[tuple, complex]:
+    return {key: value for key, value in table.items() if value != 0.0}
+
+
 def ordered_partial_traces(rates):
     """(upper, ground) of a rate set, summed here from its feeding table.
 
@@ -117,18 +158,10 @@ def ordered_partial_traces(rates):
     whose two excited halves agree.  Fine ``upper`` and every ``ground`` drop
     sums of exactly 0.0; ``ground`` is None for spontaneous sets.
     """
-    cut = 3 if rates.hyperfine else 2
-    upper, ground = {}, {}
-    for key, value in rates.feeding.items():
-        mid = len(key) // 2
-        up1, gr1, up2, gr2 = key[:cut], key[cut:mid], key[mid : mid + cut], key[mid + cut :]
-        if gr1 == gr2:
-            upper[up1 + up2] = upper.get(up1 + up2, 0j) + value
-        if up1 == up2:
-            ground[gr1 + gr2] = ground.get(gr1 + gr2, 0j) + value
+    upper = _partial_trace(rates.feeding, rates.hyperfine, over="ground")
     if not rates.hyperfine:
-        upper = {key: value for key, value in upper.items() if value != 0.0}
-    ground = {key: value for key, value in ground.items() if value != 0.0}
+        upper = _nonzero(upper)
+    ground = _nonzero(_partial_trace(rates.feeding, rates.hyperfine, over="upper"))
     return upper, (ground if rates.kind == "stimulated" else None)
 
 
@@ -140,6 +173,7 @@ def assert_derived_tables_bitwise(rates):
             assert table is None
             continue
         assert list(table) == list(oracle)
+        assert all(type(value) is complex for value in table.values())
         assert np.array_equal(bits(list(table.values())), bits(list(oracle.values())))
 
 
