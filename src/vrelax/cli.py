@@ -39,6 +39,7 @@ from .angular import (
 )
 from .config import (
     ScenarioConfig,
+    _rate_sets,
     build_kmatrix,
     build_rate_sets,
     build_rho0,
@@ -187,20 +188,15 @@ def _cmd_rates(cfg: ScenarioConfig, stream) -> int:
     return 0
 
 
-def _superoperators(cfg: ScenarioConfig, basis) -> list[tuple[str, Superoperator]]:
-    built = []
-    for label, rates in build_rate_sets(cfg):
-        if rates.kind == "stimulated":
-            built.append((label, build_stimulated_superop(rates, basis)))
-        else:
-            built.append((label, build_relaxation_superop(rates, basis)))
-    return built
+def _superoperators(cfg: ScenarioConfig, scheme) -> list[tuple[str, Superoperator]]:
+    build = {"spontaneous": build_relaxation_superop, "stimulated": build_stimulated_superop}
+    return [(label, build[rates.kind](rates)) for label, rates in _rate_sets(cfg, scheme)]
 
 
 def _cmd_superop(cfg: ScenarioConfig, stream) -> int:
     scheme = build_scheme(cfg)
     basis = Basis.for_scheme(scheme)
-    parts = _superoperators(cfg, basis)
+    parts = _superoperators(cfg, scheme)
     if not parts:
         raise ConfigError("environment kind 'none' has no relaxation superoperator")
     triplets = [(op.matrix.row, op.matrix.col, op.matrix.data) for _label, op in parts]
@@ -222,7 +218,7 @@ def _cmd_evolve(cfg: ScenarioConfig, stream) -> int:
     scheme = build_scheme(cfg)
     basis = Basis.for_scheme(scheme)
     hamiltonian = build_hamiltonian(scheme, basis)
-    superops = [op for _label, op in _superoperators(cfg, basis)]
+    superops = [op for _label, op in _superoperators(cfg, scheme)]
     rho0 = build_rho0(cfg, scheme, basis)
     trajectory = propagate(
         rho0,
@@ -251,7 +247,7 @@ def _cmd_steady(cfg: ScenarioConfig, stream) -> int:
     scheme = build_scheme(cfg)
     basis = Basis.for_scheme(scheme)
     hamiltonian = build_hamiltonian(scheme, basis)
-    superops = [op for _label, op in _superoperators(cfg, basis)]
+    superops = [op for _label, op in _superoperators(cfg, scheme)]
     state = steady_state(hamiltonian, superops)
     comments = _common_comments(cfg, "steady")
     write_density_matrix(stream, state, basis.labels(), comments=comments)

@@ -786,9 +786,13 @@ def build_rate_sets(cfg: ScenarioConfig) -> list[tuple[str, RateSet]]:
     modified) mode density, "stimulated" for distribution quadrature,
     "injected" for literal K values.  Order is fixed: spontaneous first.
     """
+    return _rate_sets(cfg, build_scheme(cfg))
+
+
+def _rate_sets(cfg: ScenarioConfig, scheme) -> list[tuple[str, RateSet]]:
+    """``build_rate_sets`` over the scheme that ``build_scheme(cfg)`` built."""
     run, env = cfg.run, cfg.environment
     photons = _ENV_KINDS[env.kind].photons
-    scheme = build_scheme(cfg)
     hyper = isinstance(scheme, HyperfineScheme)
     sets: list[tuple[str, RateSet]] = []
     if _spontaneous_included(env):

@@ -8,15 +8,16 @@ never depends on dict iteration history, and no timestamps or environment
 echoes.  Context that would break determinism has no place here; callers pass
 it as comment lines, which are written verbatim with a leading ``# ``.
 
-Trajectory and matrix rows are mostly exact zeros (98.6 % of the cells of a
-sodium trajectory), written as ``"0.0"``, the ``repr`` of +0.0; only the
-other values are formatted, ``-0.0`` told apart by its sign bit.  Trajectories
-format only their live columns, those not +0.0 in some sample, read straight
-from ``Trajectory.values`` (stored vec entry p is re/im columns 2p and 2p + 1),
-so no n x n state is formed.  The runs of ``"0.0"`` between them are built
-once, and 256 samples are formatted at a time.  The bytes are those of a
-``repr`` per cell.  Density matrices and trajectories take one basis label
-per state, else ``ValueError``.
+Trajectories and matrices are written 64 rows at a time, one ``"".join`` of
+an object array of cells per chunk, with one ``repr`` per distinct |x|, which
+Hermitian partners share (im rho_ji = -im rho_ij, bit for bit).  Where the sign
+bit of a non-NaN x is set the cell is ``"-" + repr(|x|)``, which is ``repr(x)``
+for every non-NaN x, ±0.0 and ±inf included; a NaN prints ``nan`` whatever its
+sign.  Trajectories format only their live columns, those not +0.0 in some
+sample, read straight from ``Trajectory.values`` (vec entry p is re/im columns
+2p and 2p + 1); the runs of ``"0.0"`` between them are built once.  Matrix
+cells that are +0.0 are not formatted.  Density matrices and trajectories take
+one basis label per state, else ``ValueError``.
 
 Rate-table rows come in basis order: sorted by the basis positions of the
 sublevels each key names, in key order (``RateSet.entries`` reads the keys;
@@ -45,6 +46,10 @@ __all__ = [
     "write_trajectory",
 ]
 
+# rows per chunk: a 1501-sample sodium evolve peaks at 40.7 MB RSS, +0.1 MB with
+# 64 rows, +3.8 MB with 256 and +29 MB with all at once; 32 to 128 run as fast
+_CHUNK = 64
+
 RATE_COLUMNS = ("kind", "j1", "F1", "M1", "j2", "F2", "M2", "Md1", "Md2", "re", "im")
 
 
@@ -52,16 +57,13 @@ def _num(value) -> str:
     return repr(float(value))
 
 
-def _float_cells(values: np.ndarray) -> list[str]:
-    """What ``_num`` writes for each float of the 1-D float64 ``values``.
-
-    Starts from a row of ``"0.0"`` cells and calls ``repr`` only where the
-    value is not +0.0, so ``-0.0`` is still written as ``-0.0``.
-    """
-    cells = ["0.0"] * values.size
-    written = np.flatnonzero((values != 0.0) | np.signbit(values))
-    for index, value in zip(written.tolist(), values[written].tolist()):
-        cells[index] = repr(value)
+def _repr_cells(values: np.ndarray) -> np.ndarray:
+    """``_num`` of every float of ``values``, with one ``repr`` per distinct |x|."""
+    distinct, inverse = np.unique(np.abs(values).view(np.uint64), return_inverse=True)
+    texts = np.array([repr(x) for x in distinct.view(np.float64).tolist()], dtype=object)
+    cells = texts[inverse.reshape(values.shape)]
+    negative = np.signbit(values) & ~np.isnan(values)
+    cells[negative] = "-" + cells[negative]
     return cells
 
 
@@ -167,12 +169,18 @@ def _write_matrix_rows(stream, header: tuple[str, str], matrix) -> None:
     row-major; real input is written with a 0.0 imaginary part."""
     _writer(stream).writerow((*header, "re", "im"))
     arr = np.ascontiguousarray(matrix, dtype=complex)
-    cells = [f",{col}," for col in range(arr.shape[1])]
-    for row, values in enumerate(arr):
-        parts = iter(_float_cells(values.view(np.float64)))  # re and im interleaved
-        stream.write(
-            "".join([f"{row}{cell}{re},{im}\n" for cell, re, im in zip(cells, parts, parts)])
-        )
+    floats = arr.view(np.float64).reshape(*arr.shape, 2)
+    cells = np.empty((_CHUNK, arr.shape[1], 6), dtype=object)  # row ",col," re "," im "\n"
+    fixed = [[f",{col},", ",", "\n"] for col in range(arr.shape[1])]
+    cells[:, :, 1::2] = np.array(fixed, dtype=object).reshape(-1, 3)
+    rows = np.array([[str(row)] for row in range(len(arr))], dtype=object)
+    for start in range(0, len(arr), _CHUNK):
+        block, chunk = floats[start : start + _CHUNK], cells[: len(arr) - start]
+        chunk[:, :, 0] = rows[start : start + _CHUNK]
+        chunk[:, :, 2::2] = "0.0"
+        written = (block != 0.0) | np.signbit(block)  # 99.6 % of sodium's cells are +0.0
+        chunk[:, :, 2::2][written] = _repr_cells(block[written])
+        stream.write("".join(chunk.ravel().tolist()))
 
 
 def write_superoperator(stream, superop, *, comments: Sequence[str] = ()) -> None:
@@ -238,10 +246,11 @@ def write_trajectory(
     live = np.flatnonzero(np.bitwise_or.reduce(values.view(np.uint64), axis=0))
     gaps = (np.diff(columns[live], prepend=-1, append=len(header)) - 1).tolist()
     # even cells: t and the live values; odd cells: the runs of "0.0" between them
-    cells = [""] * (2 * live.size + 2)
-    cells[1::2] = [",0.0" * gap + "," for gap in gaps[:-1]] + [",0.0" * gaps[-1] + "\n"]
-    times = np.asarray(trajectory.times, dtype=float).tolist()
-    for start in range(0, len(times), 256):  # memory bounded by 256 samples
-        for t, row in zip(times[start : start + 256], values[start : start + 256, live].tolist()):
-            cells[0:-1:2] = map(repr, (t, *row))
-            stream.write("".join(cells))
+    cells = np.empty((_CHUNK, 2 * live.size + 2), dtype=object)
+    ends = [","] * live.size + ["\n"]
+    cells[:, 1::2] = np.array([",0.0" * gap + end for gap, end in zip(gaps, ends)], dtype=object)
+    times = np.asarray(trajectory.times, dtype=float)
+    for start in range(0, len(times), _CHUNK):
+        chunk, stop = cells[: len(times) - start], start + _CHUNK
+        chunk[:, 0::2] = _repr_cells(np.column_stack((times[start:stop], values[start:stop, live])))
+        stream.write("".join(chunk.ravel().tolist()))

@@ -478,7 +478,8 @@ class TestSteadyCommand:
         # index 1, zero energy difference): the only null vector is traceless
         import vrelax.cli as cli
 
-        def coherence_only(_cfg, basis):
+        def coherence_only(_cfg, scheme):
+            basis = scheme.basis
             diag = -np.ones(len(basis) ** 2)
             diag[1] = 0.0
             return [("coherence-only", Superoperator(np.diag(diag), basis, "coherence-only"))]

@@ -413,3 +413,47 @@ def test_steady_stdout_pinned(name, capsys):
 def test_degenerate_steady_stderr_pinned(name, capsys):
     assert main(["steady", "--preset", name]) == 1
     assert capsys.readouterr() == ("", STEADY_STDERR[name])
+
+
+# SHA-256 of the stdout of `vrelax evolve --preset NAME`, in full mode and
+# with --populations-only, on the presets that set dt and t_final (the others
+# exit 2), taken before each distinct trajectory value was formatted once per
+# chunk; the trajectory CSV must keep its bytes.
+EVOLVE_SHA256 = {
+    "dline-vacuum": (
+        "871a74ffec60629f422d64d7e770d69cd9caa7a0a5c173a1a15eb8b73c766924",
+        "41cfc52120f2051747de0142d023b8b0962e70ba7a21acd1adc94ec6f5c8add0",
+    ),
+    "dline-isotropic": (
+        "437e2009d32c761211a2fdd4a5339d3d8d416d2d5586d9782f591b34dd5c9fd9",
+        "e2d2f060aeb499321b3e571a1a51d35ee86eb7aa2b51efc99f6740693994af58",
+    ),
+    "dline-cos2": (
+        "9fdd84f390979bc06dbdaee376ca30619312c70ad055f51d4d821a3eee3a444a",
+        "f2339aba1e414d4ceb5de4899e46007c53955d2d1f9fd4cad814d0bddca2e9d8",
+    ),
+    "twolevel-decay": (
+        "720f7c1715e21b011eee8e869f3824dbc3c4f410116f6ffd79a86095d13a8aab",
+        "bbecaa645880976083331b8e2fd1f8d9efb6358cea4a38908648a1b4dbc8f818",
+    ),
+    "sodium-hyperfine": (
+        "eff8b85de145930d61f108889f487e9301c858451b8c966a63046964cff08f2d",
+        "6e68cc22d8920dce4219548bf4c9b86e73fba766d4263cb75ab00b375283bb9d",
+    ),
+}
+
+
+@pytest.mark.parametrize("populations_only", [False, True])
+@pytest.mark.parametrize("name", sorted(EVOLVE_SHA256))
+def test_evolve_stdout_pinned(name, populations_only, capsys):
+    args = ["evolve", "--preset", name] + ["--populations-only"] * populations_only
+    assert main(args) == 0
+    out, err = capsys.readouterr()
+    assert hashlib.sha256(out.encode()).hexdigest() == EVOLVE_SHA256[name][populations_only]
+    assert err == ""
+
+
+def test_evolve_pins_cover_every_preset_that_evolves(capsys):
+    for name in sorted(set(preset_names()) - set(EVOLVE_SHA256)):
+        assert main(["evolve", "--preset", name]) == 2
+    assert "dt and t_final are required" in capsys.readouterr().err

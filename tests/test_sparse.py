@@ -942,15 +942,22 @@ def test_trajectory_csv_bytes_match_per_element_loop():
 
 
 # how a column of a random trajectory is filled; all but "zero" make it live
-COLUMN_KINDS = ("zero", "negative zero", "sparse", "dense", "non-finite")
+COLUMN_KINDS = (
+    "zero", "negative zero", "sparse", "dense", "non-finite",
+    "mirror", "negative nan", "negative inf",
+)
 
 
 @st.composite
 def sparse_trajectories(draw):
     """Trajectories whose re/im columns each take one of ``COLUMN_KINDS``,
-    over 1 to 600 samples (past the writer's 256-sample chunks)."""
+    over 1 to 600 samples (on and across the writer's 64-sample chunks).
+
+    A "mirror" column is the exact negation of an earlier one, as Hermitian
+    partners' imaginary parts are, so its cells differ only in the sign bit.
+    """
     n = draw(st.integers(1, 3))
-    samples = draw(st.sampled_from([1, 2, 7, 256, 257, 600]))
+    samples = draw(st.sampled_from([1, 2, 7, 63, 64, 65, 129, 256, 257, 600]))
     kinds = draw(st.lists(st.sampled_from(COLUMN_KINDS), min_size=2 * n * n, max_size=2 * n * n))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     values = np.zeros((samples, 2 * n * n))
@@ -964,6 +971,11 @@ def sparse_trajectories(draw):
             values[:, col] = rng.normal(size=samples) * 10.0 ** rng.integers(-300, 300, samples)
         elif kind == "non-finite":
             values[:, col] = rng.choice([np.nan, np.inf, -np.inf, -0.0, 0.0, 0.5], samples)
+        elif kind == "mirror":
+            values[:, col] = -values[:, rng.integers(col)] if col else -0.0
+        elif kind in ("negative nan", "negative inf"):
+            special = np.copysign(np.nan, -1.0) if kind == "negative nan" else -np.inf
+            values[:, col] = np.where(rng.random(samples) < 0.5, special, rng.normal(size=samples))
     times = np.arange(samples) * draw(st.sampled_from([0.002, 0.1 + 0.2, 5e-324]))
     return full_trajectory(times, values.view(complex).reshape(samples, n, n))
 
@@ -1005,7 +1017,8 @@ def test_density_matrix_csv_refuses_labels_of_the_wrong_length():
 
 def test_sodium_trajectory_csv_bytes_match_per_element_loop():
     cfg, hamiltonian, superops, rho0 = _preset_problem("sodium-hyperfine")
-    trajectory = propagate(rho0, hamiltonian, superops, 20 * cfg.run.dt, cfg.run.dt)
+    # 131 samples: two full 64-sample chunks of the writer and a partial one
+    trajectory = propagate(rho0, hamiltonian, superops, 130 * cfg.run.dt, cfg.run.dt)
     assert np.count_nonzero(trajectory.states) < 0.2 * trajectory.states.size
     labels = hamiltonian.basis.labels()
     for populations_only in (False, True):
@@ -1037,4 +1050,30 @@ def test_superoperator_csv_bytes_match_per_element_loop():
         for col in range(n * n):
             value = matrix[row, col]
             writer.writerow((row, col, _num(value.real), _num(value.imag)))
+    assert out.getvalue() == ref.getvalue()
+
+
+def test_density_matrix_csv_bytes_match_per_element_loop():
+    # 130 rows: two full 64-row chunks of the writer and a partial one
+    rng = np.random.default_rng(53)
+    n = 130
+    rho = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    rho[rng.random(rho.shape) < 0.9] = 0.0
+    rho = rho + rho.conj().T  # Hermitian partners: imaginary parts equal up to the sign bit
+    rho[0, 1] = complex(-0.0, np.copysign(np.nan, -1.0))
+    rho[64, 2] = complex(np.inf, -np.inf)
+    rho[129, 128] = complex(5e-324, -5e-324)
+    labels = [f"s{i}" for i in range(n)]
+    out = io.StringIO()
+    write_density_matrix(out, rho, labels, comments=["c"])
+
+    ref = io.StringIO()
+    ref.write("# c\n")
+    for i, label in enumerate(labels):
+        ref.write(f"# basis {i}: {label}\n")
+    writer = csv.writer(ref, lineterminator="\n")
+    writer.writerow(("i", "j", "re", "im"))
+    for i in range(n):
+        for j in range(n):
+            writer.writerow((i, j, _num(rho[i, j].real), _num(rho[i, j].imag)))
     assert out.getvalue() == ref.getvalue()
