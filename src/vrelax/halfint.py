@@ -2,14 +2,24 @@
 
 Every J, M, F, I in this package is carried as a :class:`HalfInt`, which
 stores twice the value as a plain ``int``.  That keeps projections like 3/2
-exact (no 1.4999999 drift into selection rules) and makes dictionary keys and
-parity checks trivial: a quantum number is integral iff ``twice`` is even.
+exact (no 1.4999999 drift into selection rules) and makes parity checks
+trivial: a quantum number is integral iff ``twice`` is even.
+
+HalfInts are interned (hash-consed): there is exactly one object per value
+of ``twice``, whichever path builds it (the constructor, :func:`half`,
+arithmetic, :func:`projections`, pickle or ``copy``).  Identity is therefore
+value equality, so ``__hash__`` and ``__eq__`` are ``object``'s own and run
+in C.  The rate tables are dicts keyed by sublevel tuples such as
+``("b", F, M)``, and hashing and comparing those keys was most of the cost of
+building them while the two methods were Python functions.  Sharing one
+object is safe because a HalfInt is immutable, and the constructor checks the
+type of ``twice`` before it looks in the cache.  The cache is never emptied;
+it holds one small object per value ever built.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Iterator, Union
 
 from .errors import AngularDomainError
@@ -17,17 +27,41 @@ from .errors import AngularDomainError
 HalfIntLike = Union["HalfInt", int, float, str]
 
 
-@dataclass(frozen=True, eq=True)
 class HalfInt:
-    """A number of the form n/2 with n integer, stored as ``twice = n``."""
+    """A number of the form n/2 with n integer, stored as ``twice = n``.
 
+    Immutable and interned: ``HalfInt(t)`` returns the one instance for
+    ``t``, so ``==`` and ``hash`` are by identity.  ``__new__`` checks that
+    ``twice`` is an ``int`` *before* it looks in the cache, because ``2.0``
+    and ``np.int64(2)`` compare and hash equal to ``2`` and would otherwise
+    be handed ``HalfInt(2)``; both raise :class:`AngularDomainError`.  A
+    ``bool`` is an ``int`` and is accepted, stored as its ``int`` value.
+    Setting or deleting ``twice`` raises ``AttributeError``.
+    """
+
+    __slots__ = ("twice",)
     twice: int
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.twice, int):
-            raise AngularDomainError(
-                f"HalfInt.twice must be an int, got {self.twice!r}"
-            )
+    def __new__(cls, twice: int) -> "HalfInt":
+        if not isinstance(twice, int):
+            raise AngularDomainError(f"HalfInt.twice must be an int, got {twice!r}")
+        self = _INTERNED.get(twice)
+        if self is None:
+            self = object.__new__(cls)
+            object.__setattr__(self, "twice", int(twice))
+            # setdefault: if another thread stored this value first, use its object
+            self = _INTERNED.setdefault(self.twice, self)
+        return self
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}: HalfInt is immutable")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}: HalfInt is immutable")
+
+    def __reduce__(self):
+        # pickle, copy and deepcopy rebuild through __new__, i.e. the cache
+        return (HalfInt, (self.twice,))
 
     # -- construction ------------------------------------------------------
 
@@ -119,6 +153,9 @@ class HalfInt:
 
     def __repr__(self) -> str:
         return f"HalfInt({self})"
+
+
+_INTERNED: dict[int, HalfInt] = {}
 
 
 def half(value: HalfIntLike) -> HalfInt:

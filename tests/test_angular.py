@@ -5,7 +5,9 @@ symbolic engine (sympy's wigner module, Condon-Shortley convention) and are
 frozen here as literals; the implementation under test never touches sympy.
 """
 
+import copy
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -68,6 +70,61 @@ class TestHalfInt:
     def test_triangle_range(self):
         assert [c.twice for c in triangle_range("1/2", 1)] == [1, 3]
         assert [c.twice for c in triangle_range(0, 2)] == [4]
+
+    @pytest.mark.parametrize("twice", [-5, -2, 0, 1, 3, 4, 13])
+    def test_equal_values_are_one_object_on_every_path(self, twice):
+        h = HalfInt(twice)
+        built = [
+            HalfInt(twice=twice),
+            half(twice / 2.0),
+            half(f"{twice}/2"),
+            HalfInt(twice + 2) + HalfInt(-2),
+            HalfInt(twice + 2) - 1,
+            -HalfInt(-twice),
+            pickle.loads(pickle.dumps(h)),
+            copy.copy(h),
+            copy.deepcopy(h),
+            copy.deepcopy([h, (h, {"k": h})])[1][1]["k"],
+        ]
+        if twice % 2 == 0:
+            built.append(half(twice // 2))
+        if twice >= 0:
+            built.append(abs(HalfInt(-twice)))
+        for other in built:
+            assert other is h
+        assert hash(h) == hash(HalfInt(h.twice))
+
+    def test_projections_and_triangle_range_hand_out_the_interned_objects(self):
+        assert all(m is HalfInt(m.twice) for m in projections("7/2"))
+        assert projections("7/2")[3] is half("-1/2")
+        assert all(c is HalfInt(c.twice) for c in triangle_range("5/2", 2))
+        assert list(triangle_range(1, 1))[0] is half(0)
+
+    def test_never_equal_to_a_plain_number(self):
+        assert HalfInt(2) != 2
+        assert HalfInt(2) != 1
+        assert HalfInt(2) == HalfInt(2)
+        assert HalfInt(2) != HalfInt(3)
+
+    @pytest.mark.parametrize("bad", [2.0, np.int64(2), "2", None])
+    def test_type_check_comes_before_the_cache(self, bad):
+        assert HalfInt(2).twice == 2  # the value 2 is interned already
+        with pytest.raises(AngularDomainError):
+            HalfInt(bad)
+
+    def test_bool_is_accepted_as_its_int(self):
+        assert HalfInt(True) is HalfInt(1)
+        assert type(HalfInt(True).twice) is int
+
+    def test_immutable(self):
+        h = half("3/2")
+        with pytest.raises(AttributeError):
+            h.twice = 5
+        with pytest.raises(AttributeError):
+            del h.twice
+        with pytest.raises(AttributeError):
+            h.other = 1
+        assert h.twice == 3 and h is half("3/2")
 
 
 class TestClebschGordan:

@@ -15,6 +15,7 @@ scipy's weak ``connected_components`` (equal labels).
 
 import csv
 import io
+import itertools
 import math
 import os
 import subprocess
@@ -98,6 +99,17 @@ def full_trajectory(times, states):
     samples, n, _ = np.shape(states)
     return Trajectory(np.asarray(times, dtype=float), np.arange(n * n),
                       np.reshape(states, (samples, n * n)), n)
+
+
+def assert_same_csv(got: str, expected: str) -> None:
+    """``assert got == expected`` for CSV texts that fails with the first
+    differing line, not with pytest's diff of the whole strings (which ran
+    for minutes on a multi-thousand-line CSV)."""
+    if got == expected:
+        return
+    pairs = itertools.zip_longest(got.splitlines(True), expected.splitlines(True))
+    number, (ours, theirs) = next((i, p) for i, p in enumerate(pairs, 1) if p[0] != p[1])
+    pytest.fail(f"CSV line {number} differs:\n  got      {ours!r}\n  expected {theirs!r}")
 
 
 def assert_sorted_coo(matrix):
@@ -792,7 +804,7 @@ def test_negative_zero_outside_the_reached_entries_stays_in_the_first_sample():
     for populations_only in (True, False):
         out = io.StringIO()
         write_trajectory(out, trajectory, labels, populations_only=populations_only)
-        assert out.getvalue() == loop_trajectory_csv(oracle, labels, populations_only)
+        assert_same_csv(out.getvalue(), loop_trajectory_csv(oracle, labels, populations_only))
     first_sample, second_sample = out.getvalue().splitlines()[n + 1 : n + 3]
     assert first_sample.split(",").count("-0.0") == 4  # re and im of each
     assert "-0.0" not in second_sample.split(",")
@@ -938,7 +950,7 @@ def test_trajectory_csv_bytes_match_per_element_loop():
     for populations_only in (False, True):
         out = io.StringIO()
         write_trajectory(out, trajectory, labels, populations_only=populations_only)
-        assert out.getvalue() == loop_trajectory_csv(trajectory, labels, populations_only)
+        assert_same_csv(out.getvalue(), loop_trajectory_csv(trajectory, labels, populations_only))
 
 
 # how a column of a random trajectory is filled; all but "zero" make it live
@@ -989,7 +1001,7 @@ def test_trajectory_csv_bytes_match_per_element_loop_on_random_trajectories(traj
     for populations_only in (False, True):
         out = io.StringIO()
         write_trajectory(out, trajectory, labels, populations_only=populations_only)
-        assert out.getvalue() == loop_trajectory_csv(trajectory, labels, populations_only)
+        assert_same_csv(out.getvalue(), loop_trajectory_csv(trajectory, labels, populations_only))
 
 
 @pytest.mark.parametrize(
@@ -1024,7 +1036,7 @@ def test_sodium_trajectory_csv_bytes_match_per_element_loop():
     for populations_only in (False, True):
         out = io.StringIO()
         write_trajectory(out, trajectory, labels, populations_only=populations_only)
-        assert out.getvalue() == loop_trajectory_csv(trajectory, labels, populations_only)
+        assert_same_csv(out.getvalue(), loop_trajectory_csv(trajectory, labels, populations_only))
 
 
 def test_superoperator_csv_bytes_match_per_element_loop():
@@ -1050,7 +1062,7 @@ def test_superoperator_csv_bytes_match_per_element_loop():
         for col in range(n * n):
             value = matrix[row, col]
             writer.writerow((row, col, _num(value.real), _num(value.imag)))
-    assert out.getvalue() == ref.getvalue()
+    assert_same_csv(out.getvalue(), ref.getvalue())
 
 
 def test_density_matrix_csv_bytes_match_per_element_loop():
@@ -1076,4 +1088,4 @@ def test_density_matrix_csv_bytes_match_per_element_loop():
     for i in range(n):
         for j in range(n):
             writer.writerow((i, j, _num(rho[i, j].real), _num(rho[i, j].imag)))
-    assert out.getvalue() == ref.getvalue()
+    assert_same_csv(out.getvalue(), ref.getvalue())
