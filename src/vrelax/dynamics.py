@@ -353,7 +353,8 @@ def propagate(
     value by more than 1e-6 (checked first), whose state is not finite or
     that has an eigenvalue below -1e-6 (computed only where the Cholesky
     certificate of the module docstring fails).  The monitors check 256
-    steps at once, and step by step only where those fail.
+    steps at once, and step by step only where those fail.  Raises
+    ``MemoryError`` when the trajectory is too large to allocate.
     """
     rho = validate_density_matrix(rho0).copy()
     steps = step_count(t_final, dt)
@@ -381,7 +382,12 @@ def propagate(
     signed = flat.view(np.uint64).reshape(n * n, 2).any(axis=1)  # not +0.0
     positions = np.union1d(reached, np.flatnonzero(signed))
     # samples: step 0, every sample_every-th step and the last one
-    values = np.zeros((-(-steps // sample_every) + 1, positions.size), dtype=complex)
+    samples = -(-steps // sample_every) + 1
+    try:
+        values = np.zeros((samples, positions.size), dtype=complex)
+    except ValueError as exc:  # numpy's error for a shape past its index range
+        message = f"Unable to allocate a trajectory of {float(samples):.3g} samples: {exc}"
+        raise MemoryError(message) from None
     values[0] = flat[positions]
     columns = np.searchsorted(positions, reached)
     index = np.full(n * n, reached.size)  # unreached entries read the buffer's +0j column

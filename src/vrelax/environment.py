@@ -544,9 +544,6 @@ class SelfCheckReport:
     def passed(self) -> bool:
         return all(entry.passed for entry in self.entries)
 
-    def worst(self) -> float:
-        return max(entry.deviation for entry in self.entries)
-
 
 def quadrature_selfcheck(quad_order: int = 16, *, force: bool = False) -> SelfCheckReport:
     """Compare quadrature K matrices against closed forms.

@@ -11,23 +11,23 @@ decay between the excited levels.  The four-index table ("feeding") resolves
 the ground sublevels the decay feeds into.  Every coefficient has one form,
 S * A1 * A2 * K(sigma1, sigma2): two dipole channel amplitudes times the
 helicity matrix, contracted once per level pair over a channel table
-(``_channels``).  A ``RateSet`` stores only the feeding table and the basis
-positions of its entries' sublevels, and sums the others from them: the
-two-index table adds the diagonal-ground feeding entries in order, and the
-ground table of stimulated sets the diagonal-excited ones, so both trace
+(``_channels``).  A ``RateSet`` is two arrays, the basis positions of each
+feeding entry's sublevels and its value, and sums the other tables from them:
+the two-index table adds the diagonal-ground feeding entries in order, and
+the ground table of stimulated sets the diagonal-excited ones, so both trace
 identities hold by construction and nothing downstream re-checks them.
 
 Superoperators act on the row-major vectorisation of the density matrix:
 vec(A rho B) = kron(A, B.T) vec(rho).  They are stored as their nonzeros
 (:class:`SparseMatrix`): every term links only sublevels joined by a dipole
 channel, so the builders emit (row, col, value) triplets with numpy from the
-feeding entries' basis positions (``RateSet.sites``) -- the depopulation
--(G (x) 1 + 1 (x) G*) over the nonzeros of the n x n table G, then the
-feeding pairs -- and never form the kron products.  Duplicate triplets are
-summed in the order a dense ``+=`` assembly would add them, so every stored
-value equals that assembly's to the bit.  Feeding terms are inserted in
-conjugate pairs so that trace and Hermiticity are preserved for complex
-helicity matrices, not only for real ones.  The generator of
+rate set's two arrays -- the depopulation -(G (x) 1 + 1 (x) G*) over the
+nonzeros of the n x n table G, then the feeding pairs -- and never form the
+kron products.  Duplicate triplets are summed in the order a dense ``+=``
+assembly would add them, so every stored value equals that assembly's to the
+bit, and a sum of finite terms that overflows raises.  Feeding terms are
+inserted in conjugate pairs so that trace and Hermiticity are preserved for
+complex helicity matrices, not only for real ones.  The generator of
 :mod:`vrelax.dynamics` is summed by the same function (:func:`sparse_sum`).
 """
 
@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import InitVar, dataclass, field, replace
-from functools import cached_property
+from functools import cache, cached_property
 from types import MappingProxyType
 from typing import Iterable, Mapping
 
@@ -324,60 +324,64 @@ def _sublevel(state: BasisState) -> tuple:
 #   hf upper      (j1, F1, M1, j2, F2, M2)
 #   hf feeding    (j1, F1, M1, Fd1, Md1, j2, F2, M2, Fd2, Md2)
 #   ground        (Md1, Md2), or (Fd1, Md1, Fd2, Md2) with hyperfine structure
-# A key is a run of sublevels.  An excited half, (j, M) or (j, F, M), is
-# the sublevel tuple itself; a ground half, (Md,) or (Fd, Md), names the
-# sublevel ("d", Md) or ("d", Fd, Md).  The rate builders take each feeding
-# entry's positions from their channel tables; feeding keys are split into
-# sublevels only to resolve a mapping made by hand (``_resolved``).  CSV rows
-# sort by the basis positions of their key's sublevels, taken in key order.
+# One rule makes every key: the sublevels it names run together in order,
+# each ground sublevel ("d", Md) or ("d", Fd, Md) without its "d".  ``_keys``
+# applies it to rows of basis positions and ``_key_sublevels`` reads a key
+# back into sublevels; no other code knows it.  CSV rows sort by the basis
+# positions of their key's sublevels, taken in key order.
 
 
-def _resolved(feeding: Mapping[tuple, complex], basis: Basis, hyperfine: bool) -> list:
-    """Positions (up1, gr1, up2, gr2) of every feeding key's sublevels, key by key.
+def _keys(sublevels: tuple[tuple, ...], runs: np.ndarray) -> list[tuple]:
+    """The key of each run (row) of positions into ``sublevels``, in row order."""
+    parts = np.fromiter((s[1:] if s[0] == GROUND_LEVEL else s for s in sublevels), object)
+    return np.add.reduce(parts[runs], axis=1).tolist()  # tuple + tuple along each row
 
-    The halves are (level, M) + (Md,) for fine structure and
-    (level, F, M) + (Fd, Md) for hyperfine structure.
-    """
-    cut, d = (3 if hyperfine else 2), (GROUND_LEVEL,)
-    sites = []
-    for key in feeding:
-        mid = len(key) // 2
-        halves = key[:cut], d + key[cut:mid], key[mid : mid + cut], d + key[mid + cut :]
-        sites.append([*map(basis.position, halves)])
-    return sites
+
+def _key_sublevels(key: tuple, hyperfine: bool) -> tuple[tuple, ...]:
+    """The sublevels a key names, in key order; a ground one opens on a quantum number."""
+    size, sublevels, at = (3 if hyperfine else 2), [], 0
+    while at < len(key):
+        head = () if isinstance(key[at], str) else (GROUND_LEVEL,)
+        sublevels.append(head + key[at : at + size - len(head)])
+        at += size - len(head)
+    return tuple(sublevels)
 
 
 def _partial_sums(sites: np.ndarray, values: np.ndarray, n: int, over: str) -> tuple:
     """(G, i, j): the n x n sums, from 0 in feeding order, of the entries sharing their
     ``over`` sublevel ("ground": G[up1, up2]; "upper": G[gr1, gr2]), and the positions
-    they reach, in order of first appearance, exact-zero sums included."""
+    they reach, in order of first appearance, exact-zero sums included.  Raises
+    :class:`SchemeError` when a sum is not finite."""
     up1, gr1, up2, gr2 = sites.T
     left, right, keep = (up1, up2, gr1 == gr2) if over == "ground" else (gr1, gr2, up1 == up2)
     flat = left[keep].astype(np.int64) * n + right[keep]
     g = np.zeros(n * n, dtype=complex)
-    np.add.at(g, flat, values[keep])  # unbuffered, one entry at a time, in order
-    reached, first = np.unique(flat, return_index=True)
-    return g.reshape(n, n), *np.divmod(reached[np.argsort(first)], n)
+    with np.errstate(over="ignore", invalid="ignore"):  # raised typed below instead
+        np.add.at(g, flat, values[keep])  # unbuffered, one entry at a time, in order
+    if not np.isfinite(g).all():
+        raise SchemeError(f"rate coefficients overflow: a sum over the shared {over} sublevel")
+    first = np.unique(flat, return_index=True)[1]
+    return g.reshape(n, n), *np.divmod(flat[np.sort(first)], n)
 
 
 @dataclass(frozen=True, eq=False)
 class RateSet:
     """A feeding table plus enough context to build superoperators.
 
-    ``RateSet(scheme, feeding, stimulated=False)``: the four-index feeding
-    table is the one stored input.  ``sites``, set at construction, holds the
-    basis positions (up1, gr1, up2, gr2) of each entry's sublevels (read-only
-    int32, feeding order): the rate builders pass them from their channel
-    tables, and a mapping made by hand has its keys resolved.  The two-index
-    table ``upper`` (the partial trace over the shared ground sublevel) and,
-    for stimulated sets, the ground absorption table ``ground`` (over the
-    shared excited sublevel; None for spontaneous sets) are summed from
-    ``sites`` and cannot be passed in, so the trace identities hold by
-    construction.  Fine-structure ``upper`` and every ``ground`` omit sums
-    that cancel to exactly 0.0; hyperfine ``upper`` keeps every sum a feeding
-    entry reaches, because whether one of its analytic cancellations lands on
-    exactly 0.0 depends on the last bit of K, which would make the key set
-    change with K.  All three tables are read-only views, and the feeding
+    ``RateSet(scheme, feeding, stimulated=False)``: the four-index feeding table
+    is the one stored input, held in feeding order by two read-only arrays:
+    ``sites``, the basis positions (up1, gr1, up2, gr2) of each entry's sublevels
+    (int32), and ``values`` (complex); the rate builders pass both and the keys
+    are made from them.  The two-index table ``upper`` (the partial trace over
+    the shared ground sublevel) and, for stimulated sets, the ground absorption
+    table ``ground`` (over the shared excited sublevel; None for spontaneous
+    sets) are summed from the arrays and cannot be passed in, so the trace
+    identities hold by construction; a sum that is not finite raises
+    :class:`SchemeError`.  Fine-structure ``upper`` and every ``ground`` omit
+    sums that cancel to exactly 0.0; hyperfine ``upper`` keeps every sum a
+    feeding entry reaches, because whether one of its analytic cancellations
+    lands on exactly 0.0 depends on the last bit of K, which would make the key
+    set change with K.  All three tables are read-only views, and the feeding
     table is a copy of the one given, so no later write can make them disagree.
 
     The tables are Hermitian (Γ(2,1) = conj Γ(1,2)) whenever one helicity
@@ -390,30 +394,38 @@ class RateSet:
     scheme: LevelScheme | HyperfineScheme
     feeding: Mapping[tuple, complex]
     stimulated: bool = False
-    _sites: InitVar[np.ndarray | None] = None  # the builders' positions; replace() drops them
+    _arrays: InitVar[tuple | None] = None  # (sites, values) with feeding=None; replace() drops them
     upper: Mapping[tuple, complex] = field(init=False)
     ground: Mapping[tuple, complex] | None = field(init=False)
 
-    def __post_init__(self, _sites: np.ndarray | None) -> None:
+    def __post_init__(self, _arrays: tuple | None) -> None:
         basis = Basis.for_scheme(self.scheme)
-        feeding = MappingProxyType(dict(self.feeding))
-        resolved = _resolved(feeding, basis, self.hyperfine) if _sites is None else _sites
-        sites = np.asarray(resolved, dtype=np.int32).reshape(-1, 4)
-        sites.flags.writeable = False
-        values = np.fromiter(feeding.values(), dtype=complex, count=len(feeding))
         sub = basis.sublevels
+        if _arrays is None:
+            feeding = dict(self.feeding)
+            rows = []
+            for key in feeding:
+                sublevels = _key_sublevels(key, self.hyperfine)
+                if [s[0] == GROUND_LEVEL for s in sublevels] != [False, True, False, True]:
+                    raise SchemeError(f"feeding key {key!r} is not (upper, ground, upper, ground)")
+                rows.append([*map(basis.position, sublevels)])
+            sites = np.array(rows, dtype=np.int32).reshape(-1, 4)
+            values = np.fromiter(feeding.values(), dtype=complex, count=len(feeding))
+        else:
+            sites, values = _arrays
+            feeding = dict(zip(_keys(sub, sites), values.tolist()))
+        sites.flags.writeable = values.flags.writeable = False
 
-        def summed(over: str, key, drop_zeros: bool) -> MappingProxyType:
+        def summed(over: str, drop_zeros: bool) -> MappingProxyType:
             g, i, j = _partial_sums(sites, values, len(sub), over)
-            keys = (key(sub[a], sub[b]) for a, b in zip(i.tolist(), j.tolist()))
-            sums = zip(keys, g[i, j].tolist())
+            sums = zip(_keys(sub, np.transpose((i, j))), g[i, j].tolist())
             return MappingProxyType({k: v for k, v in sums if v != 0.0 or not drop_zeros})
 
-        object.__setattr__(self, "feeding", feeding)
+        object.__setattr__(self, "feeding", MappingProxyType(feeding))
         object.__setattr__(self, "sites", sites)
-        object.__setattr__(self, "upper", summed("ground", tuple.__add__, not self.hyperfine))
-        ground = summed("upper", lambda s, t: s[1:] + t[1:], True) if self.stimulated else None
-        object.__setattr__(self, "ground", ground)
+        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "upper", summed("ground", not self.hyperfine))
+        object.__setattr__(self, "ground", summed("upper", True) if self.stimulated else None)
 
     @property
     def kind(self) -> str:
@@ -431,20 +443,18 @@ class RateSet:
         key order: (upper1, upper2), (upper1, ground1, upper2, ground2) or
         (ground1, ground2).
         """
-        if table == "feeding":
+        if table == "feeding":  # the same sublevels, read from the positions
             sub = Basis.for_scheme(self.scheme).sublevels
             rows = self.sites.tolist()
             return [(tuple(sub[p] for p in at), v) for at, v in zip(rows, self.feeding.values())]
-        d = (GROUND_LEVEL,) if table == "ground" else ()
         items = (getattr(self, table) or {}).items()
-        return [((d + key[: len(key) // 2], d + key[len(key) // 2 :]), v) for key, v in items]
+        return [(_key_sublevels(key, self.hyperfine), value) for key, value in items]
 
     def restricted(self, level: str) -> "RateSet":
         """Two-level reduction: drop every entry touching the other excited level."""
         of_level = np.array([s[0] == level for s in Basis.for_scheme(self.scheme).sublevels])
         keep = of_level[self.sites[:, 0]] & of_level[self.sites[:, 2]]
-        kept = [item for item, flag in zip(self.feeding.items(), keep.tolist()) if flag]
-        return replace(self, feeding=dict(kept), _sites=self.sites[keep])
+        return replace(self, feeding=None, _arrays=(self.sites[keep], self.values[keep]))
 
 
 def _sigma_of(m_upper: HalfInt, m_lower: HalfInt) -> int | None:
@@ -456,19 +466,20 @@ def _sigma_of(m_upper: HalfInt, m_lower: HalfInt) -> int | None:
 
 def _channels(
     scheme: LevelScheme | HyperfineScheme, level: str
-) -> tuple[list[tuple], list[tuple], np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Nonzero dipole channels of one excited level, ordered by (F, M, Fd, Md).
 
-    Returns the upper and ground key halves of each channel, its helicity and
-    its amplitude R(F, Fd) * <Fd Md; 1 sigma | F M>.  Fine structure is the
-    one-F case: F = J, Fd = J_d, no recoupling factor and no F in the halves.
+    Returns the basis positions (upper, ground) of each channel's sublevels,
+    its helicity and its amplitude R(F, Fd) * <Fd Md; 1 sigma | F M>.  Fine
+    structure is the one-F case: F = J, Fd = J_d and no recoupling factor.
     """
     hyperfine = isinstance(scheme, HyperfineScheme)
     if hyperfine:
         f_upper, f_ground = scheme.f_values(level), scheme.f_values(GROUND_LEVEL)
     else:
         f_upper, f_ground = (scheme.j(level),), (scheme.j_d,)
-    uppers, grounds, sigmas, amplitudes = [], [], [], []
+    position = Basis.for_scheme(scheme).position
+    sites, sigmas, amplitudes = [], [], []
     for f in f_upper:
         for m in projections(f):
             for fd in f_ground:
@@ -481,11 +492,12 @@ def _channels(
                         continue
                     c = clebsch_gordan(fd, md, 1, sigma, f, m)
                     if c != 0.0:
-                        uppers.append((level, f, m) if hyperfine else (level, m))
-                        grounds.append((fd, md) if hyperfine else (md,))
+                        upper = (level, f, m) if hyperfine else (level, m)
+                        ground = (GROUND_LEVEL, fd, md) if hyperfine else (GROUND_LEVEL, md)
+                        sites.append((position(upper), position(ground)))
                         sigmas.append(sigma)
                         amplitudes.append(mixing * c)
-    return uppers, grounds, np.array(sigmas, dtype=int), np.array(amplitudes, dtype=float)
+    return np.array(sites, np.int32).reshape(-1, 2), np.array(sigmas, int), np.array(amplitudes)
 
 
 def _tables(
@@ -497,17 +509,11 @@ def _tables(
     hyperfine = isinstance(scheme, HyperfineScheme)
     fine = scheme.fine if hyperfine else scheme
     channels = {level: _channels(scheme, level) for level in EXCITED_LEVELS}
-    index = Basis.for_scheme(scheme).position
-    at = {  # basis positions (upper, ground) of each channel: two lookups per channel
-        j: np.array([[index(u), index((GROUND_LEVEL, *g))] for u, g in zip(*c[:2])], np.int32)
-        for j, c in channels.items()
-    }
-    feeding: dict[tuple, complex] = {}
-    sites = []
+    pieces = []  # (sites, values) of each level pair
     for j1 in EXCITED_LEVELS:
-        up1, gr1, sig1, a1 = channels[j1]
+        at1, sig1, a1 = channels[j1]
         for j2 in EXCITED_LEVELS:
-            up2, gr2, sig2, a2 = channels[j2]
+            at2, sig2, a2 = channels[j2]
             scale = fine.s_factor(j1, j2)
             if hyperfine:
                 # the recoupling factors absorb 1/sqrt(2J+1) each, which this
@@ -516,12 +522,10 @@ def _tables(
             # the coefficient inherits the frequency of its second index
             k = (k_b if j2 == "b" else k_c).entries
             # ((S A1) A2) K: one fixed product order keeps every value bit-stable
-            values = (scale * a1)[:, None] * a2[None, :] * k[sig1[:, None] + 1, sig2[None, :] + 1]
-            rows, cols = np.nonzero(values)
-            for i, j, value in zip(rows.tolist(), cols.tolist(), values[rows, cols].tolist()):
-                feeding[up1[i] + gr1[i] + up2[j] + gr2[j]] = value
-            sites.append(np.hstack([at[j1][rows], at[j2][cols]]))
-    return RateSet(scheme, feeding, stimulated, _sites=np.concatenate(sites))
+            table = (scale * a1)[:, None] * a2[None, :] * k[sig1[:, None] + 1, sig2[None, :] + 1]
+            rows, cols = np.nonzero(table)
+            pieces.append((np.concatenate((at1[rows], at2[cols]), axis=1), table[rows, cols]))
+    return RateSet(scheme, None, stimulated, _arrays=tuple(map(np.concatenate, zip(*pieces))))
 
 
 def rates_fine(scheme: LevelScheme, k_b: KMatrix, k_c: KMatrix) -> RateSet:
@@ -634,13 +638,12 @@ def _placed(rates: RateSet, basis: Basis | None, tables: tuple[str, ...]) -> tup
     own = Basis.for_scheme(rates.scheme)
     basis = own if basis is None else basis
     sites = np.array([basis._position.get(s, -1) for s in own.sublevels])[rates.sites]
-    values = np.fromiter(rates.feeding.values(), dtype=complex, count=len(rates.feeding))
     if np.any(sites < 0):
         for table in tables:
             for sublevels, _value in rates.entries(table):
                 for sublevel in sublevels:
                     basis.position(sublevel)  # raises at the first one missing
-    return basis, sites, values
+    return basis, sites, rates.values
 
 
 def _depopulation(sites: np.ndarray, values: np.ndarray, n: int, over: str) -> tuple:
@@ -675,12 +678,17 @@ def sparse_sum(parts: list[tuple[np.ndarray, ...]], size: int) -> SparseMatrix:
     Duplicates are summed from 0 in the order the triplets are given, which
     is the order of repeated ``+=`` into a zero dense matrix, so every value
     is bit-identical to that dense assembly.  Sums that cancel to exactly
-    zero are not stored.
+    zero are not stored.  A sum of finite terms that is not finite (an
+    overflow) raises :class:`SchemeError`; a term that is not finite is the
+    caller's to pass on.
     """
     rows, cols, values = (np.concatenate(column) for column in zip(*parts))
     keys, group = np.unique(rows * size + cols, return_inverse=True)
     sums = np.zeros(keys.size, dtype=complex)
-    np.add.at(sums, group, values)  # unbuffered, one triplet at a time, in order
+    with np.errstate(over="ignore", invalid="ignore"):  # raised typed below instead
+        np.add.at(sums, group, values)  # unbuffered, one triplet at a time, in order
+    if not np.isfinite(sums).all() and np.isfinite(values).all():
+        raise SchemeError("matrix entries overflow: a sum of finite terms is not finite")
     keep = sums != 0
     return SparseMatrix(*np.divmod(keys[keep], size), sums[keep], (size, size))
 
@@ -769,24 +777,24 @@ def interference_report(rates: RateSet) -> InterferenceReport:
     the geometric mean of the two diagonal coefficients at the same
     projection.  Sublevels where both diagonals vanish report ``None``.
     """
-    # the quantum numbers, (M,) or (F, M), of the sublevels b and c share,
-    # in basis order
-    sublevels = Basis.for_scheme(rates.scheme).sublevels
-    of_c = {sublevel[1:] for sublevel in sublevels if sublevel[0] == "c"}
-    shared = [
-        sublevel[1:] for sublevel in sublevels if sublevel[0] == "b" and sublevel[1:] in of_c
-    ]
+    sublevels, upper = Basis.for_scheme(rates.scheme).sublevels, rates.upper
+    # the positions (b, c) of the sublevels b and c share, (M,) or (F, M), in basis order
+    of_c = {s[1:]: p for p, s in enumerate(sublevels) if s[0] == "c"}
+    pairs = [(p, of_c[s[1:]]) for p, s in enumerate(sublevels) if s[0] == "b" and s[1:] in of_c]
+    keys = _keys(sublevels, np.array([(p, p) for p in range(len(sublevels))] + pairs))
+    diagonal = keys[: len(sublevels)]  # the key (p, p) at p
     points = []
-    for q in shared:
-        g_bb = rates.upper.get(("b", *q, "b", *q), 0.0 + 0.0j)
-        g_cc = rates.upper.get(("c", *q, "c", *q), 0.0 + 0.0j)
-        g_bc = rates.upper.get(("b", *q, "c", *q), 0.0 + 0.0j)
+    for (b, c), cross in zip(pairs, keys[len(sublevels) :]):
+        g_bb, g_cc, g_bc = (upper.get(key, 0j) for key in (diagonal[b], diagonal[c], cross))
+        q = sublevels[b][1:]
         f = q[0] if len(q) == 2 else None
         points.append(InterferencePoint(m=q[-1], f=f, value=_interference_value(g_bc, g_bb, g_cc)))
+    same = set(diagonal)
     off = [
         (key, complex(value))
-        for key, value in rates.upper.items()
-        if key[: len(key) // 2] != key[len(key) // 2 :] and value != 0.0
+        for key, value in upper.items()
+        if key not in same and value != 0.0
     ]
-    off.sort(key=lambda item: (-abs(item[1]), tuple(map(repr, item[0]))))
+    text = cache(repr)  # each label and quantum number of the keys formatted once
+    off.sort(key=lambda item: (-abs(item[1]), tuple(map(text, item[0]))))
     return InterferenceReport(points=tuple(points), off_diagonal=tuple(off))

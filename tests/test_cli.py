@@ -444,6 +444,58 @@ class TestEvolveCommand:
         assert capsys.readouterr().err.startswith("vrelax: config error: Unable to allocate")
         assert os.listdir(tmp_path) == ["huge.ini"]
 
+    @pytest.mark.parametrize(
+        "dt, reason",
+        [(1e-300, "Maximum allowed dimension exceeded"), (1e-18, "array is too big")],
+    )
+    def test_step_count_past_numpy_index_range_is_a_config_error(
+        self, tmp_path, capsys, dt, reason
+    ):
+        # numpy refuses these trajectory shapes with ValueError, not MemoryError
+        run = f"command = evolve\ndt = {dt!r}\nt_final = 1.0\nrho0 = uniform:b"
+        cfg = write_cfg(tmp_path, "kind = vacuum", run)
+        assert main(["evolve", "--config", cfg, "--out", str(tmp_path / "x.csv")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("vrelax: config error: Unable to allocate a trajectory")
+        assert reason in err and err.count("\n") == 1
+        assert os.listdir(tmp_path) == ["scenario.ini"]
+
+
+# the feeding entries stay finite; the ground sums of the isotropic field
+# and the superoperator's diagonal (-2 Re Gamma) in vacuum overflow
+OVERFLOW_ISOTROPIC = ("kind = isotropic\nn_mean = 1.0", "s_scale = 1e308")
+OVERFLOW_VACUUM = ("kind = vacuum", "s_scale = 1.7e308")
+
+
+class TestOverflow:
+    @pytest.mark.parametrize(
+        "command, scenario, message",
+        [
+            *[(c, OVERFLOW_ISOTROPIC, "rate coefficients overflow")
+              for c in ("rates", "superop", "steady", "evolve")],
+            *[(c, OVERFLOW_VACUUM, "matrix entries overflow")
+              for c in ("superop", "steady", "evolve")],
+        ],
+    )
+    def test_overflowing_sums_are_a_config_error(
+        self, tmp_path, capsys, command, scenario, message
+    ):
+        environment, scale = scenario
+        run = f"{scale}\ndt = 0.002\nt_final = 0.01\nrho0 = thermal-ground"
+        cfg = write_cfg(tmp_path, environment, run)
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "x.csv")]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith(f"vrelax: config error: {message}")
+        assert err.count("\n") == 1
+        assert os.listdir(tmp_path) == ["scenario.ini"]
+
+    def test_vacuum_rates_below_the_overflow_stay_finite(self, tmp_path):
+        out = tmp_path / "x.csv"
+        cfg = write_cfg(tmp_path, *OVERFLOW_VACUUM)
+        assert main(["rates", "--config", cfg, "--out", str(out)]) == 0
+        cells = [cell for row in read_out(out)[3] for cell in row[-2:]]
+        assert cells and all(math.isfinite(float(cell)) for cell in cells)
+
 
 class TestSteadyCommand:
     def test_isotropic_detailed_balance(self, tmp_path):

@@ -208,6 +208,55 @@ def test_hand_made_and_replaced_sets_take_sites_from_their_keys():
         replace(rates, sites=rates.sites)
 
 
+def assert_values_from_feeding(rates):
+    """``values`` holds the feeding table's values to the bit, read-only and complex."""
+    values = rates.values
+    assert values.dtype == complex and values.shape == (len(rates.feeding),)
+    assert not values.flags.writeable
+    assert np.array_equal(bits(values), bits(list(rates.feeding.values())))
+
+
+def values_kinds(rates):
+    """The set, its two reductions, a hand-made copy and a replaced half."""
+    half_table = dict(list(rates.feeding.items())[1::2])
+    return (
+        rates,
+        rates.restricted("b"),
+        rates.restricted("c"),
+        RateSet(rates.scheme, rates.feeding, rates.stimulated),
+        replace(rates, feeding=half_table),
+    )
+
+
+@pytest.mark.parametrize("name", preset_names())
+def test_values_equal_feeding_values_on_every_preset(name):
+    for _label, rates in build_rate_sets(preset_config(name)):
+        for made in values_kinds(rates):
+            assert_values_from_feeding(made)
+
+
+def test_values_cannot_be_replaced_or_written():
+    rates = rates_fine(dline(), cavity_k(), cavity_k())
+    with pytest.raises(TypeError, match="values"):
+        replace(rates, values=rates.values)
+    with pytest.raises(ValueError, match="read-only"):
+        rates.values[0] = 0.25
+
+
+@pytest.mark.parametrize(
+    "key",
+    [
+        ("b", half("1/2"), "c", half("1/2"), half("1/2"), half("1/2")),  # halves swapped
+        ("d", half("1/2"), half("1/2"), "b", half("1/2"), half("1/2")),  # ground first
+        ("b", half("1/2"), half("1/2"), "b", half("1/2")),  # three sublevels
+        ("b", half("1/2"), half("1/2"), "b", half("1/2"), half("1/2"), half("1/2")),  # five
+    ],
+)
+def test_hand_made_key_of_the_wrong_shape_is_a_scheme_error(key):
+    with pytest.raises(SchemeError):
+        RateSet(dline(), {key: 1.0})
+
+
 def sparse_k(draw, rng):
     """A PSD helicity matrix m m^dagger whose m has drawn zero entries, so
     some of its diagonal and off-diagonal entries are exactly zero."""
@@ -259,6 +308,13 @@ def test_sites_and_permuted_basis_on_random_schemes_under_sparse_k(rates, seed):
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(sparse_k_rate_sets())
+def test_values_equal_feeding_values_on_random_schemes_under_sparse_k(rates):
+    for made in values_kinds(rates):
+        assert_values_from_feeding(made)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(sparse_k_rate_sets(), st.randoms(use_true_random=False))
 # a hyperfine upper table with exact-zero sums (16 of its 104)
 @example(build_rate_sets(preset_config("sodium-hyperfine"))[0][1], random.Random(0))
@@ -299,6 +355,28 @@ def test_rates_csv_bytes_pinned(name, tmp_path):
     out = tmp_path / "rates.csv"
     assert main(["rates", "--preset", name, "--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == RATES_SHA256[name]
+
+
+# SHA-256 of the stdout of `vrelax kmatrix --preset NAME`, taken before the
+# rate tables were keyed from their arrays.
+KMATRIX_SHA256 = {
+    "dline-vacuum": "b25eb772b19816063a597c89d02b2e9b2738d7a980323f0758581ff6d24e29a2",
+    "dline-isotropic": "9b631c6769c3cf5f42113cdf15933c77056650d1e261190acb22784055a6f6a9",
+    "dline-cos2": "69bc1412228eccd6483660f106a8ca9898da70fe43b020b1b3fa80fe7fe2b744",
+    "dline-paper-k": "56d36b561a2eb86271ca7d48f89c946296b43ad48f8789b601a2a70b266fae90",
+    "dline-cavity": "f93a14f07895a4864a775bb368fc43f83993bf101d8e221e2167d2d5d227130e",
+    "dline-photonic": "4c2c0db534d62e2eaa525674c2652b5ac3427540a6689cf0492b1846b130c14f",
+    "twolevel-decay": "93caadc47e43312e78b413f6e7b4f1cf721b5f6a61c76dcdc6cbadb0c343f07c",
+    "sodium-hyperfine": "7de77b363907044d6e2961ab06e8b1551edb9279b9711f75ad5fe133295c9ad8",
+}
+
+
+@pytest.mark.parametrize("name", preset_names())
+def test_kmatrix_stdout_pinned(name, capsys):
+    assert main(["kmatrix", "--preset", name]) == 0
+    out, err = capsys.readouterr()
+    assert hashlib.sha256(out.encode()).hexdigest() == KMATRIX_SHA256[name]
+    assert err == ""
 
 
 # SHA-256 of every preset's superoperators, each one's row, col and data bytes
