@@ -17,17 +17,18 @@ nonzeros links never mix, so G is a direct sum of these blocks up to a
 permutation (for a helicity-diagonal K they refine the coherence orders
 q = M_i - M_j; helicity cross terms only make them larger).
 
-Propagation is classical fixed-step RK4 on dy/dt = G y over the blocks that
-hold a nonzero of rho_0 only; every other entry of rho stays exactly 0.0 (on
-sodium from one excited sublevel, 120 of 1024 entries).  For a constant G
-one RK4 step is exactly y <- P(dt G) y, with P(z) = 1 + z + z^2/2 + z^3/6 +
-z^4/24 the RK4 stability function (Hairer, Norsett & Wanner, Solving ODEs I,
-section II.1), so a step is one batched product per block size with P(dt B)
-of each dense diagonal block B.  The trace and positivity monitors run in
-batched calls on 256 stored steps at a time, and step by step on the n x n
-state only where a batch fails them.  Fixed stepping (rather than adaptive)
-keeps trajectories bit-reproducible; the price is that the caller picks dt,
-so `propagate` warns when dt * max|G| looks stiff.
+Propagation is classical fixed-step RK4 on dy/dt = G y over the entries that
+rho_0 reaches along G's directed nonzeros; every other entry stays exactly 0.0
+(on sodium from one excited sublevel, 2 to 34 of 1024).  For a constant G one
+RK4 step is y <- P(dt G) y, with P(z) = 1 + z + z^2/2 + z^3/6 + z^4/24 the RK4
+stability function (Hairer, Norsett & Wanner, Solving ODEs I, section II.1).
+The state is held in real coordinates (re rho_ij for i <= j, im rho_ji for
+i > j): a step is one batched real product per block size, by the matrix of
+y -> (x' + x'^dagger)/2 with x' = P(dt B) x for the state x that y holds, so a
+superoperator that does not preserve Hermiticity is projected back each step.
+The monitors run batched on 256 stored steps at a time, and step by step on
+the n x n state only where a batch fails them.  Fixed stepping keeps runs
+bit-reproducible; the caller picks dt, so `propagate` warns when it is stiff.
 
 The steady state is the null vector of G, found block by block.  Each block
 is decomposed by a dense SVD, blocks of equal size in one batched call, and
@@ -46,17 +47,13 @@ fixed-point residual against the sparse G.  A degenerate report also counts
 the null vectors that live wholly on the ground-ground (d-d) entries, the
 dark ground manifold that nothing pumps out of.
 
-Two hygiene rules, both disclosed rather than hidden:
-
-* the state is re-Hermitized, rho <- (rho + rho^dagger)/2, after every step
-  (RK4 preserves Hermiticity only up to roundoff);
-* positivity is monitored, never enforced -- an eigenvalue below -tau aborts
-  the run instead of being projected back.  A finite Cholesky factor of
-  rho + (tau/2) I, backward stable (Higham, Accuracy and Stability of
-  Numerical Algorithms, section 10.1), puts them all above -tau/2 - n^2 eps
-  |rho|: no abort.  The batched certificate factors the blocks of rho
-  instead.  Only a failed or non-finite factor lets eigvalsh decide, and a
-  state that is not finite aborts before it.
+Positivity is monitored, never enforced -- an eigenvalue below -tau aborts
+the run instead of being projected back.  A finite Cholesky factor of
+rho + (tau/2) I, backward stable (Higham, Accuracy and Stability of Numerical
+Algorithms, section 10.1), puts them all above -tau/2 - n^2 eps |rho|: no
+abort.  The batched certificate factors the blocks of rho instead.  Only a
+failed or non-finite factor lets eigvalsh decide, and a state that is not
+finite aborts before it.
 """
 
 from __future__ import annotations
@@ -68,12 +65,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .errors import (
-    ConvergenceError,
-    DegenerateSteadyStateError,
-    NumericalAbortError,
-    SchemeError,
-)
+from .errors import ConvergenceError, DegenerateSteadyStateError, NumericalAbortError, SchemeError
 from .operators import Basis, HyperfineScheme, LevelScheme, SparseMatrix, Superoperator, sparse_sum
 
 # every tolerance of this module; none is a caller's knob
@@ -204,20 +196,21 @@ def _generator(
     return sparse_sum(parts, n * n)
 
 
-def _components(gen: SparseMatrix) -> tuple[int, np.ndarray]:
-    """Weakly connected components of the nonzero pattern of ``gen``: their
-    count and the component label of every vec entry, numbered in the order
-    of their smallest entries.
+def _components(*matrices: SparseMatrix) -> tuple[int, np.ndarray]:
+    """Weakly connected components of the joint nonzero pattern of ``matrices``
+    (of one shape): their count and the label of every vec entry, numbered in
+    the order of their smallest entries.
 
-    No chain of nonzeros links entries of different components, so ``gen``
+    No chain of nonzeros links entries of different components, so each matrix
     is the direct sum of its diagonal blocks over them, up to a permutation.
-    Min-label propagation: each entry points at a smaller or equal entry of
-    its component, and the roots end as the smallest entries.
+    Min-label propagation: each entry points at a smaller or equal entry of its
+    component, and the roots end as the smallest entries.
     """
-    parent = np.arange(gen.shape[0])
-    while not np.array_equal(parent[gen.row], parent[gen.col]):
-        low = np.minimum(parent[gen.row], parent[gen.col])
-        for end in (gen.row, gen.col):  # hook the root of each end onto the smaller one
+    rows, cols = (np.concatenate(ends) for ends in zip(*((m.row, m.col) for m in matrices)))
+    parent = np.arange(matrices[0].shape[0])
+    while not np.array_equal(parent[rows], parent[cols]):
+        low = np.minimum(parent[rows], parent[cols])
+        for end in (rows, cols):  # hook the root of each end onto the smaller one
             np.minimum.at(parent, parent[end], low)
         while not np.array_equal(parent[parent], parent):  # pointer jumping
             parent = parent[parent]
@@ -305,24 +298,22 @@ def step_count(t_final: float, dt: float) -> int:
 
 
 def _reached(gen: SparseMatrix, rho0: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The vec entries that propagation from ``rho0`` can make nonzero.
+    """The vec entries that propagation from ``rho0`` can make nonzero, in
+    ascending order, and the local index of each one's transpose.
 
-    That is the union of the components of ``gen`` (see :func:`_components`)
-    holding a nonzero of ``rho0``, closed under transposition, since each step
-    writes rho[j, i] into rho[i, j] when it Hermitizes.  Returns those vec
-    indices in ascending order and, for each, the local index of its
-    transpose partner.  Every other entry of rho stays exactly 0.0.
+    They close the nonzeros of ``rho0`` under the edge x[row] <- x[col] of
+    every stored generator entry, since P(dt B) links entries only along such
+    directed paths, and under transposition, since the real coordinates hold
+    (i, j) and (j, i) together.  Every other entry of rho stays exactly 0.0.
     """
     n = rho0.shape[0]
-    count, labels = _components(gen)
-    kept = np.zeros(count, dtype=bool)
-    partners = np.flatnonzero(rho0.reshape(n * n))
-    while not kept[labels[partners]].all():
-        kept[labels[partners]] = True
-        positions = np.flatnonzero(kept[labels])
-        row, col = np.divmod(positions, n)
-        partners = col * n + row
-    return positions, np.searchsorted(positions, partners)
+    transpose = np.arange(n * n).reshape(n, n).T.reshape(n * n)
+    reached, grown = None, rho0.reshape(n * n) != 0
+    while not np.array_equal(reached, grown):
+        reached, grown = grown, grown | grown[transpose]
+        grown[gen.row[grown[gen.col]]] = True
+    positions = np.flatnonzero(reached)
+    return positions, np.searchsorted(positions, transpose[positions])
 
 
 def propagate(
@@ -340,13 +331,11 @@ def propagate(
     the trajectory is sampled every ``sample_every`` steps and always includes
     the initial and final states.  Warns when dt * max|generator| exceeds 0.1.
 
-    Only the vec entries that ``rho0`` reaches are evolved: the union of the
-    generator's blocks holding a nonzero of ``rho0`` (closed under
-    transposition for the Hermitization).  Each step multiplies every such
-    block B by its RK4 propagator P(dt B); every other entry stays exactly
-    0.0, as RK4 over all n^2 entries leaves it: no nonzero of the generator
-    links it to the reached ones.  The trajectory stores the reached entries,
-    and any other entry of ``rho0`` that is not +0.0 (a -0.0, in sample 0).
+    Only the entries that ``rho0`` reaches (:func:`_reached`) are evolved, in
+    the real coordinates of the module docstring, by the real matrix of P(dt B)
+    and the Hermitization; every other entry stays exactly 0.0, as RK4 over all
+    n^2 entries leaves it.  The trajectory stores the reached entries, and any
+    other entry of ``rho0`` that is not +0.0 (a -0.0, in sample 0).
 
     Aborts with :class:`NumericalAbortError` (carrying the time and the
     monitor value) at the first step whose trace drifts from its initial
@@ -364,17 +353,11 @@ def propagate(
     gen = _generator(hamiltonian, superops)
     n = len(hamiltonian.basis)
     if rho.shape != (n, n):
-        raise SchemeError(
-            f"Hamiltonian shape {(n, n)} does not match state dimension {rho.shape[0]}"
-        )
+        raise SchemeError(f"Hamiltonian shape {(n, n)} does not match state dimension {len(rho)}")
     stiffness = dt * float(np.max(np.abs(gen.data))) if gen.nnz else 0.0
     if stiffness > 0.1:
-        warnings.warn(
-            f"dt * max|generator| = {stiffness:.3g} exceeds 0.1; "
-            f"RK4 accuracy degrades, consider a smaller dt",
-            RuntimeWarning,
-            stacklevel=2,
-        )
+        message = f"dt * max|generator| = {stiffness:.3g} exceeds 0.1; RK4 accuracy degrades"
+        warnings.warn(f"{message}, consider a smaller dt", RuntimeWarning, stacklevel=2)
 
     trace0 = float(rho.trace().real)
     flat = rho.reshape(n * n)
@@ -392,7 +375,7 @@ def propagate(
     columns = np.searchsorted(positions, reached)
     index = np.full(n * n, reached.size)  # unreached entries read the buffer's +0j column
     index[reached] = np.arange(reached.size)
-    kept = index[gen.row] < reached.size  # whole components: no nonzero leaves ``reached``
+    kept = (index[gen.row] < reached.size) & (index[gen.col] < reached.size)  # both ends
     sub = sparse_sum([(index[gen.row[kept]], index[gen.col[kept]], gen.data[kept])], reached.size)
     diagonal = index[np.arange(n) * (n + 1)]
     # rho is the direct sum of its blocks over the components of the basis
@@ -401,24 +384,39 @@ def propagate(
     shift = (0.5 * _NEGATIVITY_TOL) * np.eye(n)
     blocks = [(index[m[:, :, None] * n + m[:, None, :]], shift[: m.shape[1], : m.shape[1]])
               for m, _stack in _blocks(pattern)]  # (buffer columns of each block, its shift)
-    buffer = np.zeros((_CHUNK, reached.size + 1), dtype=complex)
-    x = flat[reached]
+    # real coordinates: the slot of (i, j) holds re rho_ij for i <= j and im rho_ji
+    # for i > j; T y is the Hermitian state y holds, and Re(T^-1 z) is y of H(z)
+    lower, local = np.greater(*np.divmod(reached, n)), np.arange(reached.size)
+    real_of = np.where(lower, partner, local)
+    imag_of = np.where(lower, local, np.where(partner == local, reached.size, partner))
+    off = imag_of < reached.size  # a diagonal entry reads the +0.0 column instead
+    imaginary = (local[off], imag_of[off], np.where(lower, -1j, 1j)[off])
+    to_complex = sparse_sum([(local, real_of, np.ones(reached.size)), imaginary], reached.size)
+    x = 0.5 * (flat[reached] + flat[reached][partner].conj())  # rho0: Hermitian to 1e-12
+    y = np.where(lower, x[partner].imag, x.real)
     # an overflowing P(dt B) or state aborts typed below, without numpy's warnings
     with np.errstate(over="ignore", invalid="ignore"):
-        steppers = []
-        for local, stack in _blocks(sub):
+        steppers, prev, order = [], [], np.zeros(0, dtype=np.intp)  # order: slots by block
+        for at, stack, tb in _blocks(sub, to_complex):  # tb: the blocks of T
             p = eye = np.eye(stack.shape[1])
             for c in (4.0, 3.0, 2.0, 1.0):  # P(dt B) by Horner's rule
                 p = eye + (dt / c) * stack @ p
-            steppers.append((local, p))
+            # T^-1 is T^dagger over the squared norms of T's columns (1 or 2)
+            q = (tb.conj().swapaxes(1, 2) @ p @ tb).real / (abs(tb) ** 2).sum(axis=1)[..., None]
+            steppers.append((q, np.zeros((_CHUNK, *at.shape, 1))))  # with Q y of each step
+            prev, order = prev + [y[at][..., None]], np.append(order, at)
+        column = np.append(np.argsort(order), reached.size)  # stored column of each slot
+        real_of, imag_of = column[real_of], column[imag_of]
         for first in range(1, steps + 1, _CHUNK):
             stepped = np.arange(first, min(first + _CHUNK, steps + 1))
-            for row in range(stepped.size):
-                for local, p in steppers:
-                    x[local] = np.matmul(p, x[local][..., None])[..., 0]
-                x = 0.5 * (x + x[partner].conj())
-                buffer[row, :-1] = x
-            chunk = buffer[: stepped.size]
+            for row in range(stepped.size):  # y <- Q y, each step into its own row
+                prev = [np.matmul(q, last, out=out[row]) for (q, out), last in zip(steppers, prev)]
+            stored = [out[: stepped.size].reshape(stepped.size, -1) for _q, out in steppers]
+            stored = np.column_stack([*stored, np.zeros(stepped.size)])  # and a +0.0 column
+            chunk = np.zeros((stepped.size, reached.size + 1), dtype=complex)
+            chunk.real[:, :-1] = stored[:, real_of]
+            imag = stored[:, imag_of]
+            chunk.imag[:, :-1] = np.where(lower, 0.0 - imag, imag)  # -imag: -0.0 for +0.0
 
             drift = np.abs(chunk[:, diagonal].sum(axis=1).real - trace0)
             try:  # the certificate on the state's blocks; see the module docstring
@@ -526,16 +524,16 @@ def steady_state(
     return rho
 
 
-def _blocks(gen: SparseMatrix) -> list[tuple[np.ndarray, np.ndarray]]:
-    """The dense diagonal blocks of ``gen``, one per weakly connected component.
+def _blocks(gen: SparseMatrix, *more: SparseMatrix) -> list[tuple[np.ndarray, ...]]:
+    """The dense diagonal blocks of ``gen`` and of each of ``more`` (of its
+    shape), one per weakly connected component of their joint nonzeros.
 
-    Blocks of equal size are stacked.  One ``(positions, stack)`` pair per
-    block size s, for k blocks of that size: ``positions`` (k, s) holds each
-    block's vec indices, in ascending order, and ``stack`` (k, s, s) the
-    blocks themselves.
+    Blocks of equal size are stacked: one ``(positions, stack, *more_stacks)``
+    tuple per block size s, for k blocks of that size, with ``positions``
+    (k, s) each block's vec indices in ascending order.
     """
     size = gen.shape[0]
-    count, labels = _components(gen)
+    count, labels = _components(gen, *more)
     # relabel components in ascending size, so that equal sizes sit side by side
     sizes = np.bincount(labels, minlength=count)
     by_size = np.argsort(sizes, kind="stable")
@@ -547,20 +545,20 @@ def _blocks(gen: SparseMatrix) -> list[tuple[np.ndarray, np.ndarray]]:
     local = np.empty(size, dtype=np.intp)
     local[order] = np.arange(size) - np.repeat(starts, sizes)
 
-    # scatter every nonzero (each stored once) into one buffer of all blocks
+    # scatter every nonzero (each stored once) into one buffer of all blocks per matrix
     offsets = np.cumsum(sizes * sizes) - sizes * sizes
-    row_labels = labels[gen.row]
-    buffer = np.zeros(int(np.sum(sizes * sizes)), dtype=complex)
-    flat = offsets[row_labels] + local[gen.row] * sizes[row_labels] + local[gen.col]
-    buffer[flat] = gen.data
+    buffers = np.zeros((1 + len(more), int(np.sum(sizes * sizes))), dtype=complex)
+    for buffer, matrix in zip(buffers, (gen, *more)):
+        label = labels[matrix.row]
+        buffer[offsets[label] + local[matrix.row] * sizes[label] + local[matrix.col]] = matrix.data
 
     blocks = []
     first = 0
     for s, k in zip(*np.unique(sizes, return_counts=True)):
         s, k = int(s), int(k)
-        stack = buffer[offsets[first] : offsets[first] + k * s * s].reshape(k, s, s)
+        stacks = buffers[:, offsets[first] : offsets[first] + k * s * s].reshape(-1, k, s, s)
         positions = order[starts[first] : starts[first] + k * s].reshape(k, s)
-        blocks.append((positions, stack))
+        blocks.append((positions, *stacks))
         first += k
     return blocks
 

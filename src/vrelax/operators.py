@@ -418,9 +418,11 @@ class RateSet:
 
         def summed(over: str, drop_zeros: bool) -> MappingProxyType:
             g, i, j = _partial_sums(sites, values, len(sub), over)
+            self._sums[over] = i, j, g[i, j]  # for the superoperators' depopulation
             sums = zip(_keys(sub, np.transpose((i, j))), g[i, j].tolist())
             return MappingProxyType({k: v for k, v in sums if v != 0.0 or not drop_zeros})
 
+        object.__setattr__(self, "_sums", {})
         object.__setattr__(self, "feeding", MappingProxyType(feeding))
         object.__setattr__(self, "sites", sites)
         object.__setattr__(self, "values", values)
@@ -633,32 +635,32 @@ class Superoperator:
 
 
 def _placed(rates: RateSet, basis: Basis | None, tables: tuple[str, ...]) -> tuple:
-    """(basis, sites, values) of the feeding entries, ``sites`` remapped to ``basis``
-    by one n-entry lookup; a missing sublevel raises in ``tables`` key order."""
+    """(basis, lookup): ``lookup[p]`` is the position in ``basis`` of sublevel p of
+    the set's own basis; a missing sublevel raises in ``tables`` key order."""
     own = Basis.for_scheme(rates.scheme)
     basis = own if basis is None else basis
-    sites = np.array([basis._position.get(s, -1) for s in own.sublevels])[rates.sites]
-    if np.any(sites < 0):
+    lookup = np.array([basis._position.get(s, -1) for s in own.sublevels])
+    if np.any(lookup[rates.sites] < 0):
         for table in tables:
             for sublevels, _value in rates.entries(table):
                 for sublevel in sublevels:
                     basis.position(sublevel)  # raises at the first one missing
-    return basis, sites, rates.values
+    return basis, lookup
 
 
-def _depopulation(sites: np.ndarray, values: np.ndarray, n: int, over: str) -> tuple:
+def _depopulation(sums: tuple, lookup: np.ndarray, n: int) -> tuple:
     """Triplets of -(G (x) 1) followed by those of -(1 (x) G*), over G's nonzeros.
 
-    G is ``_partial_sums(over=...)`` over the remapped sites, the sums that
-    ``RateSet`` writes its ``upper`` ("ground") or ``ground`` ("upper") table
-    from, so it holds that table to the bit.  -(G rho + rho G^dagger): the
-    conjugate on the right factor is what keeps Hermiticity preservation exact
-    when per-frequency evaluation leaves the embedded table non-Hermitian.
+    G is one of the (i, j, value) sums ``RateSet`` writes its ``upper`` or
+    ``ground`` table from, placed by ``lookup`` and taken in row-major order.
+    -(G rho + rho G^dagger): the conjugate on the right factor is what keeps
+    Hermiticity preservation exact when per-frequency evaluation leaves the
+    embedded table non-Hermitian.
     """
-    g = _partial_sums(sites, values, n, over)[0]
-    i, j = np.nonzero(g)
-    k = np.arange(n)
-    value = np.repeat(g[i, j], n)
+    i, j, g = sums
+    order = np.lexsort((lookup[j], lookup[i]))
+    order = order[g[order] != 0]
+    i, j, k, value = lookup[i[order]], lookup[j[order]], np.arange(n), np.repeat(g[order], n)
     rows = np.concatenate([(i[:, None] * n + k).ravel(), (k * n + i[:, None]).ravel()])
     cols = np.concatenate([(j[:, None] * n + k).ravel(), (k * n + j[:, None]).ravel()])
     return rows, cols, np.concatenate([-value, -value.conj()])
@@ -700,11 +702,10 @@ def build_relaxation_superop(rates: RateSet, basis: Basis | None = None) -> Supe
     conjugated, and the depopulation table is the feeding table's partial
     trace, so the result preserves trace and Hermiticity.
     """
-    basis, sites, values = _placed(rates, basis, ("upper", "feeding"))
+    basis, lookup = _placed(rates, basis, ("upper", "feeding"))
     n = len(basis)
-    matrix = sparse_sum(
-        [_depopulation(sites, values, n, "ground"), _feeding(sites, values, n)], n * n
-    )
+    depopulation = _depopulation(rates._sums["ground"], lookup, n)
+    matrix = sparse_sum([depopulation, _feeding(lookup[rates.sites], rates.values, n)], n * n)
     return Superoperator(matrix=matrix, basis=basis, label="relaxation")
 
 
@@ -725,17 +726,17 @@ def build_stimulated_superop(rates: RateSet, basis: Basis | None = None) -> Supe
             "stimulated superoperator does not support hyperfine rate sets "
             "(hyperfine=True with kind='stimulated')"
         )
-    basis, sites, values = _placed(rates, basis, ("feeding",))
+    basis, lookup = _placed(rates, basis, ("feeding",))
     n = len(basis)
-    rows, cols, doubled = _feeding(sites, values, n)
+    rows, cols, doubled = _feeding(lookup[rates.sites], rates.values, n)
     # emission: excited depopulation + feeding down into the ground manifold;
     # absorption: ground depopulation + the emission feeding with the upper and
     # ground roles swapped (its triplets never share a position with an
     # emission triplet)
     matrix = sparse_sum(
         [
-            _depopulation(sites, values, n, "ground"),
-            _depopulation(sites, values, n, "upper"),
+            _depopulation(rates._sums["ground"], lookup, n),
+            _depopulation(rates._sums["upper"], lookup, n),
             (rows, cols, doubled),
             (cols, rows, doubled),
         ],

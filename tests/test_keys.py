@@ -495,28 +495,29 @@ def test_degenerate_steady_stderr_pinned(name, capsys):
 
 # SHA-256 of the stdout of `vrelax evolve --preset NAME`, in full mode and
 # with --populations-only, on the presets that set dt and t_final (the others
-# exit 2), taken before each distinct trajectory value was formatted once per
-# chunk; the trajectory CSV must keep its bytes.
+# exit 2), taken when propagation moved to real Hermitian coordinates over the
+# directed reach, which moved the trajectories' last bits (by at most 8.7e-15;
+# twolevel-decay kept its bytes); the trajectory CSV must keep its bytes.
 EVOLVE_SHA256 = {
     "dline-vacuum": (
-        "871a74ffec60629f422d64d7e770d69cd9caa7a0a5c173a1a15eb8b73c766924",
-        "41cfc52120f2051747de0142d023b8b0962e70ba7a21acd1adc94ec6f5c8add0",
+        "6cb4fc35fe274aaeca61c886ee0a99f9626896f8366ee970de8f7b518ecc9c20",
+        "7eaaa14e5a28976118662c5a75303403dee87019228ceb4cd6fd27f95f971e80",
     ),
     "dline-isotropic": (
-        "437e2009d32c761211a2fdd4a5339d3d8d416d2d5586d9782f591b34dd5c9fd9",
-        "e2d2f060aeb499321b3e571a1a51d35ee86eb7aa2b51efc99f6740693994af58",
+        "292905f04f89bed8f768343c10db7065f162124dafa794648fea430d40a35707",
+        "5baf1541861d6c7143752dc621da204c6220fb55724085894d3872a7cd7ead98",
     ),
     "dline-cos2": (
-        "9fdd84f390979bc06dbdaee376ca30619312c70ad055f51d4d821a3eee3a444a",
-        "f2339aba1e414d4ceb5de4899e46007c53955d2d1f9fd4cad814d0bddca2e9d8",
+        "feb40777fefea958d24860347a83ae05a203ff1117b6adaa56d14aba78fd14c9",
+        "b2bf403004407c13f61440359fdc4eb87352f1b562008c523533a5db0e30b2f9",
     ),
     "twolevel-decay": (
         "720f7c1715e21b011eee8e869f3824dbc3c4f410116f6ffd79a86095d13a8aab",
         "bbecaa645880976083331b8e2fd1f8d9efb6358cea4a38908648a1b4dbc8f818",
     ),
     "sodium-hyperfine": (
-        "eff8b85de145930d61f108889f487e9301c858451b8c966a63046964cff08f2d",
-        "6e68cc22d8920dce4219548bf4c9b86e73fba766d4263cb75ab00b375283bb9d",
+        "a6d845ec509d759af9e5b4e6c82a7495436a430213c40cbd7efb9d6d4aa8f59f",
+        "e6b71ce84183ef53f48521f5dfe6418cb64b7eb88d17a87ada3582ce933df58b",
     ),
 }
 

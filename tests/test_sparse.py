@@ -3,9 +3,12 @@
 Each fast path is checked against the code it replaced, kept here as the
 oracle: the dense kron assembly of the superoperator builders (equal to the
 bit), a dense-gemv RK4 loop (to 1e-13), the full-space sparse RK4 that
-propagation over the reached blocks replaced (to 1e-13, with every entry
-outside the reached blocks exactly +0.0), the per-step trace and positivity
-monitors that the batched ones replaced (to the bit, aborts included), and
+propagation over the reached entries replaced (to 1e-13, with every entry
+outside them exactly +0.0, and the reached entries those it ever makes
+nonzero), the complex step plus Hermitization that the real coordinates
+replaced (to 1e-13, on a superoperator that does not preserve Hermiticity),
+the per-step trace and positivity monitors that the batched ones replaced
+(to the bit, aborts included), and
 the per-element ``repr(float(x))`` CSV loops (byte for byte).  The tables a
 ``RateSet`` derives from its feeding table are checked against the dict
 path that summed them from the keys before (equal to the bit), and the
@@ -373,8 +376,9 @@ def per_step_propagate(
     """The per-step monitors that ``propagate``'s batched ones replaced, kept
     as their oracle.
 
-    The same blocked RK4 step, then after every step the trace, the Cholesky
-    certificate, finiteness and ``eigvalsh`` on the scattered n x n state.
+    The same blocked RK4 step in real coordinates, then after every step the
+    trace, the Cholesky certificate, finiteness and ``eigvalsh`` on the
+    scattered n x n state.
     """
     rho = validate_density_matrix(rho0).copy()
     steps = step_count(t_final, dt)
@@ -389,20 +393,40 @@ def per_step_propagate(
     positions, partner = _reached(gen, rho)
     index = np.full(n * n, -1)
     index[positions] = np.arange(positions.size)
-    kept = index[gen.row] >= 0
+    kept = (index[gen.row] >= 0) & (index[gen.col] >= 0)
     reached = [(index[gen.row[kept]], index[gen.col[kept]], gen.data[kept])]
+    # slot a of (i, j) holds re rho_ij (i <= j) or im rho_ji (i > j): the state
+    # x = T y has x_a = y_a + i y_b (i < j), y_b - i y_a (i > j), y_a (i = j),
+    # with b the slot of (j, i), and the step is y <- Re(T^-1 P T) y
+    lower = np.greater(*np.divmod(positions, n))
+    local = np.arange(positions.size)
+    diagonal = partner == local
+    off = ~diagonal
+    to_complex = sparse_sum(
+        [
+            (local, np.where(lower, partner, local), np.ones(positions.size)),
+            (local[off], np.where(lower, local, partner)[off], np.where(lower, -1j, 1j)[off]),
+        ],
+        positions.size,
+    )
     steppers = []
     with np.errstate(over="ignore", invalid="ignore"):
-        for local, stack in _blocks(sparse_sum(reached, positions.size)):
+        for at, stack, t in _blocks(sparse_sum(reached, positions.size), to_complex):
             p = eye = np.eye(stack.shape[1])
             for c in (4.0, 3.0, 2.0, 1.0):
                 p = eye + (dt / c) * stack @ p
-            steppers.append((local, p))
+            # T^-1 = T^dagger over the squared norms of T's columns
+            norms = (abs(t) ** 2).sum(axis=1)[..., None]
+            steppers.append((at, (t.conj().swapaxes(1, 2) @ p @ t).real / norms))
         x = rho.reshape(n * n)[positions]
+        x = 0.5 * (x + x[partner].conj())
+        y = np.where(lower, x[partner].imag, x.real)
         for step in range(1, steps + 1):
-            for local, p in steppers:
-                x[local] = np.matmul(p, x[local][..., None])[..., 0]
-            x = 0.5 * (x + x[partner].conj())
+            for at, q in steppers:
+                y[at] = np.matmul(q, y[at][..., None])[..., 0]
+            x = np.empty(positions.size, dtype=complex)
+            x.real = np.where(lower, y[partner], y)
+            x.imag = np.where(lower, 0.0 - y, np.where(diagonal, 0.0, y[partner]))
             if step % sample_every == 0 or step == steps:
                 rho = states[-(-step // sample_every)]
             else:
@@ -733,6 +757,72 @@ def test_reachable_propagation_equals_full_space_on_random_schemes(case, seed, s
     assert_matches_full_space_oracle(
         rho0, hamiltonian, superops, 20 * dt, dt, sample_every=sample_every
     )
+
+
+def ever_nonzero(trajectory):
+    """Vec entries that are not exactly zero in some sample."""
+    flat = trajectory.states.reshape(len(trajectory), -1)
+    return np.flatnonzero((flat != 0).any(axis=0))
+
+
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(random_rate_sets(), st.integers(0, 2**32 - 1))
+def test_directed_reach_holds_every_entry_the_full_space_oracle_makes_nonzero(case, seed):
+    rates, basis = case
+    rng = np.random.default_rng(seed)
+    n = len(basis)
+    support = sorted(rng.choice(n, size=rng.integers(1, n + 1), replace=False).tolist())
+    rho0 = random_density_matrix(rng, n, support)
+    hamiltonian = build_hamiltonian(rates.scheme, basis)
+    superops = [_build(rates, basis)]
+    gen = _generator(hamiltonian, superops)
+    dt = 0.05 / float(np.max(np.abs(gen.data)))
+    oracle = full_space_propagate(rho0, hamiltonian, superops, 20 * dt, dt)
+    reached = _reached(gen, rho0)[0]
+    assert np.isin(ever_nonzero(oracle), reached).all()
+    outside = np.setdiff1d(np.arange(n * n), reached)
+    assert not bits(oracle.states.reshape(len(oracle), n * n)[:, outside]).any()  # all +0.0
+
+
+@pytest.mark.parametrize("f, m", [(f, m) for f in range(4) for m in range(-f, f + 1)])
+def test_sodium_positions_are_the_entries_the_full_space_oracle_makes_nonzero(f, m):
+    cfg, hamiltonian, superops, rho0 = _preset_problem("sodium-hyperfine", f"single:b:{f}:{m}")
+    args = (rho0, hamiltonian, superops, 40 * cfg.run.dt, cfg.run.dt)
+    assert np.array_equal(propagate(*args).positions, ever_nonzero(full_space_propagate(*args)))
+
+
+def complex_step_and_hermitization(rho0, hamiltonian, superops, steps, dt):
+    """The complex RK4 step P(dt G) on all n^2 entries, each followed by the
+    Hermitization, as ``propagate`` stepped before its real coordinates."""
+    n = rho0.shape[0]
+    gen = _generator(hamiltonian, superops).toarray()
+    p = eye = np.eye(n * n)
+    for c in (4.0, 3.0, 2.0, 1.0):
+        p = eye + (dt / c) * gen @ p
+    states = [rho0]
+    for _ in range(steps):
+        states.append(_hermitized((p @ states[-1].reshape(n * n)).reshape(n, n)))
+    return np.asarray(states)
+
+
+def test_superoperator_that_breaks_hermiticity_keeps_the_complex_step_dynamics():
+    rng = np.random.default_rng(61)
+    scheme = dline(omega_bd=1.3, omega_cd=1.0)
+    basis = Basis.for_fine(scheme)
+    n = len(basis)
+    mat = 0.05 * (rng.normal(size=(n * n, n * n)) + 1j * rng.normal(size=(n * n, n * n)))
+    diagonal = np.arange(n) * (n + 1)
+    mat[diagonal] -= mat[diagonal].mean(axis=0)  # trace-preserving, so no trace abort
+    superops = [Superoperator(mat, basis, "random")]
+    hamiltonian = build_hamiltonian(scheme, basis)
+    rho0 = 0.5 * np.eye(n) / n + 0.5 * random_density_matrix(rng, n, list(range(n)))
+    # the superoperator's image of rho0 is far from Hermitian: the projection matters
+    image = (mat @ rho0.reshape(n * n)).reshape(n, n)
+    assert np.max(np.abs(image - image.conj().T)) > 1e-2
+    trajectory = propagate(rho0, hamiltonian, superops, 100 * 0.01, 0.01)
+    expected = complex_step_and_hermitization(rho0, hamiltonian, superops, 100, 0.01)
+    assert trajectory.positions.size == n * n
+    assert np.max(np.abs(trajectory.states - expected)) <= 1e-13
 
 
 def monitored_twolevel(coherence_step, trace_step, dt=0.02):
