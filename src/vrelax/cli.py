@@ -26,6 +26,7 @@ import math
 import os
 import stat
 import sys
+from functools import cache
 from typing import Optional, Sequence
 
 import numpy as np
@@ -368,6 +369,7 @@ def _cmd_doctor(args) -> int:
 # argument plumbing
 
 
+@cache  # one per process: parse_args leaves it unchanged
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="vrelax",

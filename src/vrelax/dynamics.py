@@ -51,7 +51,8 @@ Positivity is monitored, never enforced -- an eigenvalue below -tau aborts
 the run instead of being projected back.  A finite Cholesky factor of
 rho + (tau/2) I, backward stable (Higham, Accuracy and Stability of Numerical
 Algorithms, section 10.1), puts them all above -tau/2 - n^2 eps |rho|: no
-abort.  The batched certificate factors the blocks of rho instead.  Only a
+abort.  The batched certificate factors the blocks of rho instead, only
+those that a reached entry touches (any other one is (tau/2) I).  Only a
 failed or non-finite factor lets eigvalsh decide, and a state that is not
 finite aborts before it.
 """
@@ -384,6 +385,10 @@ def propagate(
     shift = (0.5 * _NEGATIVITY_TOL) * np.eye(n)
     blocks = [(index[m[:, :, None] * n + m[:, None, :]], shift[: m.shape[1], : m.shape[1]])
               for m, _stack in _blocks(pattern)]  # (buffer columns of each block, its shift)
+    # a block that no reached entry touches reads only the +0j column: it is the
+    # shift alone, which always passes, so only the touched blocks are factored
+    touched = [(at[(at < reached.size).any(axis=(1, 2))], s) for at, s in blocks]
+    blocks = [(at, s) for at, s in touched if at.size]
     # real coordinates: the slot of (i, j) holds re rho_ij for i <= j and im rho_ji
     # for i > j; T y is the Hermitian state y holds, and Re(T^-1 z) is y of H(z)
     lower, local = np.greater(*np.divmod(reached, n)), np.arange(reached.size)

@@ -22,6 +22,8 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
+from types import MappingProxyType
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -460,6 +462,22 @@ def k_stimulated(
     return _k_stimulated_any_order(dist, mod, omega, quad_order)
 
 
+@lru_cache(maxsize=8)
+def _grid(quad_order: int) -> tuple:
+    """The K-independent quadrature grid of one order, as read-only arrays: the
+    Gauss-Legendre weights, theta, phi, e^{i d phi} per d = -2..2 and
+    d1(lam, s)(theta) per (lam, s)."""
+    x, w = np.polynomial.legendre.leggauss(quad_order)
+    theta = np.arccos(x)
+    n_phi = 4 * quad_order
+    phi = _TWO_PI * np.arange(n_phi) / n_phi
+    harmonics = {d: np.exp(1j * d * phi) for d in range(-2, 3)}
+    d1 = {(lam, s): wigner_d1(lam, s, theta) for lam in (-1, 1) for s in (-1, 0, 1)}
+    for array in (w, theta, phi, *harmonics.values(), *d1.values()):
+        array.flags.writeable = False
+    return w, theta, phi, MappingProxyType(harmonics), MappingProxyType(d1)
+
+
 def _k_stimulated_any_order(
     dist: AngularDistribution,
     mod: ModeDensityModifier,
@@ -474,10 +492,8 @@ def _k_stimulated_any_order(
         )
     if quad_order < 1:
         raise QuadratureOrderError(f"quadrature order must be >= 1, got {quad_order}")
-    x, w = np.polynomial.legendre.leggauss(quad_order)
-    theta = np.arccos(x)
-    n_phi = 4 * quad_order
-    phi = _TWO_PI * np.arange(n_phi) / n_phi
+    w, theta, phi, harmonics, d1 = _grid(quad_order)
+    n_phi = phi.size
 
     k = np.zeros((3, 3), dtype=complex)
     for lam_index, lam in enumerate((-1, 1)):
@@ -501,13 +517,10 @@ def _k_stimulated_any_order(
                 for d in range(-2, 3)
             }
         else:
-            moments = {
-                d: samples @ np.exp(1j * d * phi) / n_phi for d in range(-2, 3)
-            }
-        d_table = {s: wigner_d1(lam, s, theta) for s in (-1, 0, 1)}
+            moments = {d: samples @ harmonics[d] / n_phi for d in range(-2, 3)}
         for si, s in enumerate((-1, 0, 1)):
             for sj, sp in enumerate((-1, 0, 1)):
-                integrand = d_table[sp] * d_table[s] * moments[s - sp]
+                integrand = d1[lam, sp] * d1[lam, s] * moments[s - sp]
                 k[si, sj] += 0.5 * np.sum(w * integrand)
     scale = np.sqrt(
         [max(mod.relative_density(omega, s), 0.0) for s in (-1, 0, 1)]

@@ -164,6 +164,11 @@ class LevelScheme:
         """The sublevel basis, built once per scheme (``Basis.for_scheme``)."""
         return Basis.for_fine(self)
 
+    @cached_property
+    def channels(self) -> dict[str, tuple]:
+        """Each excited level's dipole channels, built once per scheme (``_channels``)."""
+        return {level: _channels(self, level) for level in EXCITED_LEVELS}
+
 
 @dataclass(frozen=True)
 class HyperfineScheme:
@@ -210,6 +215,11 @@ class HyperfineScheme:
     def basis(self) -> "Basis":
         """The sublevel basis, built once per scheme (``Basis.for_scheme``)."""
         return Basis.for_hyperfine(self)
+
+    @cached_property
+    def channels(self) -> dict[str, tuple]:
+        """Each excited level's dipole channels, built once per scheme (``_channels``)."""
+        return {level: _channels(self, level) for level in EXCITED_LEVELS}
 
 
 def hyperfine_mixing(scheme: HyperfineScheme, level: str, f: HalfInt, f_d: HalfInt) -> float:
@@ -472,8 +482,9 @@ def _channels(
     """Nonzero dipole channels of one excited level, ordered by (F, M, Fd, Md).
 
     Returns the basis positions (upper, ground) of each channel's sublevels,
-    its helicity and its amplitude R(F, Fd) * <Fd Md; 1 sigma | F M>.  Fine
-    structure is the one-F case: F = J, Fd = J_d and no recoupling factor.
+    its helicity and its amplitude R(F, Fd) * <Fd Md; 1 sigma | F M>, as
+    read-only arrays.  Fine structure is the one-F case: F = J, Fd = J_d and
+    no recoupling factor.  The rate builders read them from ``scheme.channels``.
     """
     hyperfine = isinstance(scheme, HyperfineScheme)
     if hyperfine:
@@ -499,7 +510,10 @@ def _channels(
                         sites.append((position(upper), position(ground)))
                         sigmas.append(sigma)
                         amplitudes.append(mixing * c)
-    return np.array(sites, np.int32).reshape(-1, 2), np.array(sigmas, int), np.array(amplitudes)
+    arrays = np.array(sites, np.int32).reshape(-1, 2), np.array(sigmas, int), np.array(amplitudes)
+    for array in arrays:
+        array.flags.writeable = False
+    return arrays
 
 
 def _tables(
@@ -510,7 +524,7 @@ def _tables(
     k_c.validate()
     hyperfine = isinstance(scheme, HyperfineScheme)
     fine = scheme.fine if hyperfine else scheme
-    channels = {level: _channels(scheme, level) for level in EXCITED_LEVELS}
+    channels = scheme.channels
     pieces = []  # (sites, values) of each level pair
     for j1 in EXCITED_LEVELS:
         at1, sig1, a1 = channels[j1]

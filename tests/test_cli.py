@@ -177,6 +177,29 @@ class TestArgumentHandling:
         out = tmp_path / "k.csv"
         assert main(["kmatrix", "--config", cfg, "--out", str(out)]) == 0
 
+    def test_successive_calls_share_one_parser_and_no_state(self, tmp_path, monkeypatch):
+        import vrelax.cli as cli
+
+        assert cli._build_parser() is cli._build_parser()  # built once per process
+        out = tmp_path / "traj.csv"
+        for flags, columns in (
+            (["--populations-only"], 1 + 8),
+            ([], 1 + 2 * 8 * 8),
+            (["--populations-only"], 1 + 8),
+        ):
+            assert main(["evolve", "--preset", "dline-vacuum", "--out", str(out), *flags]) == 0
+            assert len(read_out(out)[2]) == columns
+        seen = []
+        monkeypatch.setattr(cli, "_cmd_doctor", lambda args: seen.append(vars(args)) or 0)
+        assert main(["doctor", "--jmax", "1/2", "--quad-order", "8"]) == 0
+        assert main(["doctor", "--force-quad-order", "2"]) == 0
+        assert main(["doctor"]) == 0
+        assert [(a["jmax"], a["quad_order"], a["force_quad_order"]) for a in seen] == [
+            ("1/2", 8, None),
+            ("9/2", 16, 2),
+            ("9/2", 16, None),
+        ]
+
 
 class TestKMatrixCommand:
     def test_vacuum_diagonal(self, tmp_path):

@@ -438,6 +438,29 @@ class TestPropagateGuards:
         assert {name for name, _caller in linalg_calls[1:]} == {"cholesky"}
         assert len(linalg_calls[1:]) <= math.ceil(steps / 256) * sizes
 
+    @pytest.mark.parametrize("rho0", ["single:b:2:0", "single:b:1:1", "single:b:3:-2"])
+    def test_only_blocks_a_reached_entry_touches_are_certified(self, rho0, monkeypatch):
+        cfg, hamiltonian, superops, state = _preset_problem("sodium-hyperfine", rho0)
+        certified, cholesky = [], np.linalg.cholesky
+
+        def recorded(a):
+            if a.ndim == 4:  # a batched certificate: (steps, blocks, s, s)
+                certified.append(a.copy())
+            return cholesky(a)
+
+        monkeypatch.setattr(np.linalg, "cholesky", recorded)
+        propagate(state, hamiltonian, superops, 40 * cfg.run.dt, cfg.run.dt)
+        n = state.shape[0]
+        reached = _reached(_generator(hamiltonian, superops), state)[0]
+        pattern = SparseMatrix(*np.divmod(reached, n), np.ones(reached.size, dtype=complex), (n, n))
+        labels = _components(pattern)[1]
+        touched = np.unique(labels[np.concatenate(np.divmod(reached, n))])
+        # one chunk of 40 steps: each touched block once, and no other one
+        assert sum(a.shape[1] for a in certified) == touched.size < n
+        for a in certified:
+            shift = 0.5e-6 * np.eye(a.shape[-1])
+            assert not (a == shift).all(axis=(0, 2, 3)).any()  # none is the shift alone
+
     def test_eigenvalue_between_the_shift_and_the_tolerance_takes_the_exact_path(
         self, linalg_calls
     ):
