@@ -37,7 +37,8 @@ class SchemeError(VrelaxError, ValueError):
 
 class RateSetContractError(VrelaxError):
     """A rate set does not fit the operation it was handed to: a spontaneous
-    or hyperfine set given to the stimulated builder."""
+    or hyperfine set given to the stimulated builder, a hyperfine scheme given
+    to a fine-only rate builder, or a table name a rate set does not have."""
 
 
 class NumericalAbortError(VrelaxError):

@@ -11,17 +11,20 @@ decay between the excited levels.  The four-index table ("feeding") resolves
 the ground sublevels the decay feeds into.  Every coefficient has one form,
 S * A1 * A2 * K(sigma1, sigma2): two dipole channel amplitudes times the
 helicity matrix, contracted once per level pair over a channel table
-(``_channels``).  A ``RateSet`` is two arrays, the basis positions of each
-feeding entry's sublevels and its value, and sums the other tables from them:
-the two-index table adds the diagonal-ground feeding entries in order, and
-the ground table of stimulated sets the diagonal-excited ones, so both trace
-identities hold by construction and nothing downstream re-checks them.
+(``_channels``).  A ``RateSet`` holds each table as rows: the basis positions
+of each entry's sublevels and its value.  The feeding rows are given and the
+others summed from them: the two-index table adds the diagonal-ground feeding
+entries in order, and the ground table of stimulated sets the diagonal-excited
+ones, so both trace identities hold by construction and nothing downstream
+re-checks them.  Every reader here reads the rows.  Keys are made only for the
+three public mappings (and the interference report's off-diagonal list), and
+read back into sublevels only from a feeding table made by hand.
 
 Superoperators act on the row-major vectorisation of the density matrix:
 vec(A rho B) = kron(A, B.T) vec(rho).  They are stored as their nonzeros
 (:class:`SparseMatrix`): every term links only sublevels joined by a dipole
 channel, so the builders emit (row, col, value) triplets with numpy from the
-rate set's two arrays -- the depopulation -(G (x) 1 + 1 (x) G*) over the
+rate set's rows -- the depopulation -(G (x) 1 + 1 (x) G*) over the
 nonzeros of the n x n table G, then the feeding pairs -- and never form the
 kron products.  Duplicate triplets are summed in the order a dense ``+=``
 assembly would add them, so every stored value equals that assembly's to the
@@ -303,10 +306,13 @@ class Basis:
     def position(self, sublevel: tuple) -> int:
         try:
             return self._position[sublevel]
-        except KeyError:
-            level, *numbers = sublevel
-            state = BasisState(level, numbers[-1], *numbers[:-1])
-            raise SchemeError(f"state {state.label()} is not in the basis") from None
+        except (KeyError, TypeError):  # TypeError: an unhashable sublevel
+            pass
+        if not isinstance(sublevel, tuple) or len(sublevel) not in (2, 3):
+            raise SchemeError(f"sublevel {sublevel!r} is not (level, M) or (level, F, M)")
+        level, *numbers = sublevel
+        state = BasisState(level, numbers[-1], *numbers[:-1])
+        raise SchemeError(f"state {state.label()} is not in the basis")
 
     def index(self, state: BasisState) -> int:
         return self.position(_sublevel(state))
@@ -335,16 +341,19 @@ def _sublevel(state: BasisState) -> tuple:
 #   hf feeding    (j1, F1, M1, Fd1, Md1, j2, F2, M2, Fd2, Md2)
 #   ground        (Md1, Md2), or (Fd1, Md1, Fd2, Md2) with hyperfine structure
 # One rule makes every key: the sublevels it names run together in order,
-# each ground sublevel ("d", Md) or ("d", Fd, Md) without its "d".  ``_keys``
-# applies it to rows of basis positions and ``_key_sublevels`` reads a key
-# back into sublevels; no other code knows it.  CSV rows sort by the basis
-# positions of their key's sublevels, taken in key order.
+# each ground sublevel ("d", Md) or ("d", Fd, Md) without its "d".  ``_keyed``
+# applies it to rows of basis positions, for the mappings and the report's
+# off-diagonal list only, and ``_key_sublevels`` reads a key of a feeding table
+# made by hand back into sublevels; no other code knows it.  CSV rows sort by
+# the basis positions of their key's sublevels, taken in key order.
 
 
-def _keys(sublevels: tuple[tuple, ...], runs: np.ndarray) -> list[tuple]:
-    """The key of each run (row) of positions into ``sublevels``, in row order."""
+def _keyed(sublevels: tuple[tuple, ...], rows: tuple) -> MappingProxyType:
+    """The read-only {key: value} mapping of rows (positions into ``sublevels``,
+    values), in row order."""
     parts = np.fromiter((s[1:] if s[0] == GROUND_LEVEL else s for s in sublevels), object)
-    return np.add.reduce(parts[runs], axis=1).tolist()  # tuple + tuple along each row
+    keys = np.add.reduce(parts[rows[0]], axis=1).tolist()  # tuple + tuple along each row
+    return MappingProxyType(dict(zip(keys, rows[1].tolist())))
 
 
 def _key_sublevels(key: tuple, hyperfine: bool) -> tuple[tuple, ...]:
@@ -357,11 +366,11 @@ def _key_sublevels(key: tuple, hyperfine: bool) -> tuple[tuple, ...]:
     return tuple(sublevels)
 
 
-def _partial_sums(sites: np.ndarray, values: np.ndarray, n: int, over: str) -> tuple:
-    """(G, i, j): the n x n sums, from 0 in feeding order, of the entries sharing their
-    ``over`` sublevel ("ground": G[up1, up2]; "upper": G[gr1, gr2]), and the positions
-    they reach, in order of first appearance, exact-zero sums included.  Raises
-    :class:`SchemeError` when a sum is not finite."""
+def _partial_sums(sites: np.ndarray, values: np.ndarray, n: int, over: str, drop: bool) -> tuple:
+    """(pairs, sums): the sums, from 0 in feeding order, of the entries sharing their
+    ``over`` sublevel ("ground": pairs (up1, up2); "upper": pairs (gr1, gr2)), one row
+    per pair of positions they reach, in order of first appearance; ``drop`` leaves out
+    the sums of exactly 0.0.  Raises :class:`SchemeError` when a sum is not finite."""
     up1, gr1, up2, gr2 = sites.T
     left, right, keep = (up1, up2, gr1 == gr2) if over == "ground" else (gr1, gr2, up1 == up2)
     flat = left[keep].astype(np.int64) * n + right[keep]
@@ -370,8 +379,10 @@ def _partial_sums(sites: np.ndarray, values: np.ndarray, n: int, over: str) -> t
         np.add.at(g, flat, values[keep])  # unbuffered, one entry at a time, in order
     if not np.isfinite(g).all():
         raise SchemeError(f"rate coefficients overflow: a sum over the shared {over} sublevel")
-    first = np.unique(flat, return_index=True)[1]
-    return g.reshape(n, n), *np.divmod(flat[np.sort(first)], n)
+    flat = flat[np.sort(np.unique(flat, return_index=True)[1])]
+    if drop:
+        flat = flat[g[flat] != 0]
+    return np.stack(np.divmod(flat, n), axis=1), g[flat]
 
 
 @dataclass(frozen=True, eq=False)
@@ -379,20 +390,21 @@ class RateSet:
     """A feeding table plus enough context to build superoperators.
 
     ``RateSet(scheme, feeding, stimulated=False)``: the four-index feeding table
-    is the one stored input, held in feeding order by two read-only arrays:
-    ``sites``, the basis positions (up1, gr1, up2, gr2) of each entry's sublevels
-    (int32), and ``values`` (complex); the rate builders pass both and the keys
-    are made from them.  The two-index table ``upper`` (the partial trace over
-    the shared ground sublevel) and, for stimulated sets, the ground absorption
-    table ``ground`` (over the shared excited sublevel; None for spontaneous
-    sets) are summed from the arrays and cannot be passed in, so the trace
-    identities hold by construction; a sum that is not finite raises
+    is the one stored input.  Each table is held as rows, read-only (positions,
+    values) arrays in table order; feeding's are ``sites``, the basis positions
+    (up1, gr1, up2, gr2) of each entry's sublevels (int32), and ``values``
+    (complex), which the rate builders pass.  The two-index table ``upper`` (the
+    partial trace over the shared ground sublevel) and, for stimulated sets, the
+    ground absorption table ``ground`` (over the shared excited sublevel; None
+    for spontaneous sets) are summed from them and cannot be passed in, so the
+    trace identities hold by construction; a sum that is not finite raises
     :class:`SchemeError`.  Fine-structure ``upper`` and every ``ground`` omit
     sums that cancel to exactly 0.0; hyperfine ``upper`` keeps every sum a
     feeding entry reaches, because whether one of its analytic cancellations
     lands on exactly 0.0 depends on the last bit of K, which would make the key
-    set change with K.  All three tables are read-only views, and the feeding
-    table is a copy of the one given, so no later write can make them disagree.
+    set change with K.  Every reader here reads the rows; the three read-only
+    mappings are made from them, except that a feeding table given by hand is
+    kept as a copy of it, and its keys are read back into positions.
 
     The tables are Hermitian (Γ(2,1) = conj Γ(1,2)) whenever one helicity
     matrix serves every level pair; per-frequency evaluation with detuned
@@ -410,7 +422,7 @@ class RateSet:
 
     def __post_init__(self, _arrays: tuple | None) -> None:
         basis = Basis.for_scheme(self.scheme)
-        sub = basis.sublevels
+        sub, n = basis.sublevels, len(basis)
         if _arrays is None:
             feeding = dict(self.feeding)
             rows = []
@@ -422,22 +434,18 @@ class RateSet:
             sites = np.array(rows, dtype=np.int32).reshape(-1, 4)
             values = np.fromiter(feeding.values(), dtype=complex, count=len(feeding))
         else:
-            sites, values = _arrays
-            feeding = dict(zip(_keys(sub, sites), values.tolist()))
+            feeding, (sites, values) = None, _arrays
         sites.flags.writeable = values.flags.writeable = False
-
-        def summed(over: str, drop_zeros: bool) -> MappingProxyType:
-            g, i, j = _partial_sums(sites, values, len(sub), over)
-            self._sums[over] = i, j, g[i, j]  # for the superoperators' depopulation
-            sums = zip(_keys(sub, np.transpose((i, j))), g[i, j].tolist())
-            return MappingProxyType({k: v for k, v in sums if v != 0.0 or not drop_zeros})
-
-        object.__setattr__(self, "_sums", {})
-        object.__setattr__(self, "feeding", MappingProxyType(feeding))
+        upper = _partial_sums(sites, values, n, "ground", not self.hyperfine)
+        ground = _partial_sums(sites, values, n, "upper", True) if self.stimulated else None
+        object.__setattr__(self, "_rows", dict(upper=upper, feeding=(sites, values), ground=ground))
         object.__setattr__(self, "sites", sites)
         object.__setattr__(self, "values", values)
-        object.__setattr__(self, "upper", summed("ground", not self.hyperfine))
-        object.__setattr__(self, "ground", summed("upper", True) if self.stimulated else None)
+        # the mappings: the one place a set makes keys
+        made = _keyed(sub, (sites, values)) if feeding is None else MappingProxyType(feeding)
+        object.__setattr__(self, "feeding", made)
+        object.__setattr__(self, "upper", _keyed(sub, upper))
+        object.__setattr__(self, "ground", None if ground is None else _keyed(sub, ground))
 
     @property
     def kind(self) -> str:
@@ -455,15 +463,19 @@ class RateSet:
         key order: (upper1, upper2), (upper1, ground1, upper2, ground2) or
         (ground1, ground2).
         """
-        if table == "feeding":  # the same sublevels, read from the positions
-            sub = Basis.for_scheme(self.scheme).sublevels
-            rows = self.sites.tolist()
-            return [(tuple(sub[p] for p in at), v) for at, v in zip(rows, self.feeding.values())]
-        items = (getattr(self, table) or {}).items()
-        return [(_key_sublevels(key, self.hyperfine), value) for key, value in items]
+        if table not in self._rows:
+            raise RateSetContractError(
+                f"unknown rate table {table!r}, expected one of 'upper', 'feeding', 'ground'"
+            )
+        if self._rows[table] is None:
+            return []
+        sub, (at, values) = Basis.for_scheme(self.scheme).sublevels, self._rows[table]
+        return [(tuple(sub[p] for p in row), v) for row, v in zip(at.tolist(), values.tolist())]
 
     def restricted(self, level: str) -> "RateSet":
         """Two-level reduction: drop every entry touching the other excited level."""
+        if level not in EXCITED_LEVELS:
+            raise SchemeError(f"cannot restrict to level {level!r}, expected one of 'b', 'c'")
         of_level = np.array([s[0] == level for s in Basis.for_scheme(self.scheme).sublevels])
         keep = of_level[self.sites[:, 0]] & of_level[self.sites[:, 2]]
         return replace(self, feeding=None, _arrays=(self.sites[keep], self.values[keep]))
@@ -544,6 +556,14 @@ def _tables(
     return RateSet(scheme, None, stimulated, _arrays=tuple(map(np.concatenate, zip(*pieces))))
 
 
+def _fine_only(scheme: LevelScheme | HyperfineScheme, builder: str) -> None:
+    if isinstance(scheme, HyperfineScheme):
+        raise RateSetContractError(
+            f"{builder} builds fine-structure tables only, got a HyperfineScheme "
+            "(rates_hyperfine builds its spontaneous tables)"
+        )
+
+
 def rates_fine(scheme: LevelScheme, k_b: KMatrix, k_c: KMatrix) -> RateSet:
     """Assemble the fine-structure rate tables from per-level helicity matrices.
 
@@ -570,6 +590,7 @@ def rates_stimulated(
     """
     from .environment import k_stimulated
 
+    _fine_only(scheme, "rates_stimulated")
     k_b = k_stimulated(distribution, modifier, scheme.omega_bd, quad_order=quad_order)
     k_c = k_stimulated(distribution, modifier, scheme.omega_cd, quad_order=quad_order)
     return _tables(scheme, k_b, k_c, stimulated=True)
@@ -584,6 +605,7 @@ def rates_injected(scheme: LevelScheme, k: KMatrix) -> RateSet:
     table is built from it as well, so the result can drive the full two-way
     superoperator just like a quadrature product.
     """
+    _fine_only(scheme, "rates_injected")
     return _tables(scheme, k, k, stimulated=True)
 
 
@@ -650,28 +672,27 @@ class Superoperator:
 
 def _placed(rates: RateSet, basis: Basis | None, tables: tuple[str, ...]) -> tuple:
     """(basis, lookup): ``lookup[p]`` is the position in ``basis`` of sublevel p of
-    the set's own basis; a missing sublevel raises in ``tables`` key order."""
+    the set's own basis; a missing sublevel raises at the first one the rows of
+    ``tables`` name, walked table by table, row by row."""
     own = Basis.for_scheme(rates.scheme)
     basis = own if basis is None else basis
     lookup = np.array([basis._position.get(s, -1) for s in own.sublevels])
     if np.any(lookup[rates.sites] < 0):
-        for table in tables:
-            for sublevels, _value in rates.entries(table):
-                for sublevel in sublevels:
-                    basis.position(sublevel)  # raises at the first one missing
+        walk = np.concatenate([rates._rows[table][0].ravel() for table in tables])
+        basis.position(own.sublevels[walk[lookup[walk] < 0][0]])  # raises, naming it
     return basis, lookup
 
 
-def _depopulation(sums: tuple, lookup: np.ndarray, n: int) -> tuple:
+def _depopulation(rows: tuple, lookup: np.ndarray, n: int) -> tuple:
     """Triplets of -(G (x) 1) followed by those of -(1 (x) G*), over G's nonzeros.
 
-    G is one of the (i, j, value) sums ``RateSet`` writes its ``upper`` or
-    ``ground`` table from, placed by ``lookup`` and taken in row-major order.
+    G is the ``upper`` or ``ground`` table of a ``RateSet`` as its rows, (i, j)
+    positions and values, placed by ``lookup`` and taken in row-major order.
     -(G rho + rho G^dagger): the conjugate on the right factor is what keeps
     Hermiticity preservation exact when per-frequency evaluation leaves the
     embedded table non-Hermitian.
     """
-    i, j, g = sums
+    (i, j), g = rows[0].T, rows[1]
     order = np.lexsort((lookup[j], lookup[i]))
     order = order[g[order] != 0]
     i, j, k, value = lookup[i[order]], lookup[j[order]], np.arange(n), np.repeat(g[order], n)
@@ -718,7 +739,7 @@ def build_relaxation_superop(rates: RateSet, basis: Basis | None = None) -> Supe
     """
     basis, lookup = _placed(rates, basis, ("upper", "feeding"))
     n = len(basis)
-    depopulation = _depopulation(rates._sums["ground"], lookup, n)
+    depopulation = _depopulation(rates._rows["upper"], lookup, n)
     matrix = sparse_sum([depopulation, _feeding(lookup[rates.sites], rates.values, n)], n * n)
     return Superoperator(matrix=matrix, basis=basis, label="relaxation")
 
@@ -735,7 +756,8 @@ def build_stimulated_superop(rates: RateSet, basis: Basis | None = None) -> Supe
             f"stimulated superoperator needs a stimulated rate set, got kind={rates.kind!r}"
         )
     if rates.hyperfine:
-        # no rate builder makes one: rates_stimulated and rates_injected are fine-only
+        # only a hand-made set can be one: rates_stimulated and rates_injected
+        # refuse hyperfine schemes
         raise RateSetContractError(
             "stimulated superoperator does not support hyperfine rate sets "
             "(hyperfine=True with kind='stimulated')"
@@ -749,8 +771,8 @@ def build_stimulated_superop(rates: RateSet, basis: Basis | None = None) -> Supe
     # emission triplet)
     matrix = sparse_sum(
         [
-            _depopulation(rates._sums["ground"], lookup, n),
-            _depopulation(rates._sums["upper"], lookup, n),
+            _depopulation(rates._rows["upper"], lookup, n),
+            _depopulation(rates._rows["ground"], lookup, n),
             (rows, cols, doubled),
             (cols, rows, doubled),
         ],
@@ -792,24 +814,19 @@ def interference_report(rates: RateSet) -> InterferenceReport:
     the geometric mean of the two diagonal coefficients at the same
     projection.  Sublevels where both diagonals vanish report ``None``.
     """
-    sublevels, upper = Basis.for_scheme(rates.scheme).sublevels, rates.upper
+    sublevels, (at, sums) = Basis.for_scheme(rates.scheme).sublevels, rates._rows["upper"]
     # the positions (b, c) of the sublevels b and c share, (M,) or (F, M), in basis order
     of_c = {s[1:]: p for p, s in enumerate(sublevels) if s[0] == "c"}
     pairs = [(p, of_c[s[1:]]) for p, s in enumerate(sublevels) if s[0] == "b" and s[1:] in of_c]
-    keys = _keys(sublevels, np.array([(p, p) for p in range(len(sublevels))] + pairs))
-    diagonal = keys[: len(sublevels)]  # the key (p, p) at p
+    g = np.zeros((len(sublevels),) * 2, dtype=complex)  # a sum the table does not hold is 0
+    g[at[:, 0], at[:, 1]] = sums
     points = []
-    for (b, c), cross in zip(pairs, keys[len(sublevels) :]):
-        g_bb, g_cc, g_bc = (upper.get(key, 0j) for key in (diagonal[b], diagonal[c], cross))
+    for b, c in pairs:
         q = sublevels[b][1:]
-        f = q[0] if len(q) == 2 else None
-        points.append(InterferencePoint(m=q[-1], f=f, value=_interference_value(g_bc, g_bb, g_cc)))
-    same = set(diagonal)
-    off = [
-        (key, complex(value))
-        for key, value in upper.items()
-        if key not in same and value != 0.0
-    ]
+        value = _interference_value(g[b, c], g[b, b], g[c, c])
+        points.append(InterferencePoint(m=q[-1], f=q[0] if len(q) == 2 else None, value=value))
+    off = (at[:, 0] != at[:, 1]) & (sums != 0.0)
+    off = list(_keyed(sublevels, (at[off], sums[off])).items())
     text = cache(repr)  # each label and quantum number of the keys formatted once
     off.sort(key=lambda item: (-abs(item[1]), tuple(map(text, item[0]))))
     return InterferenceReport(points=tuple(points), off_diagonal=tuple(off))

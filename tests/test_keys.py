@@ -1,13 +1,16 @@
 """Rate-table keys as sublevels: resolution, missing sublevels, pinned bytes.
 
-``RateSet.entries`` is the one reader of the key layout, and ``Basis.position``
-the one map from a sublevel to its position.  The rate CSV places rows
-through both; the superoperator builders read ``RateSet.sites``, the
-positions the rate builders take from their channel tables, which must equal
-the keys resolved through ``Basis.position`` (the reference kept here).
+A ``RateSet`` holds each table as rows of basis positions and values, and
+every reader in ``vrelax.operators`` reads those rows: ``RateSet.entries``
+(which the rate CSV places rows through), the superoperator builders and
+``interference_report``.  Keys are made only for the three mappings and read
+back only from a feeding table made by hand.  The feeding positions must equal
+the keys resolved through ``Basis.position``, and the report must equal one
+that reads ``upper`` by key (the references kept here).
 """
 
 import hashlib
+import math
 import random
 import re
 from dataclasses import replace
@@ -18,6 +21,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from test_sparse import assert_derived_tables_bitwise, bits, dense_superop
 
+from vrelax import operators
 from vrelax.cli import main
 from vrelax.config import build_rate_sets, build_scheme, preset_config, preset_names
 from vrelax.environment import KMatrix, ModeDensityModifier, k_spontaneous
@@ -26,11 +30,13 @@ from vrelax.halfint import HalfInt, half
 from vrelax.operators import (
     Basis,
     HyperfineScheme,
+    InterferencePoint,
     LevelScheme,
     RateSet,
     _channels,
     build_relaxation_superop,
     build_stimulated_superop,
+    interference_report,
     rates_fine,
     rates_hyperfine,
     rates_injected,
@@ -330,6 +336,84 @@ def test_derived_tables_equal_dict_path_on_sparse_k(rates, rnd):
         assert_restricted_sites(made)
         for reduced in (made, made.restricted("b"), made.restricted("c")):
             assert_derived_tables_bitwise(reduced)
+
+
+# ---------------------------------------------------------------------------
+# readers of the rows against readers of the keys
+
+
+def report_by_key(rates):
+    """The interference report read off ``upper`` by key: per b sublevel with a
+    c partner at the same (M,) or (F, M), the diagonal keys of both and their
+    cross key, a missing key read as 0j; then every item whose key halves
+    differ and whose value is not 0.0, by falling magnitude, then key repr."""
+    sublevels = Basis.for_scheme(rates.scheme).sublevels
+    upper, points = rates.upper, []
+    for b in sublevels:
+        c = ("c", *b[1:])
+        if b[0] != "b" or c not in sublevels:
+            continue
+        g_bb, g_cc, g_bc = (upper.get(key_of(pair), 0j) for pair in ((b, b), (c, c), (b, c)))
+        denom = complex(g_bb).real * complex(g_cc).real
+        value = None if denom <= 0.0 else complex(g_bc).real / math.sqrt(denom)
+        points.append(InterferencePoint(m=b[-1], f=b[1] if len(b) == 3 else None, value=value))
+    off = [
+        (key, complex(value))
+        for key, value in upper.items()
+        if key[: len(key) // 2] != key[len(key) // 2 :] and value != 0.0
+    ]
+    off.sort(key=lambda item: (-abs(item[1]), tuple(map(repr, item[0]))))
+    return points, off
+
+
+def assert_report_equals_key_oracle(rates):
+    """Points and the off-diagonal list in order, keys equal, values to the bit."""
+    report, (points, off) = interference_report(rates), report_by_key(rates)
+    assert [(p.m, p.f) for p in report.points] == [(p.m, p.f) for p in points]
+    assert [None if p.value is None else p.value.hex() for p in report.points] == [
+        None if p.value is None else p.value.hex() for p in points
+    ]
+    assert [key for key, _value in report.off_diagonal] == [key for key, _value in off]
+    assert all(type(value) is complex for _key, value in report.off_diagonal)
+    assert np.array_equal(
+        bits([value for _key, value in report.off_diagonal]), bits([value for _key, value in off])
+    )
+
+
+@pytest.mark.parametrize("name", preset_names())
+def test_interference_report_equals_key_oracle_on_every_preset(name):
+    for _label, rates in build_rate_sets(preset_config(name)):
+        for made in (rates, rates.restricted("b"), rates.restricted("c")):
+            assert_report_equals_key_oracle(made)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(sparse_k_rate_sets())
+def test_interference_report_equals_key_oracle_on_random_schemes_under_sparse_k(rates):
+    for made in (rates, rates.restricted("b"), rates.restricted("c")):
+        assert_report_equals_key_oracle(made)
+
+
+@pytest.mark.parametrize("name", preset_names())
+def test_builder_sets_never_read_a_key_back(name, monkeypatch, tmp_path):
+    # only a feeding table made by hand has its keys read back into sublevels
+    def refuse(key, hyperfine):
+        raise AssertionError(f"key {key!r} read back")
+
+    monkeypatch.setattr(operators, "_key_sublevels", refuse)
+    for _label, rates in build_rate_sets(preset_config(name)):
+        for made in (rates, rates.restricted("b"), rates.restricted("c")):
+            for table in ("upper", "feeding", "ground"):
+                assert len(made.entries(table)) == len(getattr(made, table) or {})
+            interference_report(made)
+            build_relaxation_superop(made)
+            if made.stimulated:
+                build_stimulated_superop(made)
+    out = tmp_path / "rates.csv"
+    assert main(["rates", "--preset", name, "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == RATES_SHA256[name]
+    with pytest.raises(AssertionError, match="read back"):
+        RateSet(rates.scheme, rates.feeding)
 
 
 # SHA-256 of `vrelax rates --preset NAME`, taken before the CSV writer read

@@ -198,6 +198,11 @@ class TestBasis:
         with pytest.raises(SchemeError, match="not in the basis"):
             basis.index(BasisState("b", half(0)))
 
+    @pytest.mark.parametrize("sublevel", [(), ("b",)], ids=["empty", "level-only"])
+    def test_position_of_a_malformed_sublevel_is_a_scheme_error(self, sublevel):
+        with pytest.raises(SchemeError, match=r"is not \(level, M\) or \(level, F, M\)"):
+            Basis.for_fine(dline()).position(sublevel)
+
 
 class TestRatesFineClosedForms:
     """Every line of the D-line closed-form table, for arbitrary diagonal K."""
@@ -466,6 +471,17 @@ class TestRatesStimulated:
         )
         for key, value in fine_rs.upper.items():
             assert coarse.upper[key] == pytest.approx(value, abs=1e-12)
+
+    def test_stimulated_rejects_a_hyperfine_scheme(self):
+        hf = HyperfineScheme(fine=dline(), nuclear_spin=half("3/2"))
+        field = AngularDistribution.isotropic(1.0)
+        with pytest.raises(RateSetContractError, match="rates_stimulated .*fine-structure"):
+            rates_stimulated(hf, field, ModeDensityModifier.vacuum())
+
+    def test_injected_rejects_a_hyperfine_scheme(self):
+        hf = HyperfineScheme(fine=dline(), nuclear_spin=half("3/2"))
+        with pytest.raises(RateSetContractError, match="rates_injected .*fine-structure"):
+            rates_injected(hf, vacuum_k())
 
 
 def uncoupled_amplitude(j_level, j_d, spin, f, m_f, f_d, m_fd, sigma):
@@ -1047,6 +1063,19 @@ class TestRateSetAccess:
             assert list(kept.feeding) == [key for key in rs.feeding if only(key)]
             assert all(kept.feeding[key] == rs.feeding[key] for key in kept.feeding)
             assert kept.upper and kept.feeding and kept.scheme is rs.scheme
+
+    @pytest.mark.parametrize("level", ["d", "x"])
+    def test_restricted_to_a_non_excited_level_is_a_scheme_error(self, level):
+        rs = rates_fine(dline(), vacuum_k(), vacuum_k())
+        with pytest.raises(SchemeError, match=f"level '{level}', expected one of 'b', 'c'"):
+            rs.restricted(level)
+
+    @pytest.mark.parametrize("table", ["stimulated", "kind", "scheme", "sites"])
+    def test_entries_of_an_unknown_table_is_a_contract_error(self, table):
+        rs = rates_injected(dline(), vacuum_k())
+        expected = f"table '{table}', expected one of 'upper', 'feeding', 'ground'"
+        with pytest.raises(RateSetContractError, match=expected):
+            rs.entries(table)
 
     @pytest.mark.parametrize("level", ["b", "c"])
     def test_restricted_stimulated_set_sums_its_own_ground_table(self, level):
