@@ -9,9 +9,9 @@ Subcommands::
     vrelax steady   ...            steady state (CSV)
     vrelax doctor   [--jmax J]     numerical self-checks
 
-Exit codes: 0 success, 1 check failure (a failed doctor check or a
-degenerate steady state), 2 configuration error (a bad path included),
-3 numerical abort (a marginal steady-state null vector included).
+Exit codes: 0 success, 1 check failure (a failed doctor check or a degenerate
+steady state), 2 configuration error (a bad path or an output that cannot be
+written included), 3 numerical abort (a marginal steady-state null vector included).
 
 Output is deterministic: the same config produces byte-identical CSV on
 every run.  All physical tables carry their normalization convention in the
@@ -329,39 +329,26 @@ def _cmd_doctor(args) -> int:
     forced = args.force_quad_order
     quad_order = args.quad_order if forced is None else forced
     print("vrelax doctor")
-    failures: list[str] = []
-    passed = skipped = 0
     report = quadrature_selfcheck(quad_order, force=forced is not None)
-    for entry in report.entries:
-        if entry.passed:
-            passed += 1
-            status = "PASS"
-        else:
-            failures.append(entry.name)
-            status = "FAIL"
-        print(
-            f"  {status} {entry.name} (deviation {entry.deviation:.3e}, "
-            f"tol {entry.tolerance:g})"
-        )
-    for name, required_twice, tol, check in _battery_checks(jmax):
+    # the quadrature entries first, as checks that need no grid
+    checks = [(e.name, 0, e.tolerance, lambda e=e: e.deviation) for e in report.entries]
+    checks += _battery_checks(jmax)
+    failures: list[str] = []
+    skipped = 0
+    for name, required_twice, tol, check in checks:
         if jmax.twice < required_twice:
             skipped += 1
-            print(
-                f"  SKIP {name} (needs grid up to J >= {HalfInt(required_twice)}, "
-                f"have {jmax})"
-            )
+            print(f"  SKIP {name} (needs grid up to J >= {HalfInt(required_twice)}, have {jmax})")
             continue
         deviation = check()
-        if deviation < tol:
-            passed += 1
-            print(f"  PASS {name} (deviation {deviation:.3e}, tol {tol:g})")
-        else:
+        status = "PASS" if deviation < tol else "FAIL"
+        if status == "FAIL":
             failures.append(name)
-            print(f"  FAIL {name} (deviation {deviation:.3e}, tol {tol:g})")
+        print(f"  {status} {name} (deviation {deviation:.3e}, tol {tol:g})")
     if failures:
         print(f"doctor: FAIL ({failures[0]})")
         return 1
-    print(f"doctor: ok ({passed} passed, {skipped} skipped)")
+    print(f"doctor: ok ({len(checks) - skipped} passed, {skipped} skipped)")
     return 0
 
 
@@ -436,52 +423,74 @@ def _resolve_config(args) -> ScenarioConfig:
     )
 
 
-def _cannot_write(cfg: ScenarioConfig, exc: OSError) -> ConfigError:
-    return ConfigError(f"cannot write output {cfg.run.out!r}: {exc.strerror}")
+def _cannot_write(out: str | None, exc: OSError) -> ConfigError:
+    where = "to stdout" if out is None else repr(out)
+    return ConfigError(f"cannot write output {where}: {exc.strerror}")
+
+
+class _Output:
+    """The output stream: a failed write, or flush or close through ``call``, raises
+    the ``cannot write output`` :class:`ConfigError`.  A failed process stdout is
+    first pointed at os.devnull, as the SIGPIPE recipe of the ``signal`` docs does,
+    so that the flush at exit, which would fail again, has nothing to report."""
+
+    def __init__(self, stream, out: str | None):
+        self.stream, self.out = stream, out
+
+    def write(self, text: str) -> None:
+        self.call(self.stream.write, text)
+
+    def call(self, method, *args) -> None:
+        try:
+            method(*args)
+        except OSError as exc:
+            if self.stream is sys.__stdout__:
+                with open(os.devnull, "wb") as devnull:
+                    os.dup2(devnull.fileno(), self.stream.fileno())
+            raise _cannot_write(self.out, exc) from None
 
 
 @contextlib.contextmanager
-def _output_stream(cfg: ScenarioConfig):
+def _output_stream(out: str | None):
     """stdout, or a temporary file beside the output path that replaces it
     only once the command has succeeded: a failed command leaves an earlier
     result in place.  The result keeps an existing file's permission bits.
     A path that exists but is no regular file (a device, a FIFO, a pipe
     under /dev/fd) cannot be replaced and is written in place."""
-    if cfg.run.out is None:
-        yield sys.stdout
+    if out is None:
+        stream = _Output(sys.stdout, None)
+        yield stream
+        stream.call(sys.stdout.flush)
         return
     try:
-        in_place = not stat.S_ISREG(os.stat(cfg.run.out).st_mode)
+        in_place = not stat.S_ISREG(os.stat(out).st_mode)
     except OSError:
         in_place = False  # missing: created through the temporary file
-    if in_place:
-        try:
-            handle = open(cfg.run.out, "w", encoding="utf-8", newline="")
-        except OSError as exc:
-            raise _cannot_write(cfg, exc) from None
-        with handle:
-            yield handle
-        return
-    target = os.path.realpath(cfg.run.out)
-    tmp = f"{target}.{os.getpid()}.tmp"
+    target = os.path.realpath(out)
+    path = out if in_place else f"{target}.{os.getpid()}.tmp"
     try:
-        if os.path.exists(target):  # writable; not truncated
+        if not in_place and os.path.exists(target):  # writable; not truncated
             os.close(os.open(target, os.O_WRONLY))
-        handle = open(tmp, "x", encoding="utf-8", newline="")
+        handle = open(path, "w" if in_place else "x", encoding="utf-8", newline="")
     except OSError as exc:
-        raise _cannot_write(cfg, exc) from None
+        raise _cannot_write(out, exc) from None
     try:
-        with handle:
-            yield handle
-        try:
-            if os.path.exists(target):
-                os.chmod(tmp, stat.S_IMODE(os.stat(target).st_mode))
-            os.replace(tmp, target)
-        except OSError as exc:
-            raise _cannot_write(cfg, exc) from None
+        stream = _Output(handle, out)
+        yield stream
+        stream.call(handle.close)
+        if not in_place:
+            try:
+                if os.path.exists(target):
+                    os.chmod(path, stat.S_IMODE(os.stat(target).st_mode))
+                os.replace(path, target)
+            except OSError as exc:
+                raise _cannot_write(out, exc) from None
     finally:
-        with contextlib.suppress(FileNotFoundError):
-            os.remove(tmp)
+        with contextlib.suppress(OSError):  # after a failed write, closing fails again
+            handle.close()
+        if not in_place:
+            with contextlib.suppress(FileNotFoundError):
+                os.remove(path)
 
 
 _DISPATCH = {
@@ -518,9 +527,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return code if isinstance(code, int) else 2
     try:
         if args.command == "doctor":
-            return _cmd_doctor(args)
+            with _output_stream(None) as stream, contextlib.redirect_stdout(stream):
+                return _cmd_doctor(args)
         cfg = _resolve_config(args)
-        with _output_stream(cfg) as stream:
+        with _output_stream(cfg.run.out) as stream:
             return _DISPATCH[args.command](cfg, stream)
     except (
         ConfigError,

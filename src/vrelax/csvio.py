@@ -2,27 +2,31 @@
 
 Every writer in this module honors the same byte-determinism contract: the
 same objects produce the same bytes on every run and platform.  That means
-shortest round-trip ``repr`` for floats, a bare ``\\n`` line terminator (the
-``csv`` module would otherwise emit ``\\r\\n``), canonical row ordering that
-never depends on dict iteration history, and no timestamps or environment
-echoes.  Context that would break determinism has no place here; callers pass
-it as comment lines, which are written verbatim with a leading ``# ``.
+shortest round-trip ``repr`` for floats, a bare ``\\n`` line terminator,
+canonical row ordering that never depends on dict iteration history, and no
+timestamps or environment echoes.  Context that would break determinism has no
+place here; callers pass it as comment lines, which are written verbatim with
+a leading ``# ``.  Every line is joined here with ``,``: no cell holds a comma,
+a quote or a line break, so no cell needs CSV quoting.
 
-Trajectories and matrices are written 64 rows at a time, one ``"".join`` of
-an object array of cells per chunk, with one ``repr`` per distinct |x|, which
-Hermitian partners share (im rho_ji = -im rho_ij, bit for bit).  Where the sign
-bit of a non-NaN x is set the cell is ``"-" + repr(|x|)``, which is ``repr(x)``
-for every non-NaN x, ±0.0 and ±inf included; a NaN prints ``nan`` whatever its
-sign.  Trajectories format only their live columns, those not +0.0 in some
+Every float cell comes from one formatter, ``_repr_cells``, with one ``repr``
+per distinct |x| of the array it is given, which Hermitian partners share (im
+rho_ji = -im rho_ij, bit for bit).  Where the sign bit of a non-NaN x is set
+the cell is ``"-" + repr(|x|)``, which is ``repr(x)`` for every non-NaN x, ±0.0
+and ±inf included; a NaN prints ``nan`` whatever its sign.  Trajectories and
+matrices are written 64 rows at a time, one ``"".join`` of an object array of
+cells per chunk.  Trajectories format only their live columns, those not +0.0 in some
 sample, read straight from ``Trajectory.values`` (vec entry p is re/im columns
 2p and 2p + 1); the runs of ``"0.0"`` between them are built once.  Matrix
 cells that are +0.0 are not formatted.  Density matrices and trajectories take
 one basis label per state, else ``ValueError``.
 
-Rate-table rows come in basis order: sorted by the basis positions of the
-sublevels each key names, in key order (``RateSet.entries`` reads the keys;
-the layout is documented once, in ``operators``).  Their cells are formatted
-from the same sublevel tuples, so this module never parses a key.
+Rate tables are written from their rows (``RateSet.rows``: the basis positions
+of the sublevels each key names, in key order, and the values; the key layout
+is documented once, in ``operators``).  Each table's rows are sorted by their
+positions, in key order, with one ``np.lexsort``, and their text cells are
+those of each position's sublevel, built once per set, so this module makes
+and parses no key.
 
 Delimiter is ``,``, decimal mark is ``.``, one header row per file, UTF-8
 (the caller owns the stream encoding).
@@ -30,7 +34,6 @@ Delimiter is ``,``, decimal mark is ``.``, one header row per file, UTF-8
 
 from __future__ import annotations
 
-import csv
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -53,12 +56,8 @@ _CHUNK = 64
 RATE_COLUMNS = ("kind", "j1", "F1", "M1", "j2", "F2", "M2", "Md1", "Md2", "re", "im")
 
 
-def _num(value) -> str:
-    return repr(float(value))
-
-
 def _repr_cells(values: np.ndarray) -> np.ndarray:
-    """``_num`` of every float of ``values``, with one ``repr`` per distinct |x|."""
+    """``repr`` of every float of ``values``, with one ``repr`` per distinct |x|."""
     distinct, inverse = np.unique(np.abs(values).view(np.uint64), return_inverse=True)
     texts = np.array([repr(x) for x in distinct.view(np.float64).tolist()], dtype=object)
     cells = texts[inverse.reshape(values.shape)]
@@ -72,54 +71,40 @@ def _write_comments(stream, comments: Iterable[str]) -> None:
         stream.write(f"# {line}\n")
 
 
-def _writer(stream) -> "csv.writer":
-    return csv.writer(stream, lineterminator="\n")
-
-
 # ---------------------------------------------------------------------------
 # rate tables
 
 
-def _sublevel_cells(basis: Basis) -> dict[tuple, tuple[int, str, str, str, str]]:
-    """Basis position and (j, F, M, Md) cells of every sublevel of the basis.
+def _basis_cells(basis: Basis) -> np.ndarray:
+    """The (j, F, M, Md) cells of every basis position, an (n, 4) object array.
 
     An excited sublevel fills j, F and M (F empty for fine structure); a
     ground sublevel fills j and Md, as "Md" or, with hyperfine structure,
     "Fd:Md".
     """
-    cells = {}
-    for position, sublevel in enumerate(basis.sublevels):
-        level, *numbers = sublevel
+    cells = []
+    for level, *numbers in basis.sublevels:
         if level == GROUND_LEVEL:
-            cells[sublevel] = (position, level, "", "", ":".join(map(str, numbers)))
+            cells.append((level, "", "", ":".join(map(str, numbers))))
         else:
-            f, m = ":".join(map(str, numbers[:-1])), str(numbers[-1])
-            cells[sublevel] = (position, level, f, m, "")
-    return cells
+            cells.append((level, ":".join(map(str, numbers[:-1])), str(numbers[-1]), ""))
+    return np.array(cells, dtype=object).reshape(-1, 4)
 
 
-def _table_rows(label: str, rates: RateSet, table: str, cells: dict) -> list[tuple]:
-    """Rows of one table, in basis order of the sublevels each key names.
-
-    ``cells`` is ``_sublevel_cells`` of the set's own basis.  Each half of a
-    key fills j, F and M from its first sublevel and Md from its last:
-    (upper, ground) for feeding keys, one sublevel otherwise.
-    """
-    entries = sorted(
-        ([cells[sublevel] for sublevel in sublevels], value)
-        for sublevels, value in rates.entries(table)
-    )
-    rows = []
-    for named, value in entries:
-        half = len(named) // 2
-        (_, j1, f1, m1, _), (_, j2, f2, m2, _) = named[0], named[half]
-        md1, md2 = named[half - 1][-1], named[-1][-1]
-        value = complex(value)
-        rows.append(
-            (f"{label}-{table}", j1, f1, m1, j2, f2, m2, md1, md2,
-             _num(value.real), _num(value.imag))
-        )
-    return rows
+def _table_text(kind: str, rows: tuple[np.ndarray, np.ndarray], cells: np.ndarray) -> str:
+    """The lines of one table's ``rows``, sorted by their basis positions in key order.
+    Each half of a row ((upper, ground) for feeding, else one position) fills j, F and M
+    from the ``_basis_cells`` of its first position and Md from those of its last."""
+    at, values = rows
+    order = np.lexsort(at.T[::-1])  # the last key is the primary one
+    at, values = at[order], values[order]
+    half = at.shape[1] // 2
+    lines = np.empty((len(at), 11), dtype=object)
+    lines[:, 0] = kind
+    lines[:, 1:7] = cells[at[:, [0, half]], :3].reshape(-1, 6)
+    lines[:, 7:9] = cells[at[:, [half - 1, -1]], 3]
+    lines[:, 9:] = _repr_cells(values.view(np.float64).reshape(-1, 2))  # re, im
+    return "".join(",".join(line) + "\n" for line in lines.tolist())
 
 
 def write_rate_tables(
@@ -137,12 +122,11 @@ def write_rate_tables(
     comments by the caller).
     """
     _write_comments(stream, comments)
-    writer = _writer(stream)
-    writer.writerow(RATE_COLUMNS)
+    stream.write(",".join(RATE_COLUMNS) + "\n")
     for label, rates in labeled_sets:
-        cells = _sublevel_cells(Basis.for_scheme(rates.scheme))
+        cells = _basis_cells(Basis.for_scheme(rates.scheme))
         for table in ("upper", "feeding", "ground"):
-            writer.writerows(_table_rows(label, rates, table, cells))
+            stream.write(_table_text(f"{label}-{table}", rates.rows(table), cells))
 
 
 # ---------------------------------------------------------------------------
@@ -152,12 +136,11 @@ def write_rate_tables(
 def write_kmatrix(stream, kmatrix, *, comments: Sequence[str] = ()) -> None:
     """Emit a 3x3 helicity matrix, rows in (sigma, sigma') = (-1,0,+1)^2 order."""
     _write_comments(stream, comments)
-    writer = _writer(stream)
-    writer.writerow(("sigma1", "sigma2", "re", "im"))
-    for sigma1 in (-1, 0, 1):
-        for sigma2 in (-1, 0, 1):
-            value = kmatrix.entry(sigma1, sigma2)
-            writer.writerow((sigma1, sigma2, _num(value.real), _num(value.imag)))
+    stream.write("sigma1,sigma2,re,im\n")
+    cells = _repr_cells(np.ascontiguousarray(kmatrix.entries, dtype=complex).view(np.float64))
+    for sigma1, row in zip((-1, 0, 1), cells.reshape(3, 3, 2).tolist()):
+        for sigma2, (re, im) in zip((-1, 0, 1), row):
+            stream.write(f"{sigma1},{sigma2},{re},{im}\n")
 
 
 def _basis_legend(labels: Sequence[str]) -> list[str]:
@@ -167,7 +150,7 @@ def _basis_legend(labels: Sequence[str]) -> list[str]:
 def _write_matrix_rows(stream, header: tuple[str, str], matrix) -> None:
     """Header plus one ``row,col,re,im`` line per entry of a dense 2-D array,
     row-major; real input is written with a 0.0 imaginary part."""
-    _writer(stream).writerow((*header, "re", "im"))
+    stream.write(",".join((*header, "re", "im")) + "\n")
     arr = np.ascontiguousarray(matrix, dtype=complex)
     floats = arr.view(np.float64).reshape(*arr.shape, 2)
     cells = np.empty((_CHUNK, arr.shape[1], 6), dtype=object)  # row ",col," re "," im "\n"
@@ -242,7 +225,7 @@ def write_trajectory(
         header = [f"{part}_{i}_{j}" for i in range(n) for j in range(n) for part in ("re", "im")]
         values = np.ascontiguousarray(trajectory.values, dtype=complex).view(np.float64)
         columns = (2 * trajectory.positions[:, None] + np.arange(2)).reshape(-1)  # re, im
-    _writer(stream).writerow(["t", *header])
+    stream.write(",".join(["t", *header]) + "\n")
     live = np.flatnonzero(np.bitwise_or.reduce(values.view(np.uint64), axis=0))
     gaps = (np.diff(columns[live], prepend=-1, append=len(header)) - 1).tolist()
     # even cells: t and the live values; odd cells: the runs of "0.0" between them

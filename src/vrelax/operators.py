@@ -367,10 +367,10 @@ def _key_sublevels(key: tuple, hyperfine: bool) -> tuple[tuple, ...]:
 
 
 def _partial_sums(sites: np.ndarray, values: np.ndarray, n: int, over: str, drop: bool) -> tuple:
-    """(pairs, sums): the sums, from 0 in feeding order, of the entries sharing their
-    ``over`` sublevel ("ground": pairs (up1, up2); "upper": pairs (gr1, gr2)), one row
-    per pair of positions they reach, in order of first appearance; ``drop`` leaves out
-    the sums of exactly 0.0.  Raises :class:`SchemeError` when a sum is not finite."""
+    """(pairs, sums), read-only: the sums, from 0 in feeding order, of the entries sharing
+    their ``over`` sublevel ("ground": pairs (up1, up2); "upper": pairs (gr1, gr2)), one
+    row per pair of positions they reach, in order of first appearance; ``drop`` leaves
+    out the sums of exactly 0.0.  Raises :class:`SchemeError` when a sum is not finite."""
     up1, gr1, up2, gr2 = sites.T
     left, right, keep = (up1, up2, gr1 == gr2) if over == "ground" else (gr1, gr2, up1 == up2)
     flat = left[keep].astype(np.int64) * n + right[keep]
@@ -382,7 +382,12 @@ def _partial_sums(sites: np.ndarray, values: np.ndarray, n: int, over: str, drop
     flat = flat[np.sort(np.unique(flat, return_index=True)[1])]
     if drop:
         flat = flat[g[flat] != 0]
-    return np.stack(np.divmod(flat, n), axis=1), g[flat]
+    pairs, sums = np.stack(np.divmod(flat, n), axis=1), g[flat]
+    pairs.flags.writeable = sums.flags.writeable = False
+    return pairs, sums
+
+
+_NO_ROWS = np.broadcast_to(0, (0, 2)), np.broadcast_to(0j, 0)  # read-only, as all rows are
 
 
 @dataclass(frozen=True, eq=False)
@@ -391,18 +396,19 @@ class RateSet:
 
     ``RateSet(scheme, feeding, stimulated=False)``: the four-index feeding table
     is the one stored input.  Each table is held as rows, read-only (positions,
-    values) arrays in table order; feeding's are ``sites``, the basis positions
-    (up1, gr1, up2, gr2) of each entry's sublevels (int32), and ``values``
-    (complex), which the rate builders pass.  The two-index table ``upper`` (the
-    partial trace over the shared ground sublevel) and, for stimulated sets, the
-    ground absorption table ``ground`` (over the shared excited sublevel; None
-    for spontaneous sets) are summed from them and cannot be passed in, so the
-    trace identities hold by construction; a sum that is not finite raises
-    :class:`SchemeError`.  Fine-structure ``upper`` and every ``ground`` omit
-    sums that cancel to exactly 0.0; hyperfine ``upper`` keeps every sum a
-    feeding entry reaches, because whether one of its analytic cancellations
-    lands on exactly 0.0 depends on the last bit of K, which would make the key
-    set change with K.  Every reader here reads the rows; the three read-only
+    values) arrays in table order (``rows``); feeding's are ``sites``, the basis
+    positions (up1, gr1, up2, gr2) of each entry's sublevels (int32), and
+    ``values`` (complex), which the rate builders pass.  The two-index table
+    ``upper`` (the partial trace over the shared ground sublevel) and, for
+    stimulated sets, the ground absorption table ``ground`` (over the shared
+    excited sublevel; no rows and a None mapping for spontaneous sets) are
+    summed from them and cannot be passed in, so the trace identities hold by
+    construction; a sum that is not finite raises :class:`SchemeError`.
+    Fine-structure ``upper`` and every ``ground`` omit sums that cancel to
+    exactly 0.0; hyperfine ``upper`` keeps every sum a feeding entry reaches,
+    because whether one of its analytic cancellations lands on exactly 0.0
+    depends on the last bit of K, which would make the key set change with K.
+    Every reader, the rate CSV included, reads the rows; the three read-only
     mappings are made from them, except that a feeding table given by hand is
     kept as a copy of it, and its keys are read back into positions.
 
@@ -437,7 +443,7 @@ class RateSet:
             feeding, (sites, values) = None, _arrays
         sites.flags.writeable = values.flags.writeable = False
         upper = _partial_sums(sites, values, n, "ground", not self.hyperfine)
-        ground = _partial_sums(sites, values, n, "upper", True) if self.stimulated else None
+        ground = _partial_sums(sites, values, n, "upper", True) if self.stimulated else _NO_ROWS
         object.__setattr__(self, "_rows", dict(upper=upper, feeding=(sites, values), ground=ground))
         object.__setattr__(self, "sites", sites)
         object.__setattr__(self, "values", values)
@@ -445,7 +451,7 @@ class RateSet:
         made = _keyed(sub, (sites, values)) if feeding is None else MappingProxyType(feeding)
         object.__setattr__(self, "feeding", made)
         object.__setattr__(self, "upper", _keyed(sub, upper))
-        object.__setattr__(self, "ground", None if ground is None else _keyed(sub, ground))
+        object.__setattr__(self, "ground", _keyed(sub, ground) if self.stimulated else None)
 
     @property
     def kind(self) -> str:
@@ -456,20 +462,20 @@ class RateSet:
     def hyperfine(self) -> bool:
         return isinstance(self.scheme, HyperfineScheme)
 
-    def entries(self, table: str) -> list[tuple[tuple[tuple, ...], complex]]:
-        """(sublevels, value) pairs of the "upper", "feeding" or "ground" table.
-
-        Pairs come in table order, each with the sublevels its key names in
-        key order: (upper1, upper2), (upper1, ground1, upper2, ground2) or
-        (ground1, ground2).
-        """
+    def rows(self, table: str) -> tuple[np.ndarray, np.ndarray]:
+        """Read-only (positions, values) of the "upper", "feeding" or "ground" table, in
+        table order; each row holds the basis positions of the sublevels its key names,
+        in key order: (upper1, upper2), (upper1, ground1, upper2, ground2) or (ground1,
+        ground2).  Feeding's are ``sites`` and ``values``."""
         if table not in self._rows:
             raise RateSetContractError(
                 f"unknown rate table {table!r}, expected one of 'upper', 'feeding', 'ground'"
             )
-        if self._rows[table] is None:
-            return []
-        sub, (at, values) = Basis.for_scheme(self.scheme).sublevels, self._rows[table]
+        return self._rows[table]
+
+    def entries(self, table: str) -> list[tuple[tuple[tuple, ...], complex]]:
+        """(sublevels, value) pairs of the table's ``rows``, each position its sublevel."""
+        (at, values), sub = self.rows(table), Basis.for_scheme(self.scheme).sublevels
         return [(tuple(sub[p] for p in row), v) for row, v in zip(at.tolist(), values.tolist())]
 
     def restricted(self, level: str) -> "RateSet":
@@ -678,7 +684,7 @@ def _placed(rates: RateSet, basis: Basis | None, tables: tuple[str, ...]) -> tup
     basis = own if basis is None else basis
     lookup = np.array([basis._position.get(s, -1) for s in own.sublevels])
     if np.any(lookup[rates.sites] < 0):
-        walk = np.concatenate([rates._rows[table][0].ravel() for table in tables])
+        walk = np.concatenate([rates.rows(table)[0].ravel() for table in tables])
         basis.position(own.sublevels[walk[lookup[walk] < 0][0]])  # raises, naming it
     return basis, lookup
 
@@ -739,7 +745,7 @@ def build_relaxation_superop(rates: RateSet, basis: Basis | None = None) -> Supe
     """
     basis, lookup = _placed(rates, basis, ("upper", "feeding"))
     n = len(basis)
-    depopulation = _depopulation(rates._rows["upper"], lookup, n)
+    depopulation = _depopulation(rates.rows("upper"), lookup, n)
     matrix = sparse_sum([depopulation, _feeding(lookup[rates.sites], rates.values, n)], n * n)
     return Superoperator(matrix=matrix, basis=basis, label="relaxation")
 
@@ -771,8 +777,8 @@ def build_stimulated_superop(rates: RateSet, basis: Basis | None = None) -> Supe
     # emission triplet)
     matrix = sparse_sum(
         [
-            _depopulation(rates._rows["upper"], lookup, n),
-            _depopulation(rates._rows["ground"], lookup, n),
+            _depopulation(rates.rows("upper"), lookup, n),
+            _depopulation(rates.rows("ground"), lookup, n),
             (rows, cols, doubled),
             (cols, rows, doubled),
         ],
@@ -814,7 +820,7 @@ def interference_report(rates: RateSet) -> InterferenceReport:
     the geometric mean of the two diagonal coefficients at the same
     projection.  Sublevels where both diagonals vanish report ``None``.
     """
-    sublevels, (at, sums) = Basis.for_scheme(rates.scheme).sublevels, rates._rows["upper"]
+    sublevels, (at, sums) = Basis.for_scheme(rates.scheme).sublevels, rates.rows("upper")
     # the positions (b, c) of the sublevels b and c share, (M,) or (F, M), in basis order
     of_c = {s[1:]: p for p, s in enumerate(sublevels) if s[0] == "c"}
     pairs = [(p, of_c[s[1:]]) for p, s in enumerate(sublevels) if s[0] == "b" and s[1:] in of_c]

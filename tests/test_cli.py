@@ -2,13 +2,18 @@
 
 Everything goes through ``vrelax.cli.main`` with an argv list, so these
 cover argument handling, exit codes, and the CSV contracts exactly as a
-shell user would see them, without spawning subprocesses.
+shell user would see them, without spawning subprocesses; one test runs the
+CLI in a child process, because only a real pipe shows what happens at exit.
 """
 
 import csv
+import errno
+import io
 import math
 import os
 import stat
+import subprocess
+import sys
 import threading
 import warnings
 from dataclasses import replace
@@ -16,6 +21,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import vrelax
 from vrelax.cli import main
 from vrelax.config import preset_config, preset_names, serialize_config
 from vrelax.environment import ModeDensityModifier, k_spontaneous
@@ -159,6 +165,76 @@ class TestArgumentHandling:
         assert received == [plain.read_bytes()]
         assert stat.S_ISFIFO(os.stat(fifo).st_mode)
         assert sorted(p.name for p in tmp_path.iterdir()) == ["result.csv", "result.fifo"]
+
+    @pytest.mark.parametrize("error", [OSError, BrokenPipeError])
+    @pytest.mark.parametrize("failing", ["write", "flush"])
+    @pytest.mark.parametrize(
+        "argv", [["rates", "--preset", "dline-vacuum"], ["doctor", "--jmax", "1"]]
+    )
+    def test_failed_stdout_is_a_config_error(self, argv, failing, error, monkeypatch, capsys):
+        # a full device fails on write or on the last flush; a closed pipe likewise
+        code = errno.EPIPE if error is BrokenPipeError else errno.ENOSPC
+
+        class Failing(io.StringIO):
+            def fail(self, *args):
+                raise error(code, os.strerror(code))
+
+        monkeypatch.setattr(Failing, failing, Failing.fail)
+        monkeypatch.setattr("sys.stdout", Failing())
+        assert main(argv) == 2
+        assert capsys.readouterr().err == (
+            f"vrelax: config error: cannot write output to stdout: {os.strerror(code)}\n"
+        )
+
+    def test_failed_write_to_out_keeps_the_previous_output(self, tmp_path, monkeypatch, capsys):
+        import vrelax.cli as cli
+
+        class Full:  # a file on a full disk: every write fails
+            def __init__(self, handle):
+                self.close = handle.close
+
+            def write(self, text):
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        out = tmp_path / "rates.csv"
+        out.write_text("earlier result\n", encoding="utf-8")
+        monkeypatch.setattr(cli, "open", lambda *a, **k: Full(open(*a, **k)), raising=False)
+        assert main(["rates", "--preset", "dline-vacuum", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"vrelax: config error: cannot write output {str(out)!r}: No space left on device\n"
+        )
+        assert out.read_text(encoding="utf-8") == "earlier result\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["rates.csv"]
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    def test_out_to_a_full_device_is_a_config_error(self, capsys):
+        assert main(["rates", "--preset", "dline-vacuum", "--out", "/dev/full"]) == 2
+        assert capsys.readouterr().err == (
+            "vrelax: config error: cannot write output '/dev/full': No space left on device\n"
+        )
+
+    @pytest.mark.parametrize("command, preset, read", [
+        ("evolve", "sodium-hyperfine", 100),  # fails in a write
+        ("kmatrix", "dline-vacuum", 0),  # fails in the last flush, before exit
+    ])
+    def test_closed_pipe_exits_two_without_a_traceback(self, command, preset, read):
+        # a real pipe, closed after `read` bytes: the one message, and nothing at
+        # interpreter exit, where the flush of the unwritten rest would fail again
+        # (stdout buffered, as it is without PYTHONUNBUFFERED)
+        src = os.path.dirname(os.path.dirname(os.path.abspath(vrelax.__file__)))
+        path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        with subprocess.Popen(
+            [sys.executable, "-m", "vrelax.cli", command, "--preset", preset],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env={**env, "PYTHONPATH": path},
+        ) as child:
+            assert len(child.stdout.read(read)) == read
+            child.stdout.close()
+            err = child.stderr.read().decode()
+            assert child.wait(timeout=120) == 2
+        assert err == "vrelax: config error: cannot write output to stdout: Broken pipe\n"
 
     def test_workers_flag_is_unknown(self, capsys):
         assert main(["rates", "--preset", "dline-cos2", "--workers", "8"]) == 2

@@ -1,15 +1,17 @@
 """Rate-table keys as sublevels: resolution, missing sublevels, pinned bytes.
 
-A ``RateSet`` holds each table as rows of basis positions and values, and
-every reader in ``vrelax.operators`` reads those rows: ``RateSet.entries``
-(which the rate CSV places rows through), the superoperator builders and
-``interference_report``.  Keys are made only for the three mappings and read
-back only from a feeding table made by hand.  The feeding positions must equal
-the keys resolved through ``Basis.position``, and the report must equal one
-that reads ``upper`` by key (the references kept here).
+A ``RateSet`` holds each table as rows of basis positions and values
+(``RateSet.rows``), and every reader reads those rows: ``RateSet.entries``, the
+superoperator builders, ``interference_report`` and the rate CSV.  Keys are
+made only for the three mappings and read back only from a feeding table made
+by hand.  The feeding positions must equal the keys resolved through
+``Basis.position``, the report must equal one that reads ``upper`` by key, and
+the rate CSV one placed through ``entries`` (the references kept here).
 """
 
+import csv
 import hashlib
+import io
 import math
 import random
 import re
@@ -24,8 +26,9 @@ from test_sparse import assert_derived_tables_bitwise, bits, dense_superop
 from vrelax import operators
 from vrelax.cli import main
 from vrelax.config import build_rate_sets, build_scheme, preset_config, preset_names
+from vrelax.csvio import RATE_COLUMNS, write_rate_tables
 from vrelax.environment import KMatrix, ModeDensityModifier, k_spontaneous
-from vrelax.errors import SchemeError, VrelaxError
+from vrelax.errors import RateSetContractError, SchemeError, VrelaxError
 from vrelax.halfint import HalfInt, half
 from vrelax.operators import (
     Basis,
@@ -414,6 +417,97 @@ def test_builder_sets_never_read_a_key_back(name, monkeypatch, tmp_path):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == RATES_SHA256[name]
     with pytest.raises(AssertionError, match="read back"):
         RateSet(rates.scheme, rates.feeding)
+
+
+# ---------------------------------------------------------------------------
+# the rate CSV from the rows against the CSV from the entries
+
+
+def rate_csv_by_entries(labeled_sets):
+    """The reference rate CSV: each table's ``entries`` placed by the basis
+    position and (j, F, M, Md) cells of every sublevel they name, sorted as
+    lists of those cells, floats as ``repr``, lines through ``csv.writer``."""
+    stream = io.StringIO()
+    writer = csv.writer(stream, lineterminator="\n")
+    writer.writerow(RATE_COLUMNS)
+    for label, rates in labeled_sets:
+        cells = {}
+        for position, (level, *numbers) in enumerate(Basis.for_scheme(rates.scheme).sublevels):
+            if level == "d":
+                cell = (position, level, "", "", ":".join(map(str, numbers)))
+            else:
+                cell = (position, level, ":".join(map(str, numbers[:-1])), str(numbers[-1]), "")
+            cells[(level, *numbers)] = cell
+        for table in ("upper", "feeding", "ground"):
+            named = sorted(([cells[s] for s in sublevels], complex(value))
+                           for sublevels, value in rates.entries(table))
+            for sublevel_cells, value in named:
+                mid = len(sublevel_cells) // 2
+                first, second = sublevel_cells[0], sublevel_cells[mid]
+                writer.writerow((f"{label}-{table}", *first[1:4], *second[1:4],
+                                 sublevel_cells[mid - 1][-1], sublevel_cells[-1][-1],
+                                 repr(value.real), repr(value.imag)))
+    return stream.getvalue()
+
+
+class RowsOnly:
+    """A rate set seen through its scheme and ``rows`` alone: no mapping, no ``entries``."""
+
+    def __init__(self, rates):
+        self.scheme, self.rows = rates.scheme, rates.rows
+
+
+def assert_rows_match_entries(rates):
+    """``rows`` is read-only, row for row the positions and values of ``entries``."""
+    basis = Basis.for_scheme(rates.scheme)
+    for table in ("upper", "feeding", "ground"):
+        at, values = rates.rows(table)
+        assert not at.flags.writeable and not values.flags.writeable
+        assert at.shape == (len(values), 4 if table == "feeding" else 2)
+        entries = rates.entries(table)
+        assert [[basis.position(s) for s in sublevels] for sublevels, _ in entries] == at.tolist()
+        assert np.array_equal(bits([value for _, value in entries]), bits(values))
+    assert rates.rows("feeding") == (rates.sites, rates.values)
+    assert len(rates.rows("ground")[1]) == len(rates.ground or {})
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(sparse_k_rate_sets(), st.randoms(use_true_random=False))
+def test_rate_csv_equals_entries_path_on_sparse_k(rates, rnd):
+    # the builders' sets, their reductions and hand-made copies, shuffled or filtered
+    items = list(rates.feeding.items())
+    rnd.shuffle(items)
+    made = [
+        rates,
+        rates.restricted("b"),
+        rates.restricted("c"),
+        RateSet(rates.scheme, dict(items), rates.stimulated),
+        RateSet(rates.scheme, dict(i for i in items if rnd.random() < 0.6), rates.stimulated),
+    ]
+    for one in made:
+        assert_rows_match_entries(one)
+    labeled = [(f"set{i}", one) for i, one in enumerate(made)]
+    written = io.StringIO()
+    write_rate_tables(written, [(label, RowsOnly(one)) for label, one in labeled])
+    assert written.getvalue() == rate_csv_by_entries(labeled)
+
+
+@pytest.mark.parametrize("name", preset_names())
+def test_rate_csv_and_rows_on_every_preset(name):
+    sets = build_rate_sets(preset_config(name))
+    for _label, rates in sets:
+        assert_rows_match_entries(rates)
+    written = io.StringIO()
+    write_rate_tables(written, [(label, RowsOnly(rates)) for label, rates in sets])
+    assert written.getvalue() == rate_csv_by_entries(sets)
+
+
+@pytest.mark.parametrize("table", ["Upper", "feed", "", None])
+def test_unknown_table_name_raises_in_rows_as_in_entries(table):
+    rates = rates_fine(dline(), cavity_k(), cavity_k())
+    for read in (rates.rows, rates.entries):
+        with pytest.raises(RateSetContractError, match="unknown rate table"):
+            read(table)
 
 
 # SHA-256 of `vrelax rates --preset NAME`, taken before the CSV writer read
