@@ -47,6 +47,7 @@ from .operators import (
     BasisState,
     HyperfineScheme,
     InterferenceReport,
+    InterferenceSweep,
     LevelScheme,
     RateSet,
     Superoperator,
@@ -54,6 +55,7 @@ from .operators import (
     build_stimulated_superop,
     hyperfine_mixing,
     interference_report,
+    interference_sweep,
     rates_fine,
     rates_hyperfine,
     rates_injected,
@@ -110,6 +112,7 @@ __all__ = [
     "BasisState",
     "HyperfineScheme",
     "InterferenceReport",
+    "InterferenceSweep",
     "LevelScheme",
     "RateSet",
     "Superoperator",
@@ -117,6 +120,7 @@ __all__ = [
     "build_stimulated_superop",
     "hyperfine_mixing",
     "interference_report",
+    "interference_sweep",
     "rates_fine",
     "rates_hyperfine",
     "rates_injected",

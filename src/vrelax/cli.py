@@ -67,6 +67,7 @@ from .errors import (
     DistributionDomainError,
     NumericalAbortError,
     QuadratureOrderError,
+    RateSetContractError,
     SchemeError,
 )
 from .halfint import HalfInt, half, triangle_range
@@ -538,6 +539,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         DistributionDomainError,
         QuadratureOrderError,
         AngularDomainError,
+        RateSetContractError,
         MemoryError,
     ) as exc:
         print(f"vrelax: config error: {exc}", file=sys.stderr)

@@ -322,6 +322,14 @@ class ModeDensityModifier:
             raise DistributionDomainError(
                 f"band curvature must be > 0, got {curvature!r}"
             )
+        try:
+            cube = float(curvature) ** 3
+        except OverflowError:
+            cube = math.inf
+        if not 0.0 < cube < math.inf:  # the onset divides by it
+            raise DistributionDomainError(
+                f"band curvature cubed must be a finite nonzero float, got {curvature!r}"
+            )
         channels = frozenset(int(c) for c in gapped_channels)
         if not channels:
             raise DistributionDomainError("at least one gapped channel required")

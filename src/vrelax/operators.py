@@ -9,16 +9,25 @@ Rate tables come in two shapes.  The two-index table ("upper") couples pairs
 of excited sublevels and drives depopulation together with the coherence
 decay between the excited levels.  The four-index table ("feeding") resolves
 the ground sublevels the decay feeds into.  Every coefficient has one form,
-S * A1 * A2 * K(sigma1, sigma2): two dipole channel amplitudes times the
-helicity matrix, contracted once per level pair over a channel table
-(``_channels``).  A ``RateSet`` holds each table as rows: the basis positions
-of each entry's sublevels and its value.  The feeding rows are given and the
-others summed from them: the two-index table adds the diagonal-ground feeding
-entries in order, and the ground table of stimulated sets the diagonal-excited
-ones, so both trace identities hold by construction and nothing downstream
-re-checks them.  Every reader here reads the rows.  Keys are made only for the
-three public mappings (and the interference report's off-diagonal list), and
-read back into sublevels only from a feeding table made by hand.
+((S * A1) * A2) * K(sigma1, sigma2): two dipole channel amplitudes (``_channels``)
+times one entry of the helicity matrix, which the two channels' helicities
+fix.  So a scheme's rate tables are a fixed linear map of K: its skeleton
+(``_skeleton``, cached as ``scheme.skeleton``) holds, for every pair of
+channels in table order, the flat index of the K entry it reads, and per
+level pair what gives each pair's product (S * A1) * A2 and its two channels.
+A rate builder is one masked product of the skeleton with K, over the pairs
+whose K entry is not zero, and ``interference_sweep`` sums the few pairs p(M)
+reads over many K at once.  A ``RateSet`` holds each table as rows: the basis
+positions of each entry's sublevels and its value.  The feeding rows are given
+and the others summed from them: the two-index table adds the diagonal-ground
+feeding entries in order, and the ground table of stimulated sets the
+diagonal-excited ones, so both trace identities hold by construction and
+nothing downstream re-checks them.  Every reader here reads the rows.  Keys are
+made only for the three public mappings (and the interference report's
+off-diagonal list), each by one join: of two sublevels' parts, or of the two
+halves of a feeding key, which the basis holds for every sublevel followed by
+a ground one.  A key is read back into sublevels only from a feeding table
+made by hand.
 
 Superoperators act on the row-major vectorisation of the density matrix:
 vec(A rho B) = kron(A, B.T) vec(rho).  They are stored as their nonzeros
@@ -40,13 +49,13 @@ import math
 from dataclasses import InitVar, dataclass, field, replace
 from functools import cache, cached_property
 from types import MappingProxyType
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
 from .angular import clebsch_gordan, wigner_6j
 from .environment import KMatrix
-from .errors import RateSetContractError, SchemeError
+from .errors import DistributionDomainError, RateSetContractError, SchemeError
 from .halfint import HalfInt, half, projections, triangle_ok, triangle_range
 
 EXCITED_LEVELS = ("b", "c")
@@ -75,6 +84,8 @@ __all__ = [
     "InterferencePoint",
     "InterferenceReport",
     "interference_report",
+    "InterferenceSweep",
+    "interference_sweep",
 ]
 
 
@@ -172,6 +183,11 @@ class LevelScheme:
         """Each excited level's dipole channels, built once per scheme (``_channels``)."""
         return {level: _channels(self, level) for level in EXCITED_LEVELS}
 
+    @cached_property
+    def skeleton(self) -> tuple:
+        """The K-free factors of every channel pair, built once per scheme (``_skeleton``)."""
+        return _skeleton(self)
+
 
 @dataclass(frozen=True)
 class HyperfineScheme:
@@ -223,6 +239,11 @@ class HyperfineScheme:
     def channels(self) -> dict[str, tuple]:
         """Each excited level's dipole channels, built once per scheme (``_channels``)."""
         return {level: _channels(self, level) for level in EXCITED_LEVELS}
+
+    @cached_property
+    def skeleton(self) -> tuple:
+        """The K-free factors of every channel pair, built once per scheme (``_skeleton``)."""
+        return _skeleton(self)
 
 
 def hyperfine_mixing(scheme: HyperfineScheme, level: str, f: HalfInt, f_d: HalfInt) -> float:
@@ -320,6 +341,27 @@ class Basis:
     def labels(self) -> tuple[str, ...]:
         return tuple(state.label() for state in self.states)
 
+    @cached_property
+    def _parts(self) -> np.ndarray:
+        """Each sublevel as it runs in a key (a ground one without its "d"), an object array."""
+        return np.fromiter((s[1:] if s[0] == GROUND_LEVEL else s for s in self.sublevels), object)
+
+    @cached_property
+    def _halves(self) -> np.ndarray:
+        """The key of every sublevel followed by every ground sublevel, an n x n object
+        array (None where the second is not a ground sublevel): a feeding key is two."""
+        ground = [p for p, s in enumerate(self.sublevels) if s[0] == GROUND_LEVEL]
+        halves = np.full((len(self), len(self)), None, object)
+        halves[:, ground] = np.add.outer(self._parts, self._parts[ground])
+        return halves
+
+    @cached_property
+    def _part_rank(self) -> np.ndarray:
+        """Each sublevel's rank by the reprs of its key part, in tuple order."""
+        text = cache(repr)  # each label and quantum number formatted once
+        order = sorted(range(len(self)), key=lambda p: tuple(map(text, self._parts[p])))
+        return np.argsort(order)
+
     def __len__(self) -> int:
         return len(self.states)
 
@@ -341,19 +383,24 @@ def _sublevel(state: BasisState) -> tuple:
 #   hf feeding    (j1, F1, M1, Fd1, Md1, j2, F2, M2, Fd2, Md2)
 #   ground        (Md1, Md2), or (Fd1, Md1, Fd2, Md2) with hyperfine structure
 # One rule makes every key: the sublevels it names run together in order,
-# each ground sublevel ("d", Md) or ("d", Fd, Md) without its "d".  ``_keyed``
-# applies it to rows of basis positions, for the mappings and the report's
-# off-diagonal list only, and ``_key_sublevels`` reads a key of a feeding table
-# made by hand back into sublevels; no other code knows it.  CSV rows sort by
-# the basis positions of their key's sublevels, taken in key order.
+# each ground sublevel ("d", Md) or ("d", Fd, Md) without its "d".  A basis
+# holds each sublevel's part of a key (``Basis._parts``) and the key of every
+# sublevel followed by a ground one (``Basis._halves``); ``_keyed`` joins them
+# along rows of basis positions, for the mappings and the report's off-diagonal
+# list only, and ``_key_sublevels`` reads a key of a feeding table made by hand
+# back into sublevels; no other code knows it.  CSV rows sort by the basis
+# positions of their key's sublevels, taken in key order.
 
 
-def _keyed(sublevels: tuple[tuple, ...], rows: tuple) -> MappingProxyType:
-    """The read-only {key: value} mapping of rows (positions into ``sublevels``,
-    values), in row order."""
-    parts = np.fromiter((s[1:] if s[0] == GROUND_LEVEL else s for s in sublevels), object)
-    keys = np.add.reduce(parts[rows[0]], axis=1).tolist()  # tuple + tuple along each row
-    return MappingProxyType(dict(zip(keys, rows[1].tolist())))
+def _keyed(basis: Basis, rows: tuple) -> MappingProxyType:
+    """The read-only {key: value} mapping of rows (positions into ``basis``, values),
+    in row order; each key is one join: of two parts, or of a feeding key's halves."""
+    at = rows[0]
+    if at.shape[1] == 2:
+        keys = basis._parts[at[:, 0]] + basis._parts[at[:, 1]]
+    else:
+        keys = basis._halves[at[:, 0], at[:, 1]] + basis._halves[at[:, 2], at[:, 3]]
+    return MappingProxyType(dict(zip(keys.tolist(), rows[1].tolist())))
 
 
 def _key_sublevels(key: tuple, hyperfine: bool) -> tuple[tuple, ...]:
@@ -428,7 +475,7 @@ class RateSet:
 
     def __post_init__(self, _arrays: tuple | None) -> None:
         basis = Basis.for_scheme(self.scheme)
-        sub, n = basis.sublevels, len(basis)
+        n = len(basis)
         if _arrays is None:
             feeding = dict(self.feeding)
             rows = []
@@ -448,10 +495,10 @@ class RateSet:
         object.__setattr__(self, "sites", sites)
         object.__setattr__(self, "values", values)
         # the mappings: the one place a set makes keys
-        made = _keyed(sub, (sites, values)) if feeding is None else MappingProxyType(feeding)
+        made = _keyed(basis, (sites, values)) if feeding is None else MappingProxyType(feeding)
         object.__setattr__(self, "feeding", made)
-        object.__setattr__(self, "upper", _keyed(sub, upper))
-        object.__setattr__(self, "ground", _keyed(sub, ground) if self.stimulated else None)
+        object.__setattr__(self, "upper", _keyed(basis, upper))
+        object.__setattr__(self, "ground", _keyed(basis, ground) if self.stimulated else None)
 
     @property
     def kind(self) -> str:
@@ -534,32 +581,83 @@ def _channels(
     return arrays
 
 
-def _tables(
-    scheme: LevelScheme | HyperfineScheme, k_b: KMatrix, k_c: KMatrix, stimulated: bool = False
-) -> RateSet:
-    """Rate set of S * A1 * A2 * K(sigma1, sigma2) per channel pair."""
-    k_b.validate()
-    k_c.validate()
+def _skeleton(scheme: LevelScheme | HyperfineScheme) -> tuple:
+    """The K-free half of every rate coefficient, for every pair of channels.
+
+    Pairs run in table order: level pair b b, b c, c b, c c, then the first level's
+    channel, then the second's; channels run b's, then c's.  Returns (k_index,
+    blocks, scaled, amplitudes, sites), read-only: per pair the flat index of the K
+    entry it reads, into k_b's entries then k_c's, 3 (sigma1 + 1) + (sigma2 + 1)
+    plus 9 when the second level is c (int8); per level pair its first pair, the
+    second level's channel count, where its S A1 start in ``scaled`` and the first
+    channel of each of its levels; S A1 of each level pair's first level; each
+    channel's amplitude A; and each channel's int32 (upper, ground) positions packed
+    in one int64, so that the four positions of a pair are two gathers.
+    ``_pair_factors`` reads a pair's product (S A1) A2 and channels off it; the rate
+    builders read it from ``scheme.skeleton``.
+    """
     hyperfine = isinstance(scheme, HyperfineScheme)
     fine = scheme.fine if hyperfine else scheme
     channels = scheme.channels
-    pieces = []  # (sites, values) of each level pair
+    start = {"b": 0, "c": len(channels["b"][0])}
+    k_index, blocks, scaled, pairs = [], [], [], 0
     for j1 in EXCITED_LEVELS:
-        at1, sig1, a1 = channels[j1]
+        _, sig1, a1 = channels[j1]
         for j2 in EXCITED_LEVELS:
-            at2, sig2, a2 = channels[j2]
+            _, sig2, a2 = channels[j2]
             scale = fine.s_factor(j1, j2)
             if hyperfine:
                 # the recoupling factors absorb 1/sqrt(2J+1) each, which this
                 # scale puts back so that I = 0 reproduces the fine tables
                 scale *= math.sqrt((fine.j(j1).twice + 1) * (fine.j(j2).twice + 1))
             # the coefficient inherits the frequency of its second index
-            k = (k_b if j2 == "b" else k_c).entries
-            # ((S A1) A2) K: one fixed product order keeps every value bit-stable
-            table = (scale * a1)[:, None] * a2[None, :] * k[sig1[:, None] + 1, sig2[None, :] + 1]
-            rows, cols = np.nonzero(table)
-            pieces.append((np.concatenate((at1[rows], at2[cols]), axis=1), table[rows, cols]))
-    return RateSet(scheme, None, stimulated, _arrays=tuple(map(np.concatenate, zip(*pieces))))
+            k_index.append((3 * sig1[:, None] + sig2[None, :] + (4 if j2 == "b" else 13)).ravel())
+            blocks.append((pairs, len(a2), sum(map(len, scaled)), start[j1], start[j2]))
+            scaled.append(scale * a1)
+            pairs += len(a1) * len(a2)
+    levels = [channels[level] for level in EXCITED_LEVELS]
+    arrays = (
+        np.concatenate(k_index).astype(np.int8),
+        np.array(blocks, np.int64),
+        np.concatenate(scaled),
+        np.concatenate([amplitudes for _, _, amplitudes in levels]),
+        np.concatenate([positions for positions, _, _ in levels]).view(np.int64).ravel(),
+    )
+    for array in arrays:
+        array.flags.writeable = False
+    return arrays
+
+
+def _pair_factors(skeleton: tuple, at: np.ndarray) -> tuple[np.ndarray, ...]:
+    """(coef, first, second) of the channel pairs at ascending table positions ``at``:
+    the product (S A1) A2 and the two channels, indices into the skeleton's sites."""
+    _k_index, blocks, scaled, amplitudes = skeleton[:4]
+    block = np.searchsorted(blocks[:, 0], at, "right") - 1
+    start, width, at_scaled, first, second = blocks[block].T
+    i, j = np.divmod(at - start, width)
+    return scaled.take(at_scaled + i) * amplitudes.take(second + j), first + i, second + j
+
+
+def _tables(
+    scheme: LevelScheme | HyperfineScheme, k_b: KMatrix, k_c: KMatrix, stimulated: bool = False
+) -> RateSet:
+    """Rate set of ((S A1) A2) K(sigma1, sigma2) per channel pair, without the zeros."""
+    k_b.validate()
+    k_c.validate()
+    k_index, *_, sites = scheme.skeleton
+    k = np.concatenate((k_b.entries.ravel(), k_c.entries.ravel()))
+    at = np.flatnonzero((k != 0).take(k_index))  # a zero K entry gives a zero product
+    coef, first, second = _pair_factors(scheme.skeleton, at)
+    # ((S A1) A2) K: one fixed product order keeps every value bit-stable
+    with np.errstate(over="ignore", invalid="ignore"):  # raised typed below instead
+        values = coef * k.take(k_index.take(at))
+    if not np.isfinite(values).all():
+        raise SchemeError("rate coefficients overflow: a product S A1 A2 K is not finite")
+    nonzero = values != 0
+    if not nonzero.all():
+        values, first, second = values[nonzero], first[nonzero], second[nonzero]
+    pair_sites = np.stack((sites.take(first), sites.take(second)), axis=1)
+    return RateSet(scheme, None, stimulated, _arrays=(pair_sites.view(np.int32), values))
 
 
 def _fine_only(scheme: LevelScheme | HyperfineScheme, builder: str) -> None:
@@ -813,6 +911,12 @@ def _interference_value(g_bc: complex, g_bb: complex, g_cc: complex) -> float | 
     return complex(g_bc).real / math.sqrt(denom)
 
 
+def _shared(sublevels: tuple[tuple, ...]) -> list[tuple[int, int]]:
+    """The positions (b, c) of the sublevels b and c share, (M,) or (F, M), in basis order."""
+    of_c = {s[1:]: p for p, s in enumerate(sublevels) if s[0] == "c"}
+    return [(p, of_c[s[1:]]) for p, s in enumerate(sublevels) if s[0] == "b" and s[1:] in of_c]
+
+
 def interference_report(rates: RateSet) -> InterferenceReport:
     """Degree of interference per shared sublevel, plus the raw cross terms.
 
@@ -820,19 +924,99 @@ def interference_report(rates: RateSet) -> InterferenceReport:
     the geometric mean of the two diagonal coefficients at the same
     projection.  Sublevels where both diagonals vanish report ``None``.
     """
-    sublevels, (at, sums) = Basis.for_scheme(rates.scheme).sublevels, rates.rows("upper")
-    # the positions (b, c) of the sublevels b and c share, (M,) or (F, M), in basis order
-    of_c = {s[1:]: p for p, s in enumerate(sublevels) if s[0] == "c"}
-    pairs = [(p, of_c[s[1:]]) for p, s in enumerate(sublevels) if s[0] == "b" and s[1:] in of_c]
+    basis, (at, sums) = Basis.for_scheme(rates.scheme), rates.rows("upper")
+    sublevels = basis.sublevels
     g = np.zeros((len(sublevels),) * 2, dtype=complex)  # a sum the table does not hold is 0
     g[at[:, 0], at[:, 1]] = sums
     points = []
-    for b, c in pairs:
+    for b, c in _shared(sublevels):
         q = sublevels[b][1:]
         value = _interference_value(g[b, c], g[b, b], g[c, c])
         points.append(InterferencePoint(m=q[-1], f=q[0] if len(q) == 2 else None, value=value))
     off = (at[:, 0] != at[:, 1]) & (sums != 0.0)
-    off = list(_keyed(sublevels, (at[off], sums[off])).items())
-    text = cache(repr)  # each label and quantum number of the keys formatted once
-    off.sort(key=lambda item: (-abs(item[1]), tuple(map(text, item[0]))))
-    return InterferenceReport(points=tuple(points), off_diagonal=tuple(off))
+    (p, q), values = at[off].T, sums[off].tolist()
+    # by falling magnitude, then by the reprs of the key's items; the parts of
+    # excited sublevels have one length, so those order as the two parts' ranks
+    rank = basis._part_rank
+    order = np.lexsort((rank[q], rank[p], [-abs(v) for v in values])).tolist()
+    keys = (basis._parts[p[order]] + basis._parts[q[order]]).tolist()
+    off_diagonal = tuple(zip(keys, [values[i] for i in order]))
+    return InterferenceReport(points=tuple(points), off_diagonal=off_diagonal)
+
+
+@dataclass(frozen=True, eq=False)
+class InterferenceSweep:
+    """Degrees of interference over a sweep: ``values[i, s]`` is the degree at point i
+    of shared sublevel s, which is (``m[s]``, ``f[s]``) in the order of
+    ``InterferenceReport.points``; NaN where the report says ``None``.  ``values`` is a
+    read-only (points, sublevels) float64 array."""
+
+    m: tuple[HalfInt, ...]
+    f: tuple[HalfInt | None, ...]
+    values: np.ndarray
+
+
+def interference_sweep(
+    scheme: LevelScheme | HyperfineScheme,
+    ks: Sequence[KMatrix],
+    ks_c: Sequence[KMatrix] | None = None,
+) -> InterferenceSweep:
+    """The degrees of :func:`interference_report` at many helicity matrices at once.
+
+    Row i equals, bit for bit, the degrees of ``interference_report(rates)`` for
+    ``rates = rates_hyperfine(scheme, ks[i])`` or ``rates_fine(scheme, ks[i], ks_c[i])``
+    (``ks_c`` defaults to ``ks`` and is for fine schemes only; a stimulated set over
+    the same two matrices has the same degrees), wherever that builder succeeds.  No
+    rate set is built: a degree reads three sums of the two-index table, each over
+    one shared sublevel's channel pairs into one ground sublevel, and those pairs read
+    diagonal K entries only.  Their terms come from ``scheme.skeleton`` and are
+    summed from 0 in table order, as the table sums them, for every point at once.
+    A sum read here that is not finite raises :class:`SchemeError`.
+    """
+    if isinstance(scheme, HyperfineScheme) and ks_c is not None:
+        raise RateSetContractError(
+            "interference_sweep takes one K per point for a HyperfineScheme, as "
+            "rates_hyperfine does; got ks_c"
+        )
+    ks = list(ks)
+    ks_c = ks if ks_c is None else list(ks_c)
+    if len(ks_c) != len(ks):
+        raise DistributionDomainError(
+            f"ks and ks_c need one K per point each, got {len(ks)} and {len(ks_c)}"
+        )
+    for k in ks if ks_c is ks else ks + ks_c:
+        k.validate()
+    k_index, *_, sites = scheme.skeleton
+    basis = Basis.for_scheme(scheme)
+    n, shared = len(basis), _shared(basis.sublevels)
+    # per shared sublevel the sums (b b), (c c), (b c), as flat positions of the table
+    targets = np.array([(b * n + b, c * n + c, b * n + c) for b, c in shared], int).ravel()
+    slot = np.full(n * n, -1)
+    slot[targets] = np.arange(targets.size)
+    pairs = np.arange(k_index.size)
+    coef, first, second = _pair_factors(scheme.skeleton, pairs)
+    ends = sites.view(np.int32).reshape(-1, 2)
+    (up1, gr1), (up2, gr2) = ends[first].T, ends[second].T
+    summed = np.where(gr1 == gr2, slot[up1.astype(np.int64) * n + up2], -1)
+    pairs, coef, summed = pairs[summed >= 0], coef[summed >= 0], summed[summed >= 0]
+    k = np.concatenate(
+        [np.array([m.entries for m in stack]).reshape(-1, 9) for stack in (ks, ks_c)], axis=1
+    )
+    # the real part of (S A1) A2 K, which is all a sum's real part reads, summed
+    # from 0 in table order along each point's row
+    sums = np.zeros((len(ks), targets.size))
+    with np.errstate(over="ignore", invalid="ignore"):  # raised typed below instead
+        np.add.at(sums, (slice(None), summed), coef * k.real[:, k_index[pairs]])
+    if not np.isfinite(sums).all():
+        raise SchemeError("rate coefficients overflow: a sum over the shared ground sublevel")
+    g_bb, g_cc, g_bc = np.moveaxis(sums.reshape(len(ks), len(shared), 3), 2, 0)
+    with np.errstate(over="ignore"):  # an infinite product gives 0.0, as in the report
+        denom = g_bb * g_cc
+    defined = denom > 0.0
+    values = np.full(denom.shape, np.nan)
+    values[defined] = g_bc[defined] / np.sqrt(denom[defined])
+    values.flags.writeable = False
+    q = [basis.sublevels[b][1:] for b, _c in shared]
+    return InterferenceSweep(
+        m=tuple(s[-1] for s in q), f=tuple(s[0] if len(s) == 2 else None for s in q), values=values
+    )

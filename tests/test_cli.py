@@ -561,9 +561,11 @@ class TestEvolveCommand:
 
 
 # the feeding entries stay finite; the ground sums of the isotropic field
-# and the superoperator's diagonal (-2 Re Gamma) in vacuum overflow
+# and the superoperator's diagonal (-2 Re Gamma) in vacuum overflow; in a
+# brighter field the feeding products themselves overflow
 OVERFLOW_ISOTROPIC = ("kind = isotropic\nn_mean = 1.0", "s_scale = 1e308")
 OVERFLOW_VACUUM = ("kind = vacuum", "s_scale = 1.7e308")
+OVERFLOW_PRODUCT = ("kind = isotropic\nn_mean = 1e10", "s_scale = 1e308")
 
 
 class TestOverflow:
@@ -574,6 +576,8 @@ class TestOverflow:
               for c in ("rates", "superop", "steady", "evolve")],
             *[(c, OVERFLOW_VACUUM, "matrix entries overflow")
               for c in ("superop", "steady", "evolve")],
+            *[(c, OVERFLOW_PRODUCT, "rate coefficients overflow: a product")
+              for c in ("rates", "superop", "steady", "evolve")],
         ],
     )
     def test_overflowing_sums_are_a_config_error(
@@ -594,6 +598,43 @@ class TestOverflow:
         assert main(["rates", "--config", cfg, "--out", str(out)]) == 0
         cells = [cell for row in read_out(out)[3] for cell in row[-2:]]
         assert cells and all(math.isfinite(float(cell)) for cell in cells)
+
+
+class TestTypedEscapes:
+    @pytest.mark.parametrize("curvature", ["1e103", "1e-110"])
+    def test_photonic_curvature_whose_cube_leaves_the_floats_exits_two(
+        self, tmp_path, capsys, curvature
+    ):
+        # the cube overflows (an OverflowError) or underflows to 0.0 (a
+        # ZeroDivisionError in the onset); both were tracebacks with exit 1
+        environment = (
+            f"kind = photonic\nomega_edge = 1.005\ncurvature = {curvature}\ngapped_channels = 0"
+        )
+        cfg = write_cfg(tmp_path, environment, "command = kmatrix")
+        assert main(["kmatrix", "--config", cfg, "--out", str(tmp_path / "k.csv")]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("vrelax: config error: band curvature cubed")
+        assert err.count("\n") == 1
+        assert os.listdir(tmp_path) == ["scenario.ini"]
+
+    @pytest.mark.parametrize("command", ["rates", "superop", "steady"])
+    def test_rate_set_contract_error_exits_two(self, tmp_path, capsys, monkeypatch, command):
+        # no config reaches one (hyperfine schemes take neither a photon
+        # distribution nor rates_injected, and each set goes to the builder of
+        # its kind), so a builder is swapped for one that hands rates_injected
+        # a hyperfine scheme
+        from vrelax import config, operators
+
+        def rates_fine(scheme, k_b, k_c):
+            return operators.rates_injected(operators.HyperfineScheme(scheme, 1), k_b)
+
+        monkeypatch.setattr(config, "rates_fine", rates_fine)
+        out = tmp_path / "x.csv"
+        assert main([command, "--preset", "dline-vacuum", "--out", str(out)]) == 2
+        stdout, err = capsys.readouterr()
+        assert stdout == "" and err.startswith("vrelax: config error: rates_injected builds")
+        assert err.count("\n") == 1
+        assert not out.exists()
 
 
 class TestSteadyCommand:

@@ -1022,3 +1022,65 @@ def test_degenerate_steady_state_takes_vectors_of_null_blocks_only(name, svd_cal
     assert set(with_vectors) == {"_dark_ground_dimension"}
     # one full SVD per block that holds a null singular value, at most
     assert len(with_vectors) <= sum(stack.shape[0] for _positions, stack in stacks)
+
+
+# ---------------------------------------------------------------------------
+# generators that do not preserve Hermiticity
+
+
+def hand_made_generator(n: int, entries: dict) -> np.ndarray:
+    """The dense n^2 x n^2 matrix with ``entries[((i, j), (k, m))]`` at vec
+    row i n + j and column k n + m."""
+    dense = np.zeros((n * n, n * n), dtype=complex)
+    for ((i, j), (k, m)), value in entries.items():
+        dense[i * n + j, k * n + m] = value
+    return dense
+
+
+CHAIN = {
+    ((1, 0), (1, 0)): 1.0, ((1, 0), (1, 1)): 2.0, ((1, 1), (1, 1)): 1.0,
+    ((1, 1), (2, 1)): 3.0, ((2, 1), (1, 0)): 4.0, ((2, 1), (2, 1)): 1.0,
+}
+CHAIN_ENDS = (((0, 1), (0, 1)), ((1, 2), (1, 2)), ((2, 2), (2, 2)))
+
+
+@pytest.mark.parametrize(
+    "n, entries, dimension",
+    [
+        # 1x1 blocks at vec positions 0, 2, 6 (empty) and 1, 5, 8 (-1, then
+        # empty), and one 3x3 block at 3, 4, 7: matching each 1x1 block to
+        # the first 1x1 block at or after its transposed position chains 1
+        # (transposed 3) to 5, and 5 (transposed 7) to 8
+        (3, {**CHAIN, **dict.fromkeys(CHAIN_ENDS, -1.0)}, 3),
+        (3, {**CHAIN, **dict.fromkeys(CHAIN_ENDS, 0.0)}, 6),
+        # the block at (0,1), (0,2) is rank 1 and its transposition partner at
+        # (1,0), (2,0) rank 2; (0,0) is empty; (0,3), (1,3) and (3,0), (3,1)
+        # are the conjugate pair a Hermiticity-preserving generator makes
+        (
+            4,
+            {
+                ((0, 1), (0, 1)): 1.0, ((0, 1), (0, 2)): 1.0, ((0, 2), (0, 1)): 1.0,
+                ((0, 2), (0, 2)): 1.0,
+                ((1, 0), (1, 0)): 1.0, ((1, 0), (2, 0)): 1.0, ((2, 0), (1, 0)): 1.0,
+                ((2, 0), (2, 0)): 2.0,
+                ((0, 3), (0, 3)): 1 + 2j, ((0, 3), (1, 3)): 0.5, ((1, 3), (0, 3)): 3j,
+                ((1, 3), (1, 3)): 1.5j,
+                ((3, 0), (3, 0)): 1 - 2j, ((3, 0), (3, 1)): 0.5, ((3, 1), (3, 0)): -3j,
+                ((3, 1), (3, 1)): -1.5j,
+                ((1, 2), (1, 2)): 0.25, ((2, 1), (2, 1)): 0.5, ((2, 3), (2, 3)): 1.0,
+                ((3, 2), (3, 2)): 1.0,
+                **{((i, i), (i, i)): -1.0 - i for i in range(1, 4)},
+            },
+            2,
+        ),
+    ],
+)
+def test_steady_state_null_dimension_of_non_hermitian_generators(n, entries, dimension):
+    # every block is decomposed on its own: the null dimension is the dense SVD's
+    dense = hand_made_generator(n, entries)
+    values = np.linalg.svd(dense, compute_uv=False)
+    assert int(np.sum(values < n * n * np.finfo(float).eps * values[0])) == dimension
+    basis = Basis(Basis.for_fine(dline()).states[:n])
+    with pytest.raises(DegenerateSteadyStateError) as exc_info:
+        steady_state(AtomicHamiltonian(np.zeros(n), basis), [Superoperator(dense, basis, "hand")])
+    assert exc_info.value.dimension == dimension

@@ -69,6 +69,18 @@ class TestModeDensityModifier:
         with pytest.raises(DistributionDomainError):
             ModeDensityModifier.photonic_crystal(-1.0, 1.0, [0])
 
+    @pytest.mark.parametrize("curvature", [1e103, 1.7e308, 1e-110, 5e-324])
+    def test_photonic_curvature_whose_cube_leaves_the_floats_is_refused(self, curvature):
+        # the onset divides by curvature**3, which overflows (OverflowError in
+        # Python floats) or underflows to 0.0 (ZeroDivisionError) at these values
+        with pytest.raises(DistributionDomainError, match="curvature cubed"):
+            ModeDensityModifier.photonic_crystal(1.0, curvature, [0])
+
+    @pytest.mark.parametrize("curvature", [1e102, 1e-102])
+    def test_photonic_curvature_whose_cube_stays_in_the_floats_is_kept(self, curvature):
+        pc = ModeDensityModifier.photonic_crystal(1.0, curvature, [0])
+        assert pc.relative_density(1.25, 0) == math.sqrt(0.25 / curvature**3)
+
 
 class TestKSpontaneous:
     def test_vacuum_diagonal(self):
