@@ -17,9 +17,9 @@ and ±inf included; a NaN prints ``nan`` whatever its sign.  Trajectories and
 matrices are written 64 rows at a time, one ``"".join`` of an object array of
 cells per chunk.  Trajectories format only their live columns, those not +0.0 in some
 sample, read straight from ``Trajectory.values`` (vec entry p is re/im columns
-2p and 2p + 1); the runs of ``"0.0"`` between them are built once.  Matrix
-cells that are +0.0 are not formatted.  Density matrices and trajectories take
-one basis label per state, else ``ValueError``.
+2p and 2p + 1); the runs of ``"0.0"`` between them are built once.  Matrices arrive
+as triplets, a ``SparseMatrix`` (of rho and K, the entries not +0.0), and only those
+are formatted.  A density matrix or trajectory needs one label per state (``ValueError``).
 
 Rate tables are written from their rows (``RateSet.rows``: the basis positions
 of the sublevels each key names, in key order, and the values; the key layout
@@ -38,7 +38,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .operators import GROUND_LEVEL, Basis, RateSet
+from .operators import GROUND_LEVEL, Basis, RateSet, SparseMatrix
 
 __all__ = [
     "RATE_COLUMNS",
@@ -136,38 +136,43 @@ def write_rate_tables(
 def write_kmatrix(stream, kmatrix, *, comments: Sequence[str] = ()) -> None:
     """Emit a 3x3 helicity matrix, rows in (sigma, sigma') = (-1,0,+1)^2 order."""
     _write_comments(stream, comments)
-    stream.write("sigma1,sigma2,re,im\n")
-    cells = _repr_cells(np.ascontiguousarray(kmatrix.entries, dtype=complex).view(np.float64))
-    for sigma1, row in zip((-1, 0, 1), cells.reshape(3, 3, 2).tolist()):
-        for sigma2, (re, im) in zip((-1, 0, 1), row):
-            stream.write(f"{sigma1},{sigma2},{re},{im}\n")
+    _write_matrix_rows(stream, ("sigma1", "sigma2"), _triplets(kmatrix.entries), (-1, 0, 1))
 
 
 def _basis_legend(labels: Sequence[str]) -> list[str]:
     return [f"basis {i}: {label}" for i, label in enumerate(labels)]
 
 
-def _write_matrix_rows(stream, header: tuple[str, str], matrix) -> None:
-    """Header plus one ``row,col,re,im`` line per entry of a dense 2-D array,
-    row-major; real input is written with a 0.0 imaginary part."""
-    stream.write(",".join((*header, "re", "im")) + "\n")
+def _triplets(matrix: np.ndarray) -> SparseMatrix:
+    """The entries of a dense 2-D array that are not +0.0, row-major."""
     arr = np.ascontiguousarray(matrix, dtype=complex)
-    floats = arr.view(np.float64).reshape(*arr.shape, 2)
-    cells = np.empty((_CHUNK, arr.shape[1], 6), dtype=object)  # row ",col," re "," im "\n"
-    fixed = [[f",{col},", ",", "\n"] for col in range(arr.shape[1])]
+    row, col = np.nonzero(arr.view(np.uint64).reshape(*arr.shape, 2).any(axis=2))
+    return SparseMatrix(row, col, arr[row, col], arr.shape)
+
+
+def _write_matrix_rows(stream, header: tuple[str, str], matrix: SparseMatrix, names) -> None:
+    """Header plus one ``row,col,re,im`` line per cell of a square ``matrix``, row-major,
+    its rows and columns named by ``names``; a cell it does not store is 0.0."""
+    # ravel_multi_index refuses an entry outside; one out of order would land in a wrong cell
+    if np.any(np.diff(np.ravel_multi_index((matrix.row, matrix.col), matrix.shape)) <= 0):
+        raise ValueError("a SparseMatrix must be sorted by row then column, each entry once")
+    stream.write(",".join((*header, "re", "im")) + "\n")
+    floats = np.asarray(matrix.data, dtype=complex).view(np.float64).reshape(-1, 2)
+    cells = np.empty((_CHUNK, len(names), 6), dtype=object)  # row ",col," re "," im "\n"
+    fixed = [[f",{col},", ",", "\n"] for col in names]
     cells[:, :, 1::2] = np.array(fixed, dtype=object).reshape(-1, 3)
-    rows = np.array([[str(row)] for row in range(len(arr))], dtype=object)
-    for start in range(0, len(arr), _CHUNK):
-        block, chunk = floats[start : start + _CHUNK], cells[: len(arr) - start]
+    rows = np.array([[str(row)] for row in names], dtype=object)
+    for start in range(0, len(names), _CHUNK):
+        lo, hi = np.searchsorted(matrix.row, (start, start + _CHUNK))
+        chunk = cells[: len(names) - start]
         chunk[:, :, 0] = rows[start : start + _CHUNK]
         chunk[:, :, 2::2] = "0.0"
-        written = (block != 0.0) | np.signbit(block)  # 99.6 % of sodium's cells are +0.0
-        chunk[:, :, 2::2][written] = _repr_cells(block[written])
+        chunk[matrix.row[lo:hi] - start, matrix.col[lo:hi], 2::2] = _repr_cells(floats[lo:hi])
         stream.write("".join(chunk.ravel().tolist()))
 
 
 def write_superoperator(stream, superop, *, comments: Sequence[str] = ()) -> None:
-    """Emit the dense n^2 x n^2 superoperator matrix, every entry listed.
+    """Emit the n^2 x n^2 superoperator matrix, every entry listed.
 
     Row/column indices follow the row-major vectorization vec(rho)[i*n + j] =
     rho[i, j] over the basis spelled out in the legend block.
@@ -177,7 +182,7 @@ def write_superoperator(stream, superop, *, comments: Sequence[str] = ()) -> Non
     _write_comments(stream, [f"label: {superop.label}"])
     _write_comments(stream, ["vec convention: row-major, vec index = i*n + j"])
     _write_comments(stream, _basis_legend(labels))
-    _write_matrix_rows(stream, ("row", "col"), superop.matrix.toarray())
+    _write_matrix_rows(stream, ("row", "col"), superop.matrix, range(len(labels) ** 2))
 
 
 def write_density_matrix(
@@ -192,7 +197,7 @@ def write_density_matrix(
         raise ValueError(f"{len(labels)} basis labels for a state of shape {np.shape(rho)}")
     _write_comments(stream, comments)
     _write_comments(stream, _basis_legend(labels))
-    _write_matrix_rows(stream, ("i", "j"), rho)
+    _write_matrix_rows(stream, ("i", "j"), _triplets(rho), range(len(labels)))
 
 
 # ---------------------------------------------------------------------------

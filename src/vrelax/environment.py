@@ -67,6 +67,10 @@ class AngularDistribution:
     phi_grid: Optional[np.ndarray] = None
     table: Optional[np.ndarray] = None  # shape (2, n_theta, n_phi); 0 -> lam=-1
 
+    def __post_init__(self) -> None:
+        if self.kind not in ("isotropic", "axisymmetric-cos2", "custom-tabulated"):
+            raise DistributionDomainError(f"unknown angular distribution kind {self.kind!r}")
+
     @classmethod
     def isotropic(cls, n_mean: float) -> "AngularDistribution":
         if not math.isfinite(n_mean) or n_mean < 0:
@@ -288,18 +292,50 @@ class ModeDensityModifier:
     curvature: float = 1.0
     gapped_channels: frozenset = field(default_factory=frozenset)
 
+    def __post_init__(self) -> None:
+        if self.kind not in ("vacuum", "planar-cavity", "photonic-crystal"):
+            raise DistributionDomainError(f"unknown mode-density kind {self.kind!r}")
+        if self.kind == "planar-cavity":
+            object.__setattr__(self, "reflectivity", float(self.reflectivity))
+            if not (0.0 <= abs(self.reflectivity) < 1.0):
+                raise DistributionDomainError(
+                    f"cavity reflectivity must satisfy 0 <= |r| < 1, got {self.reflectivity!r}"
+                )
+        elif self.kind == "photonic-crystal":
+            if not (math.isfinite(self.omega_edge) and self.omega_edge > 0):
+                raise DistributionDomainError(
+                    f"band edge frequency must be > 0, got {self.omega_edge!r}"
+                )
+            if not (math.isfinite(self.curvature) and self.curvature > 0):
+                raise DistributionDomainError(
+                    f"band curvature must be > 0, got {self.curvature!r}"
+                )
+            try:
+                cube = float(self.curvature) ** 3
+            except OverflowError:
+                cube = math.inf
+            if not 0.0 < cube < math.inf:  # the onset divides by it
+                raise DistributionDomainError(
+                    f"band curvature cubed must be a finite nonzero float, got {self.curvature!r}"
+                )
+            object.__setattr__(self, "gapped_channels", frozenset(map(int, self.gapped_channels)))
+            if not self.gapped_channels:
+                raise DistributionDomainError("at least one gapped channel required")
+            if not self.gapped_channels <= {-1, 0, 1}:
+                raise DistributionDomainError(
+                    "gapped channels must be within {-1, 0, 1}, got "
+                    f"{sorted(self.gapped_channels)}"
+                )
+            object.__setattr__(self, "omega_edge", float(self.omega_edge))
+            object.__setattr__(self, "curvature", float(self.curvature))
+
     @classmethod
     def vacuum(cls) -> "ModeDensityModifier":
         return cls(kind="vacuum")
 
     @classmethod
     def planar_cavity(cls, reflectivity: float) -> "ModeDensityModifier":
-        r = float(reflectivity)
-        if not (0.0 <= abs(r) < 1.0):
-            raise DistributionDomainError(
-                f"cavity reflectivity must satisfy 0 <= |r| < 1, got {r!r}"
-            )
-        return cls(kind="planar-cavity", reflectivity=r)
+        return cls(kind="planar-cavity", reflectivity=reflectivity)
 
     @classmethod
     def photonic_crystal(
@@ -314,35 +350,8 @@ class ModeDensityModifier:
         ``curvature`` is the band-curvature constant A in the user's units;
         it sets the scale of the onset, exactly as S sets the rate scale.
         """
-        if not (math.isfinite(omega_edge) and omega_edge > 0):
-            raise DistributionDomainError(
-                f"band edge frequency must be > 0, got {omega_edge!r}"
-            )
-        if not (math.isfinite(curvature) and curvature > 0):
-            raise DistributionDomainError(
-                f"band curvature must be > 0, got {curvature!r}"
-            )
-        try:
-            cube = float(curvature) ** 3
-        except OverflowError:
-            cube = math.inf
-        if not 0.0 < cube < math.inf:  # the onset divides by it
-            raise DistributionDomainError(
-                f"band curvature cubed must be a finite nonzero float, got {curvature!r}"
-            )
-        channels = frozenset(int(c) for c in gapped_channels)
-        if not channels:
-            raise DistributionDomainError("at least one gapped channel required")
-        if not channels <= {-1, 0, 1}:
-            raise DistributionDomainError(
-                f"gapped channels must be within {{-1, 0, 1}}, got {sorted(channels)}"
-            )
-        return cls(
-            kind="photonic-crystal",
-            omega_edge=float(omega_edge),
-            curvature=float(curvature),
-            gapped_channels=channels,
-        )
+        return cls(kind="photonic-crystal", omega_edge=omega_edge, curvature=curvature,
+                   gapped_channels=gapped_channels)
 
     def relative_density(self, omega: float, sigma: int) -> float:
         check_sigma(sigma)

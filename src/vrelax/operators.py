@@ -902,13 +902,12 @@ class InterferenceReport:
     off_diagonal: tuple[tuple[tuple, complex], ...]
 
 
-def _interference_value(g_bc: complex, g_bb: complex, g_cc: complex) -> float | None:
-    denom = (complex(g_bb).real) * (complex(g_cc).real)
-    if denom <= 0.0:
-        # a vanishing diagonal forces a vanishing cross term, so the degree
-        # is 0/0 and genuinely undefined rather than zero
-        return None
-    return complex(g_bc).real / math.sqrt(denom)
+def _degrees(g_bb: np.ndarray, g_cc: np.ndarray, g_bc: np.ndarray) -> np.ndarray:
+    """g_bc / sqrt(g_bb g_cc) over real sums; NaN where g_bb g_cc <= 0, as a vanishing
+    diagonal forces a vanishing cross term, so the degree is 0/0 and genuinely undefined."""
+    with np.errstate(over="ignore", invalid="ignore"):  # an infinite product gives 0.0
+        denom = g_bb * g_cc
+        return np.divide(g_bc, np.sqrt(denom), out=np.full(denom.shape, np.nan), where=denom > 0)
 
 
 def _shared(sublevels: tuple[tuple, ...]) -> list[tuple[int, int]]:
@@ -928,10 +927,11 @@ def interference_report(rates: RateSet) -> InterferenceReport:
     sublevels = basis.sublevels
     g = np.zeros((len(sublevels),) * 2, dtype=complex)  # a sum the table does not hold is 0
     g[at[:, 0], at[:, 1]] = sums
+    b, c = np.array(_shared(sublevels), dtype=np.int64).reshape(-1, 2).T
+    degrees = _degrees(g[b, b].real, g[c, c].real, g[b, c].real).tolist()
     points = []
-    for b, c in _shared(sublevels):
-        q = sublevels[b][1:]
-        value = _interference_value(g[b, c], g[b, b], g[c, c])
+    for p, value in zip(b.tolist(), degrees):
+        q, value = sublevels[p][1:], None if math.isnan(value) else value
         points.append(InterferencePoint(m=q[-1], f=q[0] if len(q) == 2 else None, value=value))
     off = (at[:, 0] != at[:, 1]) & (sums != 0.0)
     (p, q), values = at[off].T, sums[off].tolist()
@@ -1010,11 +1010,7 @@ def interference_sweep(
     if not np.isfinite(sums).all():
         raise SchemeError("rate coefficients overflow: a sum over the shared ground sublevel")
     g_bb, g_cc, g_bc = np.moveaxis(sums.reshape(len(ks), len(shared), 3), 2, 0)
-    with np.errstate(over="ignore"):  # an infinite product gives 0.0, as in the report
-        denom = g_bb * g_cc
-    defined = denom > 0.0
-    values = np.full(denom.shape, np.nan)
-    values[defined] = g_bc[defined] / np.sqrt(denom[defined])
+    values = _degrees(g_bb, g_cc, g_bc)
     values.flags.writeable = False
     q = [basis.sublevels[b][1:] for b, _c in shared]
     return InterferenceSweep(

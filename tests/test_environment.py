@@ -81,6 +81,27 @@ class TestModeDensityModifier:
         pc = ModeDensityModifier.photonic_crystal(1.0, curvature, [0])
         assert pc.relative_density(1.25, 0) == math.sqrt(0.25 / curvature**3)
 
+    def test_unknown_kind_is_refused_by_the_constructor(self):
+        # it was taken for a photonic crystal with no gapped channels: 1.0 everywhere
+        with pytest.raises(DistributionDomainError, match="unknown mode-density kind 'bogus'"):
+            ModeDensityModifier(kind="bogus").relative_density(1.0, 0)
+
+    def test_constructor_runs_the_checks_of_the_classmethods(self):
+        # curvature**3 overflowed in relative_density, a bare OverflowError
+        with pytest.raises(DistributionDomainError, match="curvature cubed"):
+            ModeDensityModifier(
+                kind="photonic-crystal", omega_edge=1.0, curvature=1e103, gapped_channels={0}
+            )
+        with pytest.raises(DistributionDomainError, match="at least one gapped channel"):
+            ModeDensityModifier(kind="photonic-crystal", omega_edge=1.0)
+        with pytest.raises(DistributionDomainError, match=r"0 <= \|r\| < 1, got 1.5"):
+            ModeDensityModifier(kind="planar-cavity", reflectivity=1.5)
+        built = ModeDensityModifier(
+            kind="photonic-crystal", omega_edge=1, curvature=2, gapped_channels=[1, 0]
+        )
+        assert built == ModeDensityModifier.photonic_crystal(1.0, 2.0, {0, 1})
+        assert isinstance(built.curvature, float) and built.gapped_channels == frozenset({0, 1})
+
 
 class TestKSpontaneous:
     def test_vacuum_diagonal(self):
@@ -208,6 +229,11 @@ class TestKStimulated:
 
 
 class TestAngularDistribution:
+    def test_unknown_kind_is_refused_by_the_constructor(self):
+        # shape() fell through to the table interpolation: a TypeError on table=None
+        with pytest.raises(DistributionDomainError, match="unknown angular distribution kind"):
+            AngularDistribution(kind="bogus").shape(0.3, 1.1, 1)
+
     def test_isotropic_constant(self):
         dist = AngularDistribution.isotropic(2.5)
         assert dist.evaluate(0.3, 1.1, 1) == pytest.approx(2.5)

@@ -17,6 +17,7 @@ scipy's weak ``connected_components`` (equal labels).
 """
 
 import csv
+import hashlib
 import io
 import itertools
 import math
@@ -24,6 +25,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import tracemalloc
 import warnings
 from dataclasses import replace
 from typing import Mapping, Sequence
@@ -45,6 +47,7 @@ from vrelax.config import (
 )
 from vrelax.csvio import (
     write_density_matrix,
+    write_kmatrix,
     write_rate_tables,
     write_superoperator,
     write_trajectory,
@@ -1129,6 +1132,41 @@ def test_sodium_trajectory_csv_bytes_match_per_element_loop():
         assert_same_csv(out.getvalue(), loop_trajectory_csv(trajectory, labels, populations_only))
 
 
+def loop_matrix_csv(preamble: str, header, dense: np.ndarray, names) -> str:
+    """The oracle for the matrix writers: one ``csv.writer`` row per cell,
+    row-major, each part through ``repr(float(x))``."""
+    ref = io.StringIO()
+    ref.write(preamble)
+    writer = csv.writer(ref, lineterminator="\n")
+    writer.writerow((*header, "re", "im"))
+    for i, row in enumerate(names):
+        for j, col in enumerate(names):
+            writer.writerow((row, col, _num(dense[i, j].real), _num(dense[i, j].imag)))
+    return ref.getvalue()
+
+
+def superoperator_edge_cases():
+    """Hand-made superoperators for the writer's edges: signed zeros, NaN and
+    ±inf stored; on 144 vec rows, rows with no entries, a whole empty 64-row
+    slab (rows 64-127) and a last slab of 16 rows; and no entries at all."""
+    small = Basis.for_fine(dline())
+    nan = np.copysign(np.nan, -1.0)
+    specials = [complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0), complex(0.0, 0.0),
+                complex(nan, np.nan), complex(np.inf, -np.inf), complex(-np.inf, 5e-324)]
+    row, col = np.array([0, 0, 5, 5, 17, 63, 63]), np.array([0, 63, 1, 2, 17, 0, 62])
+    yield Superoperator(SparseMatrix(row, col, np.array(specials), (64, 64)), small, "specials")
+    large = Basis.for_fine(LevelScheme(j_b=half("3/2"), j_c=half("3/2"), j_d=half("3/2")))
+    rng = np.random.default_rng(59)
+    keys = np.sort(rng.choice(144 * 144, size=600, replace=False))
+    keys = keys[(keys // 144 < 64) | (keys // 144 >= 128)]  # rows 64-127 stay empty
+    keys = keys[keys // 144 % 5 != 1]  # and every fifth row besides
+    data = rng.normal(size=keys.size) + 1j * rng.normal(size=keys.size)
+    sparse = SparseMatrix(keys // 144, keys % 144, data, (144, 144))
+    yield Superoperator(sparse, large, "empty rows and slab")
+    empty = np.array([], dtype=np.int64)
+    yield Superoperator(SparseMatrix(empty, empty, np.zeros(0, complex), (144, 144)), large, "none")
+
+
 def test_superoperator_csv_bytes_match_per_element_loop():
     rng = np.random.default_rng(47)
     basis = Basis.for_fine(dline())
@@ -1138,21 +1176,64 @@ def test_superoperator_csv_bytes_match_per_element_loop():
     dense[0, 1] = complex(5e-324, -0.0)
     dense[2, 3] = 1e22 + 1e-300j
     sup = Superoperator(dense, basis, "random")
-    out = io.StringIO()
-    write_superoperator(out, sup, comments=["c"])
+    for sup in (sup, *superoperator_edge_cases()):
+        out = io.StringIO()
+        write_superoperator(out, sup, comments=["c"])
+        preamble = f"# c\n# label: {sup.label}\n# vec convention: row-major, vec index = i*n + j\n"
+        preamble += "".join(f"# basis {i}: {label}\n" for i, label in enumerate(sup.basis.labels()))
+        size = len(sup.basis) ** 2
+        expected = loop_matrix_csv(preamble, ("row", "col"), sup.matrix.toarray(), range(size))
+        assert_same_csv(out.getvalue(), expected)
 
-    ref = io.StringIO()
-    ref.write("# c\n# label: random\n# vec convention: row-major, vec index = i*n + j\n")
-    for i, label in enumerate(basis.labels()):
-        ref.write(f"# basis {i}: {label}\n")
-    writer = csv.writer(ref, lineterminator="\n")
-    writer.writerow(("row", "col", "re", "im"))
-    matrix = sup.matrix.toarray()
-    for row in range(n * n):
-        for col in range(n * n):
-            value = matrix[row, col]
-            writer.writerow((row, col, _num(value.real), _num(value.imag)))
-    assert_same_csv(out.getvalue(), ref.getvalue())
+
+class HashingSink:
+    """A text stream that keeps only the SHA-256 of what is written to it."""
+
+    def __init__(self):
+        self.digest = hashlib.sha256()
+
+    def write(self, text):
+        self.digest.update(text.encode())
+
+
+def test_sodium_superoperator_csv_stays_below_the_dense_matrix_in_memory():
+    # the dense n^2 x n^2 matrix alone would be 32^4 complex entries, 16.8 MB;
+    # the digest was taken when the writer formatted that dense matrix
+    _cfg, _hamiltonian, (relaxation,), _rho0 = _preset_problem("sodium-hyperfine")
+    write_superoperator(HashingSink(), relaxation)  # lazy imports stay out of the peak
+    sink = HashingSink()
+    tracemalloc.start()
+    try:
+        write_superoperator(sink, relaxation)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < len(relaxation.basis) ** 4 * 16
+    assert sink.digest.hexdigest() == (
+        "00275443a4a7691c8af88d274e4e273dd2ad073847eb8d704500f9aa060d6f09"
+    )
+
+
+def density_matrix_edge_cases():
+    """States for the writer's edges: signed zeros, NaN and ±inf everywhere;
+    rows with no entries, a whole empty 64-row slab and a last slab of 22
+    rows; no entries at all; a non-contiguous state; a real-valued state."""
+    rng = np.random.default_rng(61)
+    nan = np.copysign(np.nan, -1.0)
+    specials = np.array([0.0, -0.0, np.nan, nan, np.inf, -np.inf, 1.5, -5e-324])
+    signed = np.empty((9, 9), dtype=complex)  # no 1j * inf, whose real part is NaN
+    signed.real, signed.imag = rng.choice(specials, size=(2, 9, 9))
+    yield signed
+    sparse = rng.normal(size=(150, 150)) + 1j * rng.normal(size=(150, 150))
+    sparse[rng.random(sparse.shape) < 0.95] = 0.0
+    sparse[64:128] = 0.0
+    sparse[::7] = 0.0
+    yield sparse
+    yield np.zeros((5, 5), dtype=complex)
+    yield (rng.normal(size=(70, 70)) + 1j * rng.normal(size=(70, 70))).T
+    real = rng.normal(size=(6, 6))
+    real[0, :3] = -0.0, np.nan, -np.inf
+    yield real
 
 
 def test_density_matrix_csv_bytes_match_per_element_loop():
@@ -1165,17 +1246,37 @@ def test_density_matrix_csv_bytes_match_per_element_loop():
     rho[0, 1] = complex(-0.0, np.copysign(np.nan, -1.0))
     rho[64, 2] = complex(np.inf, -np.inf)
     rho[129, 128] = complex(5e-324, -5e-324)
-    labels = [f"s{i}" for i in range(n)]
-    out = io.StringIO()
-    write_density_matrix(out, rho, labels, comments=["c"])
+    for rho in (rho, *density_matrix_edge_cases()):
+        labels = [f"s{i}" for i in range(len(rho))]
+        out = io.StringIO()
+        write_density_matrix(out, rho, labels, comments=["c"])
+        preamble = "# c\n" + "".join(f"# basis {i}: {label}\n" for i, label in enumerate(labels))
+        expected = loop_matrix_csv(preamble, ("i", "j"), rho, range(len(rho)))
+        assert_same_csv(out.getvalue(), expected)
 
-    ref = io.StringIO()
-    ref.write("# c\n")
-    for i, label in enumerate(labels):
-        ref.write(f"# basis {i}: {label}\n")
-    writer = csv.writer(ref, lineterminator="\n")
-    writer.writerow(("i", "j", "re", "im"))
-    for i in range(n):
-        for j in range(n):
-            writer.writerow((i, j, _num(rho[i, j].real), _num(rho[i, j].imag)))
-    assert_same_csv(out.getvalue(), ref.getvalue())
+
+def test_kmatrix_csv_bytes_match_per_element_loop():
+    entries = np.array([[2 / 3, -0.0, 0.0], [complex(0.0, -0.0), 1e-300, -0.0j], [-0.0, 0.0, 0.5]])
+    for k in (random_psd_k(np.random.default_rng(67)), KMatrix(entries)):
+        out = io.StringIO()
+        write_kmatrix(out, k, comments=["c"])
+        assert_same_csv(
+            out.getvalue(), loop_matrix_csv("# c\n", ("sigma1", "sigma2"), k.entries, (-1, 0, 1))
+        )
+
+
+@pytest.mark.parametrize(
+    "row, col",
+    [([0, 2, 1], [0, 0, 0]), ([1, 1], [2, 0]), ([1, 1], [3, 3]), ([0, 64], [0, 0]),
+     ([-1, 0], [0, 0]), ([0, 0], [-1, 0]), ([0], [64])],
+    ids=["rows out of order", "columns out of order", "stored twice", "row past the end",
+         "negative row", "negative column", "column past the end"],
+)
+def test_matrix_csv_refuses_a_sparse_matrix_out_of_order_duplicated_or_outside(row, col):
+    # rows and columns index the 64-row slabs, so such an entry would land in a
+    # wrong cell (a row below its slab's start wraps round) or be dropped
+    basis = Basis.for_fine(dline())
+    row, col = np.array(row, dtype=np.int64), np.array(col, dtype=np.int64)
+    matrix = SparseMatrix(row, col, np.ones(row.size, dtype=complex), (len(basis) ** 2,) * 2)
+    with pytest.raises(ValueError, match="sorted by row then column|invalid entry in coord"):
+        write_superoperator(io.StringIO(), Superoperator(matrix, basis, "bad"))
