@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from types import MappingProxyType
 from typing import Iterable, Optional, Sequence
@@ -56,7 +56,9 @@ class AngularDistribution:
     """Mean photon number per mode as a function of (theta, phi, helicity).
 
     Construct through the factory methods; ``kind`` is one of ``isotropic``,
-    ``axisymmetric-cos2``, ``custom-tabulated``.  ``amplitude`` is an overall
+    ``axisymmetric-cos2``, ``custom-tabulated``.  The constructor itself checks the
+    kind, the amplitude and a tabulated kind's grids and table, so a distribution
+    built directly is refused as a factory would refuse it.  ``amplitude`` is an overall
     scalar factor applied after shape evaluation, so rescaling a distribution
     rescales every K entry exactly (one multiplication, no re-quadrature).
     """
@@ -70,43 +72,15 @@ class AngularDistribution:
     def __post_init__(self) -> None:
         if self.kind not in ("isotropic", "axisymmetric-cos2", "custom-tabulated"):
             raise DistributionDomainError(f"unknown angular distribution kind {self.kind!r}")
-
-    @classmethod
-    def isotropic(cls, n_mean: float) -> "AngularDistribution":
-        if not math.isfinite(n_mean) or n_mean < 0:
+        if not math.isfinite(self.amplitude) or self.amplitude < 0:
             raise DistributionDomainError(
-                f"mean photon number must be finite and >= 0, got {n_mean!r}"
+                f"mean photon number must be finite and >= 0, got {self.amplitude!r}"
             )
-        return cls(kind="isotropic", amplitude=float(n_mean))
-
-    @classmethod
-    def axisymmetric_cos2(cls, n_mean: float) -> "AngularDistribution":
-        """N(theta) = n_mean * cos^2(theta), both helicities."""
-        if not math.isfinite(n_mean) or n_mean < 0:
-            raise DistributionDomainError(
-                f"mean photon number must be finite and >= 0, got {n_mean!r}"
-            )
-        return cls(kind="axisymmetric-cos2", amplitude=float(n_mean))
-
-    @classmethod
-    def from_table(
-        cls,
-        theta_grid: Sequence[float],
-        phi_grid: Sequence[float],
-        table_minus: np.ndarray,
-        table_plus: np.ndarray,
-    ) -> "AngularDistribution":
-        """Tabulated distribution, bilinearly interpolated.
-
-        ``theta_grid`` must be strictly increasing and span [0, pi];
-        ``phi_grid`` strictly increasing within [0, 2pi) (interpolation wraps
-        around); the tables are (n_theta, n_phi) arrays for helicity -1 / +1.
-        """
-        th = np.asarray(theta_grid, dtype=float)
-        ph = np.asarray(phi_grid, dtype=float)
-        tabs = np.stack(
-            [np.asarray(table_minus, dtype=float), np.asarray(table_plus, dtype=float)]
-        )
+        object.__setattr__(self, "amplitude", float(self.amplitude))
+        if self.kind != "custom-tabulated":
+            return
+        given = (self.theta_grid, self.phi_grid, self.table)
+        th, ph, tabs = (np.asarray(array, dtype=float) for array in given)
         if th.ndim != 1 or th.size < 2 or np.any(np.diff(th) <= 0):
             raise DistributionDomainError("theta grid must be strictly increasing")
         if ph.ndim != 1 or ph.size < 2 or np.any(np.diff(ph) <= 0):
@@ -128,13 +102,36 @@ class AngularDistribution:
                 f"negative mean photon number {tabs[lam_i, ti, pi_]!r} at "
                 f"theta={th[ti]!r}, phi={ph[pi_]!r}, lambda={(-1, 1)[lam_i]}"
             )
-        return cls(
-            kind="custom-tabulated",
-            amplitude=1.0,
-            theta_grid=th,
-            phi_grid=ph,
-            table=tabs,
+        for name, array in (("theta_grid", th), ("phi_grid", ph), ("table", tabs)):
+            object.__setattr__(self, name, array)
+
+    @classmethod
+    def isotropic(cls, n_mean: float) -> "AngularDistribution":
+        return cls(kind="isotropic", amplitude=n_mean)
+
+    @classmethod
+    def axisymmetric_cos2(cls, n_mean: float) -> "AngularDistribution":
+        """N(theta) = n_mean * cos^2(theta), both helicities."""
+        return cls(kind="axisymmetric-cos2", amplitude=n_mean)
+
+    @classmethod
+    def from_table(
+        cls,
+        theta_grid: Sequence[float],
+        phi_grid: Sequence[float],
+        table_minus: np.ndarray,
+        table_plus: np.ndarray,
+    ) -> "AngularDistribution":
+        """Tabulated distribution, bilinearly interpolated.
+
+        ``theta_grid`` must be strictly increasing and span [0, pi];
+        ``phi_grid`` strictly increasing within [0, 2pi) (interpolation wraps
+        around); the tables are (n_theta, n_phi) arrays for helicity -1 / +1.
+        """
+        tabs = np.stack(
+            [np.asarray(table_minus, dtype=float), np.asarray(table_plus, dtype=float)]
         )
+        return cls(kind="custom-tabulated", theta_grid=theta_grid, phi_grid=phi_grid, table=tabs)
 
     @classmethod
     def from_csv(cls, path: str) -> "AngularDistribution":
@@ -218,13 +215,7 @@ class AngularDistribution:
             raise DistributionDomainError(
                 f"scale factor must be finite and >= 0, got {factor!r}"
             )
-        return AngularDistribution(
-            kind=self.kind,
-            amplitude=self.amplitude * factor,
-            theta_grid=self.theta_grid,
-            phi_grid=self.phi_grid,
-            table=self.table,
-        )
+        return replace(self, amplitude=self.amplitude * factor)
 
     def evaluate(self, theta, phi, lam: int):
         """N(theta, phi, lam); theta/phi may be broadcasting arrays."""

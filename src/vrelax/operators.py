@@ -9,13 +9,16 @@ Rate tables come in two shapes.  The two-index table ("upper") couples pairs
 of excited sublevels and drives depopulation together with the coherence
 decay between the excited levels.  The four-index table ("feeding") resolves
 the ground sublevels the decay feeds into.  Every coefficient has one form,
-((S * A1) * A2) * K(sigma1, sigma2): two dipole channel amplitudes (``_channels``)
-times one entry of the helicity matrix, which the two channels' helicities
-fix.  So a scheme's rate tables are a fixed linear map of K: its skeleton
-(``_skeleton``, cached as ``scheme.skeleton``) holds, for every pair of
-channels in table order, the flat index of the K entry it reads, and per
-level pair what gives each pair's product (S * A1) * A2 and its two channels.
-A rate builder is one masked product of the skeleton with K, over the pairs
+((S * A1) * A2) * K(sigma1, sigma2): the scheme's S of the level pair, two
+dipole channel amplitudes (``_channels``) and one entry of the helicity matrix,
+which the two channels' helicities fix.  So a scheme's rate tables are a fixed
+linear map of K.  Its angular part, the skeleton (``_skeleton``), holds for
+every pair of channels in table order the flat index of the K entry it reads,
+and per level pair what gives each pair's A1, A2 and its two channels.  It
+depends on J_b, J_c, J_d (and I) alone, so it is built once per set of those
+quantum numbers, with the basis, in one small bounded cache (``_structure``)
+that every scheme with them shares; a scheme holds no derived state.  A rate
+builder is one masked product of the skeleton and S with K, over the pairs
 whose K entry is not zero, and ``interference_sweep`` sums the few pairs p(M)
 reads over many K at once.  A ``RateSet`` holds each table as rows: the basis
 positions of each entry's sublevels and its value.  The feeding rows are given
@@ -47,7 +50,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import InitVar, dataclass, field, replace
-from functools import cache, cached_property
+from functools import cache, cached_property, lru_cache
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
@@ -173,21 +176,6 @@ class LevelScheme:
         norm = math.sqrt((self.j(j1).twice + 1) * (self.j(j2).twice + 1))
         return self.rate_scale * 2.0 * mu[j1] * mu[j2] * om[j2] ** 3 / norm
 
-    @cached_property
-    def basis(self) -> "Basis":
-        """The sublevel basis, built once per scheme (``Basis.for_scheme``)."""
-        return Basis.for_fine(self)
-
-    @cached_property
-    def channels(self) -> dict[str, tuple]:
-        """Each excited level's dipole channels, built once per scheme (``_channels``)."""
-        return {level: _channels(self, level) for level in EXCITED_LEVELS}
-
-    @cached_property
-    def skeleton(self) -> tuple:
-        """The K-free factors of every channel pair, built once per scheme (``_skeleton``)."""
-        return _skeleton(self)
-
 
 @dataclass(frozen=True)
 class HyperfineScheme:
@@ -230,21 +218,6 @@ class HyperfineScheme:
     def f_offset(self, level: str, f: HalfInt) -> float:
         return self.f_offsets.get((level, half(f)), 0.0)
 
-    @cached_property
-    def basis(self) -> "Basis":
-        """The sublevel basis, built once per scheme (``Basis.for_scheme``)."""
-        return Basis.for_hyperfine(self)
-
-    @cached_property
-    def channels(self) -> dict[str, tuple]:
-        """Each excited level's dipole channels, built once per scheme (``_channels``)."""
-        return {level: _channels(self, level) for level in EXCITED_LEVELS}
-
-    @cached_property
-    def skeleton(self) -> tuple:
-        """The K-free factors of every channel pair, built once per scheme (``_skeleton``)."""
-        return _skeleton(self)
-
 
 def hyperfine_mixing(scheme: HyperfineScheme, level: str, f: HalfInt, f_d: HalfInt) -> float:
     """Recoupling factor carried by a hyperfine channel F -> F_d.
@@ -286,7 +259,9 @@ class Basis:
     """Ordered sublevel basis: levels d, c, b; within a level F then M ascending.
 
     A basis maps each sublevel tuple, (level, M) or (level, F, M), to its
-    position; rate-table keys are made of these tuples (see "Key layouts").
+    position; rate-table keys are made of these tuples (see "Key layouts").  Its key
+    tables are built on first read and read-only, as a scheme's basis is shared by
+    every scheme with its quantum numbers (``Basis.for_scheme``).
     """
 
     def __init__(self, states: Iterable[BasisState]):
@@ -316,8 +291,9 @@ class Basis:
 
     @classmethod
     def for_scheme(cls, scheme: LevelScheme | HyperfineScheme) -> "Basis":
-        """The scheme's own basis, built on its first request and shared after."""
-        return scheme.basis
+        """The basis of every scheme with the scheme's quantum numbers, built once and
+        shared (``_structure``)."""
+        return _structure(scheme)[0]
 
     @property
     def sublevels(self) -> tuple[tuple, ...]:
@@ -344,7 +320,8 @@ class Basis:
     @cached_property
     def _parts(self) -> np.ndarray:
         """Each sublevel as it runs in a key (a ground one without its "d"), an object array."""
-        return np.fromiter((s[1:] if s[0] == GROUND_LEVEL else s for s in self.sublevels), object)
+        parts = (s[1:] if s[0] == GROUND_LEVEL else s for s in self.sublevels)
+        return _read_only(np.fromiter(parts, object))[0]
 
     @cached_property
     def _halves(self) -> np.ndarray:
@@ -353,14 +330,14 @@ class Basis:
         ground = [p for p, s in enumerate(self.sublevels) if s[0] == GROUND_LEVEL]
         halves = np.full((len(self), len(self)), None, object)
         halves[:, ground] = np.add.outer(self._parts, self._parts[ground])
-        return halves
+        return _read_only(halves)[0]
 
     @cached_property
     def _part_rank(self) -> np.ndarray:
         """Each sublevel's rank by the reprs of its key part, in tuple order."""
         text = cache(repr)  # each label and quantum number formatted once
         order = sorted(range(len(self)), key=lambda p: tuple(map(text, self._parts[p])))
-        return np.argsort(order)
+        return _read_only(np.argsort(order))[0]
 
     def __len__(self) -> int:
         return len(self.states)
@@ -371,6 +348,36 @@ class Basis:
 
 def _sublevel(state: BasisState) -> tuple:
     return (state.level, state.m) if state.f is None else (state.level, state.f, state.m)
+
+
+def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The arrays, each made read-only."""
+    for array in arrays:
+        array.flags.writeable = False
+    return arrays
+
+
+def _structure(scheme: LevelScheme | HyperfineScheme) -> tuple[Basis, tuple]:
+    """(basis, skeleton) of the scheme, shared by every scheme with its quantum numbers."""
+    hyperfine = isinstance(scheme, HyperfineScheme)
+    fine = scheme.fine if hyperfine else scheme
+    spin = scheme.nuclear_spin.twice if hyperfine else None
+    return _structure_of(fine.j_b.twice, fine.j_c.twice, fine.j_d.twice, spin)
+
+
+@lru_cache(maxsize=8)
+def _structure_of(t_b: int, t_c: int, t_d: int, t_i: int | None) -> tuple[Basis, tuple]:
+    """The basis and skeleton of every scheme with J_b, J_c, J_d (and I) twice these.
+
+    Both depend on the quantum numbers alone, so they are built once for a scheme
+    made from them, and every scheme with them shares the objects, which hold only
+    read-only arrays; the bound holds the scan's five structures, as ``_grid`` does.
+    """
+    scheme = LevelScheme(j_b=HalfInt(t_b), j_c=HalfInt(t_c), j_d=HalfInt(t_d))
+    if t_i is None:
+        return Basis.for_fine(scheme), _skeleton(scheme)
+    scheme = HyperfineScheme(fine=scheme, nuclear_spin=HalfInt(t_i))
+    return Basis.for_hyperfine(scheme), _skeleton(scheme)
 
 
 # ---------------------------------------------------------------------------
@@ -429,9 +436,7 @@ def _partial_sums(sites: np.ndarray, values: np.ndarray, n: int, over: str, drop
     flat = flat[np.sort(np.unique(flat, return_index=True)[1])]
     if drop:
         flat = flat[g[flat] != 0]
-    pairs, sums = np.stack(np.divmod(flat, n), axis=1), g[flat]
-    pairs.flags.writeable = sums.flags.writeable = False
-    return pairs, sums
+    return _read_only(np.stack(np.divmod(flat, n), axis=1), g[flat])
 
 
 _NO_ROWS = np.broadcast_to(0, (0, 2)), np.broadcast_to(0j, 0)  # read-only, as all rows are
@@ -549,14 +554,14 @@ def _channels(
     Returns the basis positions (upper, ground) of each channel's sublevels,
     its helicity and its amplitude R(F, Fd) * <Fd Md; 1 sigma | F M>, as
     read-only arrays.  Fine structure is the one-F case: F = J, Fd = J_d and
-    no recoupling factor.  The rate builders read them from ``scheme.channels``.
+    no recoupling factor.  Only ``_skeleton`` reads them.
     """
     hyperfine = isinstance(scheme, HyperfineScheme)
     if hyperfine:
         f_upper, f_ground = scheme.f_values(level), scheme.f_values(GROUND_LEVEL)
     else:
         f_upper, f_ground = (scheme.j(level),), (scheme.j_d,)
-    position = Basis.for_scheme(scheme).position
+    position = (Basis.for_hyperfine if hyperfine else Basis.for_fine)(scheme).position
     sites, sigmas, amplitudes = [], [], []
     for f in f_upper:
         for m in projections(f):
@@ -575,67 +580,69 @@ def _channels(
                         sites.append((position(upper), position(ground)))
                         sigmas.append(sigma)
                         amplitudes.append(mixing * c)
-    arrays = np.array(sites, np.int32).reshape(-1, 2), np.array(sigmas, int), np.array(amplitudes)
-    for array in arrays:
-        array.flags.writeable = False
-    return arrays
+    sites = np.array(sites, np.int32).reshape(-1, 2)
+    return _read_only(sites, np.array(sigmas, int), np.array(amplitudes))
 
 
 def _skeleton(scheme: LevelScheme | HyperfineScheme) -> tuple:
-    """The K-free half of every rate coefficient, for every pair of channels.
+    """The angular half of every rate coefficient, for every pair of channels.
 
     Pairs run in table order: level pair b b, b c, c b, c c, then the first level's
     channel, then the second's; channels run b's, then c's.  Returns (k_index,
-    blocks, scaled, amplitudes, sites), read-only: per pair the flat index of the K
-    entry it reads, into k_b's entries then k_c's, 3 (sigma1 + 1) + (sigma2 + 1)
-    plus 9 when the second level is c (int8); per level pair its first pair, the
-    second level's channel count, where its S A1 start in ``scaled`` and the first
-    channel of each of its levels; S A1 of each level pair's first level; each
-    channel's amplitude A; and each channel's int32 (upper, ground) positions packed
-    in one int64, so that the four positions of a pair are two gathers.
-    ``_pair_factors`` reads a pair's product (S A1) A2 and channels off it; the rate
-    builders read it from ``scheme.skeleton``.
+    blocks, amplitudes, sites), read-only: per pair the flat index of the K entry it
+    reads, into k_b's entries then k_c's, 3 (sigma1 + 1) + (sigma2 + 1) plus 9 when
+    the second level is c (int8); per level pair its first pair, the second level's
+    channel count and the first channel of each of its levels; each channel's
+    amplitude A; and each channel's int32 (upper, ground) positions packed in one
+    int64, so that the four positions of a pair are two gathers.  It depends on the
+    quantum numbers alone (``_structure``); ``_pair_factors`` reads a pair's product
+    (S A1) A2, with the scheme's S, and its channels off it.
     """
+    channels = {level: _channels(scheme, level) for level in EXCITED_LEVELS}
+    start = {"b": 0, "c": len(channels["b"][0])}
+    k_index, blocks, pairs = [], [], 0
+    for j1 in EXCITED_LEVELS:
+        sig1 = channels[j1][1]
+        for j2 in EXCITED_LEVELS:
+            sig2 = channels[j2][1]
+            # the coefficient inherits the frequency of its second index
+            k_index.append((3 * sig1[:, None] + sig2[None, :] + (4 if j2 == "b" else 13)).ravel())
+            blocks.append((pairs, len(sig2), start[j1], start[j2]))
+            pairs += len(sig1) * len(sig2)
+    return _read_only(
+        np.concatenate(k_index).astype(np.int8),
+        np.array(blocks, np.int64),
+        np.concatenate([amplitudes for _, _, amplitudes in channels.values()]),
+        np.concatenate([positions for positions, _, _ in channels.values()]).view(np.int64).ravel(),
+    )
+
+
+def _s_factors(scheme: LevelScheme | HyperfineScheme) -> np.ndarray:
+    """The scheme's S of each level pair b b, b c, c b, c c (``s_factor``)."""
     hyperfine = isinstance(scheme, HyperfineScheme)
     fine = scheme.fine if hyperfine else scheme
-    channels = scheme.channels
-    start = {"b": 0, "c": len(channels["b"][0])}
-    k_index, blocks, scaled, pairs = [], [], [], 0
+    factors = []
     for j1 in EXCITED_LEVELS:
-        _, sig1, a1 = channels[j1]
         for j2 in EXCITED_LEVELS:
-            _, sig2, a2 = channels[j2]
             scale = fine.s_factor(j1, j2)
             if hyperfine:
                 # the recoupling factors absorb 1/sqrt(2J+1) each, which this
                 # scale puts back so that I = 0 reproduces the fine tables
                 scale *= math.sqrt((fine.j(j1).twice + 1) * (fine.j(j2).twice + 1))
-            # the coefficient inherits the frequency of its second index
-            k_index.append((3 * sig1[:, None] + sig2[None, :] + (4 if j2 == "b" else 13)).ravel())
-            blocks.append((pairs, len(a2), sum(map(len, scaled)), start[j1], start[j2]))
-            scaled.append(scale * a1)
-            pairs += len(a1) * len(a2)
-    levels = [channels[level] for level in EXCITED_LEVELS]
-    arrays = (
-        np.concatenate(k_index).astype(np.int8),
-        np.array(blocks, np.int64),
-        np.concatenate(scaled),
-        np.concatenate([amplitudes for _, _, amplitudes in levels]),
-        np.concatenate([positions for positions, _, _ in levels]).view(np.int64).ravel(),
-    )
-    for array in arrays:
-        array.flags.writeable = False
-    return arrays
+            factors.append(scale)
+    return np.array(factors)
 
 
-def _pair_factors(skeleton: tuple, at: np.ndarray) -> tuple[np.ndarray, ...]:
+def _pair_factors(skeleton: tuple, s: np.ndarray, at: np.ndarray) -> tuple[np.ndarray, ...]:
     """(coef, first, second) of the channel pairs at ascending table positions ``at``:
-    the product (S A1) A2 and the two channels, indices into the skeleton's sites."""
-    _k_index, blocks, scaled, amplitudes = skeleton[:4]
+    the product (S A1) A2, with ``s`` the S of each level pair (``_s_factors``), and
+    the two channels, indices into the skeleton's sites."""
+    _k_index, blocks, amplitudes, _sites = skeleton
     block = np.searchsorted(blocks[:, 0], at, "right") - 1
-    start, width, at_scaled, first, second = blocks[block].T
+    start, width, first, second = blocks[block].T
     i, j = np.divmod(at - start, width)
-    return scaled.take(at_scaled + i) * amplitudes.take(second + j), first + i, second + j
+    coef = s.take(block) * amplitudes.take(first + i) * amplitudes.take(second + j)
+    return coef, first + i, second + j
 
 
 def _tables(
@@ -644,10 +651,10 @@ def _tables(
     """Rate set of ((S A1) A2) K(sigma1, sigma2) per channel pair, without the zeros."""
     k_b.validate()
     k_c.validate()
-    k_index, *_, sites = scheme.skeleton
+    k_index, _blocks, _amplitudes, sites = skeleton = _structure(scheme)[1]
     k = np.concatenate((k_b.entries.ravel(), k_c.entries.ravel()))
     at = np.flatnonzero((k != 0).take(k_index))  # a zero K entry gives a zero product
-    coef, first, second = _pair_factors(scheme.skeleton, at)
+    coef, first, second = _pair_factors(skeleton, _s_factors(scheme), at)
     # ((S A1) A2) K: one fixed product order keeps every value bit-stable
     with np.errstate(over="ignore", invalid="ignore"):  # raised typed below instead
         values = coef * k.take(k_index.take(at))
@@ -969,7 +976,7 @@ def interference_sweep(
     the same two matrices has the same degrees), wherever that builder succeeds.  No
     rate set is built: a degree reads three sums of the two-index table, each over
     one shared sublevel's channel pairs into one ground sublevel, and those pairs read
-    diagonal K entries only.  Their terms come from ``scheme.skeleton`` and are
+    diagonal K entries only.  Their terms come from the scheme's skeleton and are
     summed from 0 in table order, as the table sums them, for every point at once.
     A sum read here that is not finite raises :class:`SchemeError`.
     """
@@ -986,15 +993,15 @@ def interference_sweep(
         )
     for k in ks if ks_c is ks else ks + ks_c:
         k.validate()
-    k_index, *_, sites = scheme.skeleton
-    basis = Basis.for_scheme(scheme)
+    basis, skeleton = _structure(scheme)
+    k_index, *_, sites = skeleton
     n, shared = len(basis), _shared(basis.sublevels)
     # per shared sublevel the sums (b b), (c c), (b c), as flat positions of the table
     targets = np.array([(b * n + b, c * n + c, b * n + c) for b, c in shared], int).ravel()
     slot = np.full(n * n, -1)
     slot[targets] = np.arange(targets.size)
     pairs = np.arange(k_index.size)
-    coef, first, second = _pair_factors(scheme.skeleton, pairs)
+    coef, first, second = _pair_factors(skeleton, _s_factors(scheme), pairs)
     ends = sites.view(np.int32).reshape(-1, 2)
     (up1, gr1), (up2, gr2) = ends[first].T, ends[second].T
     summed = np.where(gr1 == gr2, slot[up1.astype(np.int64) * n + up2], -1)

@@ -1,15 +1,18 @@
-"""The rate builders' scheme-fixed inputs, built once and shared.
+"""The rate builders' fixed inputs, built once and shared.
 
-Each scheme object keeps its excited levels' dipole channels
-(``scheme.channels``) and each quadrature order its grid
-(``environment._grid``).  A cached input must give every later caller the
-bits a fresh computation gives, and no caller may write to it.
+Every scheme with the same quantum numbers (J_b, J_c, J_d and I) shares one
+basis, its key tables and one skeleton of the rate tables
+(``operators._structure``), whatever its frequencies, S, dipole mode or
+hyperfine offsets; each quadrature order has its grid (``environment._grid``).
+Both caches are bounded.  A cached input must give every later caller the
+bits a fresh computation gives, and no caller may write to it.  A scheme
+holds no derived state, so a used one pickles as an unused one.
 """
 
 import copy
 import math
 import pickle
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -26,11 +29,17 @@ from vrelax.environment import (
     k_spontaneous,
     k_stimulated,
 )
-from vrelax.halfint import half
+from vrelax import cli, operators
+from vrelax.halfint import HalfInt, half
 from vrelax.operators import (
+    Basis,
     HyperfineScheme,
     LevelScheme,
     _channels,
+    _skeleton,
+    _structure,
+    _structure_of,
+    interference_report,
     rates_fine,
     rates_hyperfine,
     rates_injected,
@@ -95,51 +104,115 @@ def set_bits(rates):
     return rates.sites.tolist(), bits(rates.values).tolist(), [table_bits(t) for t in tables]
 
 
+def assert_holds_only_its_fields(scheme):
+    assert set(vars(scheme)) == {f.name for f in fields(scheme)}
+
+
 @pytest.mark.parametrize("builder", sorted(BUILDERS))
 def test_a_used_scheme_builds_the_sets_a_fresh_one_builds(builder):
     build = BUILDERS[builder]
     make = hyperfine_scheme if builder == "hyperfine" else fine_scheme
     used = make()
-    for r in (0.1, 0.5, 0.8):  # three builds fill and then read the scheme's channels
+    for r in (0.1, 0.5, 0.8):  # the first build fills the shared structure, the others read it
         build(used, r)
-    assert "channels" in vars(used)
-    fresh = make()
-    assert "channels" not in vars(fresh)
-    assert set_bits(build(used, 0.6)) == set_bits(build(fresh, 0.6))
+    assert_holds_only_its_fields(used)
+    warm = [build(used, 0.6)]
     if builder != "hyperfine":
-        for level in ("b", "c"):
-            again = build(used, 0.3).restricted(level)
-            assert set_bits(again) == set_bits(build(make(), 0.3).restricted(level))
+        warm += [build(used, 0.3).restricted(level) for level in ("b", "c")]
+    _structure_of.cache_clear()  # a cold build, from a new scheme object
+    cold = [build(make(), 0.6)]
+    if builder != "hyperfine":
+        cold += [build(make(), 0.3).restricted(level) for level in ("b", "c")]
+    assert [set_bits(rates) for rates in warm] == [set_bits(rates) for rates in cold]
+
+
+def read_only_arrays(scheme):
+    """Every array a scheme's shared structure holds, the basis's key tables included."""
+    basis, skeleton = _structure(scheme)
+    return (basis._parts, basis._halves, basis._part_rank, *skeleton)
 
 
 @pytest.mark.parametrize("make", [fine_scheme, hyperfine_scheme])
-def test_channels_are_the_scheme_own_and_read_only(make):
+def test_schemes_with_equal_quantum_numbers_share_one_structure(make):
     scheme = make()
-    channels = scheme.channels
-    assert scheme.channels is channels  # built once per scheme object
+    fine = scheme.fine if isinstance(scheme, HyperfineScheme) else scheme
+    others = [
+        replace(fine, omega_bd=1.7, omega_cd=0.4),
+        replace(fine, rate_scale=3.5),
+        replace(fine, dipole_mode="explicit", mu_bd=0.7, mu_cd=1.9),
+    ]
+    if isinstance(scheme, HyperfineScheme):
+        others = [replace(scheme, fine=other) for other in others]
+        others.append(replace(scheme, f_offsets={("b", half(2)): 0.002, ("d", half(1)): 0.1}))
+    basis, skeleton = _structure(scheme)
+    for other in others:
+        assert other != scheme
+        assert Basis.for_scheme(other) is basis and _structure(other)[1] is skeleton
+    # the shared skeleton is the one a build from this scheme gives, and read-only
+    for shared, fresh in zip(skeleton, _skeleton(scheme)):
+        assert shared.dtype == fresh.dtype and np.array_equal(shared, fresh)
+    for array in read_only_arrays(scheme):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = array[0]
     for level in ("b", "c"):
-        expected = _channels(scheme, level)
-        for cached, fresh in zip(channels[level], expected):
-            assert cached.dtype == fresh.dtype and np.array_equal(cached, fresh)
-            assert not cached.flags.writeable
-            with pytest.raises(ValueError, match="read-only"):
-                cached[0] = cached[0]
-    # a used scheme still pickles and copies, and its copy reads the same channels
-    for copied in (pickle.loads(pickle.dumps(scheme)), copy.deepcopy(scheme)):
-        assert copied == scheme
-        for level in ("b", "c"):
-            for cached, fresh in zip(copied.channels[level], channels[level]):
-                assert np.array_equal(cached, fresh)
-    # a replaced scheme is a new object with channels of its own
+        assert not any(array.flags.writeable for array in _channels(scheme, level))
+    # other quantum numbers give another structure
     if isinstance(scheme, HyperfineScheme):
         other = replace(scheme, nuclear_spin=half("5/2"))
     else:
         other = replace(scheme, j_b=half("5/2"))
-    assert other.channels is not channels
-    for level in ("b", "c"):
-        for cached, fresh in zip(other.channels[level], _channels(other, level)):
-            assert np.array_equal(cached, fresh)
-    assert len(other.channels["b"][0]) != len(channels["b"][0])
+    assert Basis.for_scheme(other) is not basis and _structure(other)[1] is not skeleton
+    assert len(Basis.for_scheme(other)) != len(basis)
+
+
+def test_the_structure_cache_is_bounded_and_evicts_the_least_recently_used():
+    maxsize = _structure_of.cache_info().maxsize
+    assert maxsize == 8
+    dline = LevelScheme(j_b=half("3/2"), j_c=half("1/2"), j_d=half("1/2"))
+    schemes = [HyperfineScheme(fine=dline, nuclear_spin=HalfInt(t)) for t in range(maxsize + 1)]
+    first = [_structure(scheme) for scheme in schemes[:maxsize]]
+    assert _structure_of.cache_info().currsize == maxsize
+    assert _structure(schemes[0]) is first[0]  # now the most recently used
+    _structure(schemes[maxsize])  # evicts the least recently used, the second
+    assert _structure_of.cache_info().currsize == maxsize
+    assert _structure(schemes[0]) is first[0]
+    assert all(_structure(s) is built for s, built in zip(schemes[2:maxsize], first[2:]))
+    rebuilt = _structure(schemes[1])
+    assert rebuilt is not first[1]
+    assert [array.tobytes() for array in rebuilt[1]] == [array.tobytes() for array in first[1][1]]
+
+
+@pytest.mark.parametrize("make", [fine_scheme, hyperfine_scheme])
+def test_a_used_scheme_holds_no_derived_state(make):
+    used, unused = make(), make()
+    if isinstance(used, HyperfineScheme):
+        rates = rates_hyperfine(used, k_spontaneous(cavity(0.4), 1.0))
+    else:
+        rates = rates_injected(used, KMatrix.from_diagonal([0.3, 0.2, 0.1]))
+    interference_report(rates)  # reads the basis's key tables
+    rates.entries("feeding")
+    assert_holds_only_its_fields(used)
+    assert pickle.dumps(used) == pickle.dumps(unused)
+    for copied in (pickle.loads(pickle.dumps(used)), copy.deepcopy(used), copy.copy(used)):
+        assert copied == used
+        assert_holds_only_its_fields(copied)
+        assert Basis.for_scheme(copied) is Basis.for_scheme(used)
+
+
+def test_200_steady_runs_build_the_skeleton_once(monkeypatch, tmp_path):
+    builds = []
+
+    def counted(scheme):
+        builds.append(scheme)
+        return skeleton(scheme)
+
+    skeleton = operators._skeleton
+    monkeypatch.setattr(operators, "_skeleton", counted)
+    out, outputs = tmp_path / "steady.csv", set()
+    for _run in range(200):
+        assert cli.main(["steady", "--preset", "dline-isotropic", "--out", str(out)]) == 0
+        outputs.add(out.read_bytes())
+    assert len(builds) == 1 and len(outputs) == 1
 
 
 def reference_k(dist, mod, omega, quad_order):

@@ -25,7 +25,7 @@ import vrelax
 from vrelax.cli import main
 from vrelax.config import preset_config, preset_names, serialize_config
 from vrelax.environment import ModeDensityModifier, k_spontaneous
-from vrelax.operators import Superoperator
+from vrelax.operators import Basis, Superoperator
 
 DLINE_TEMPLATE = """\
 [system]
@@ -671,7 +671,7 @@ class TestSteadyCommand:
         import vrelax.cli as cli
 
         def coherence_only(_cfg, scheme):
-            basis = scheme.basis
+            basis = Basis.for_scheme(scheme)
             diag = -np.ones(len(basis) ** 2)
             diag[1] = 0.0
             return [("coherence-only", Superoperator(np.diag(diag), basis, "coherence-only"))]

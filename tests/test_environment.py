@@ -223,7 +223,11 @@ class TestKStimulated:
         )
         doctored_table = good.table.copy()
         doctored_table[1, 2, 1] = -0.25
-        doctored = dataclasses.replace(good, table=doctored_table)
+        # the constructor refuses the table, so it is set past it
+        with pytest.raises(DistributionDomainError, match="negative mean photon number .*lambda=1"):
+            dataclasses.replace(good, table=doctored_table)
+        doctored = dataclasses.replace(good)
+        object.__setattr__(doctored, "table", doctored_table)
         with pytest.raises(DistributionDomainError, match="lambda"):
             k_stimulated(doctored, ModeDensityModifier.vacuum(), 1.0)
 
@@ -233,6 +237,33 @@ class TestAngularDistribution:
         # shape() fell through to the table interpolation: a TypeError on table=None
         with pytest.raises(DistributionDomainError, match="unknown angular distribution kind"):
             AngularDistribution(kind="bogus").shape(0.3, 1.1, 1)
+
+    @pytest.mark.parametrize("amplitude", [-2.0, math.nan, math.inf])
+    def test_the_constructor_refuses_an_amplitude_the_factories_refuse(self, amplitude):
+        # -2.0 was taken, and k_stimulated of it gave a K with diagonal -4/3; a NaN
+        # surfaced only as "K matrix entries must be finite"
+        for kind in ("isotropic", "axisymmetric-cos2"):
+            with pytest.raises(DistributionDomainError, match="mean photon number must be"):
+                AngularDistribution(kind=kind, amplitude=amplitude)
+            with pytest.raises(DistributionDomainError, match="mean photon number must be"):
+                AngularDistribution.isotropic(amplitude)
+
+    def test_the_constructor_checks_a_tabulated_kind_as_from_table_does(self):
+        # with no table, shape() raised a bare TypeError
+        with pytest.raises(DistributionDomainError, match="theta grid must be strictly increasing"):
+            AngularDistribution(kind="custom-tabulated")
+        thetas = np.linspace(0.0, math.pi, 3)
+        phis = np.linspace(0.0, 2.0 * math.pi, 4, endpoint=False)
+        with pytest.raises(DistributionDomainError, match=r"tables must have shape \(3, 4\)"):
+            AngularDistribution(kind="custom-tabulated", theta_grid=thetas, phi_grid=phis)
+        direct = AngularDistribution(
+            kind="custom-tabulated", theta_grid=list(thetas), phi_grid=list(phis),
+            table=np.ones((2, 3, 4)).tolist(),
+        )
+        built = AngularDistribution.from_table(thetas, phis, np.ones((3, 4)), np.ones((3, 4)))
+        for name in ("theta_grid", "phi_grid", "table"):
+            assert np.array_equal(getattr(direct, name), getattr(built, name))
+        assert direct.evaluate(0.4, 1.0, -1) == built.evaluate(0.4, 1.0, -1) == 1.0
 
     def test_isotropic_constant(self):
         dist = AngularDistribution.isotropic(2.5)
